@@ -149,7 +149,7 @@ def main(argv=None) -> int:
     problems = validate_metrics(metrics.to_dict())
     if problems:
         raise SystemExit("invalid metrics: " + "; ".join(problems))
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     metrics.write(args.out)
     txt_path = os.path.splitext(args.out)[0] + ".txt"
     with open(txt_path, "w") as fh:

@@ -114,7 +114,7 @@ def profile_workload(
 
 
 def write_baseline(metrics: RunMetrics, path: str = RESULTS_PATH) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     metrics.write(path)
 
 

@@ -9,7 +9,7 @@ Three measurements, mirroring the contract of
   largest worker count must reach ``MIN_SPEEDUP`` (2x) *when the machine
   can express it*: on runners with fewer visible cores than workers the
   speedup gate is reported as skipped (a process pool cannot beat the
-  core count), exactly like bench_compiled's no-gate CI smoke.
+  core count).
 - **weak scaling** (informational): crawls with ``clients = base x
   workers`` against ``sharded_crawl`` with that worker count.  Ideal
   efficiency (t1/tN) is 1.0; the real curve pays for each worker
@@ -115,12 +115,13 @@ def check_import_baseline() -> dict:
         + "\nprint(int('numpy' in sys.modules), asyncio_preloaded,"
         " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": "src"},
+        env={**os.environ, "PYTHONPATH": os.path.join(repo, "src")},
     )
     numpy_flag, asyncio_flag, maxrss_kb = result.stdout.split()
     return {
@@ -303,7 +304,7 @@ def render(doc: dict) -> str:
 
 def write_results(doc: dict, json_path: str = RESULTS_JSON,
                   txt_path: str = RESULTS_TXT) -> None:
-    os.makedirs(os.path.dirname(json_path), exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(json_path)), exist_ok=True)
     with open(json_path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

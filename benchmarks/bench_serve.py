@@ -140,7 +140,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     result, metrics = run_serve_loadgen()
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     metrics.write(args.out)
     summary = result.summary()
     txt_path = os.path.splitext(args.out)[0] + ".txt"

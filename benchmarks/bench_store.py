@@ -1,11 +1,11 @@
 """Benchmark of the out-of-core trace store against whole-file loading.
 
-The store exists so long traces never have to be resident: analyses walk
-one mmapped day segment at a time (``repro.analysis.streaming``) instead
+The store exists so long traces never have to be resident: the day-indexed
+analyses walk a ``TraceStore`` one mmapped day segment at a time instead
 of materialising every snapshot as Python objects (``load_trace``).  This
-bench runs the same analysis workload — ``rank_evolution`` plus the
-rng-subsampled ``overlap_evolution`` — both ways, each inside its own
-child process, and compares:
+bench runs the same analysis code — ``rank_evolution`` plus the
+rng-subsampled ``overlap_evolution`` — over both sources, each inside its
+own child process, and compares:
 
 - **peak RSS** (``ru_maxrss``), the number the store is designed to
   shrink: a full streaming pass over the 56-day DEFAULT-scale trace must
@@ -14,8 +14,8 @@ child process, and compares:
 - **load latency**, reported informationally: time-to-first-data for the
   store (open + mmap the first segment) vs a full ``load_trace``;
 - **output digests**, enforced unconditionally: both children must
-  produce byte-identical analysis results, the equivalence contract the
-  streaming engines are pinned to.
+  produce byte-identical analysis results (the in-memory ≡ store
+  contract).
 
 Each mode runs in a separate child process (this script re-invokes
 itself with ``--child``) so the two peak-RSS measurements cannot
@@ -27,7 +27,7 @@ CI runs a SMALL-scale smoke with ``--no-gate`` (tiny traces fit in the
 interpreter baseline, so the ratio is meaningless there, but the smoke
 proves both paths still agree); the committed DEFAULT-scale results are
 regenerated with ``python benchmarks/bench_store.py`` whenever the store
-or the streaming engines change.
+or the day-indexed analyses change.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ OVERLAP_SEED = 1
 
 def _digest_series(series) -> str:
     """Canonical digest of a list of Series: any divergence between the
-    in-memory and streaming engines shows up as a digest mismatch."""
+    in-memory and store-backed runs shows up as a digest mismatch."""
     payload = json.dumps(
         [[s.name, list(s.xs), list(s.ys)] for s in series]
     ).encode()
@@ -120,10 +120,8 @@ def child_inmem(trace_path: str) -> dict:
 
 def child_streaming(store_path: str) -> dict:
     """Out-of-core mode: stream mmapped day segments from the store."""
-    from repro.analysis.streaming import (
-        streaming_overlap_evolution,
-        streaming_rank_evolution,
-    )
+    from repro.analysis.popularity import rank_evolution
+    from repro.analysis.semantic import overlap_evolution
     from repro.trace.store import open_store
 
     start = time.perf_counter()
@@ -133,8 +131,8 @@ def child_streaming(store_path: str) -> dict:
     load_secs = time.perf_counter() - start
 
     start = time.perf_counter()
-    series = streaming_rank_evolution(store, reference_day=first, top_k=TOP_K)
-    series += streaming_overlap_evolution(
+    series = rank_evolution(store, reference_day=first, top_k=TOP_K)
+    series += overlap_evolution(
         store,
         overlap_levels=OVERLAP_LEVELS,
         max_pairs_per_level=MAX_PAIRS,
@@ -190,7 +188,7 @@ def run_bench(scale=None, seed: int | None = None, workdir: str = ".") -> dict:
     streaming = _run_child("streaming", store_path)
     if inmem["digest"] != streaming["digest"]:
         raise AssertionError(
-            "streaming analysis diverged from the in-memory engines: "
+            "store-backed analysis diverged from the in-memory run: "
             f"{streaming['digest']} != {inmem['digest']}"
         )
 
@@ -252,7 +250,7 @@ def render(doc: dict) -> str:
 
 def write_results(doc: dict, json_path: str = RESULTS_JSON,
                   txt_path: str = RESULTS_TXT) -> None:
-    os.makedirs(os.path.dirname(json_path), exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(json_path)), exist_ok=True)
     with open(json_path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

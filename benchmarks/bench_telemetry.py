@@ -121,7 +121,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     result = measure(repeats=args.repeats)
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")

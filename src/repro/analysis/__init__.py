@@ -3,7 +3,11 @@
 Each function takes a :class:`~repro.trace.model.Trace` or
 :class:`~repro.trace.model.StaticTrace` and returns plain data —
 :class:`~repro.util.cdf.Series` lists, tables of rows, or small dataclasses
-— that the experiment layer renders and the benchmarks assert on.
+— that the experiment layer renders and the benchmarks assert on.  The
+day-indexed popularity and overlap analyses take any
+:class:`~repro.trace.model.DaySource` instead: the same code runs over an
+in-memory ``Trace`` or an on-disk :class:`~repro.trace.store.TraceStore`,
+one day at a time.
 
 Module map (see DESIGN.md for the full per-experiment index):
 
@@ -12,10 +16,7 @@ Module map (see DESIGN.md for the full per-experiment index):
   popularity dynamics);
 - :mod:`repro.analysis.geographic` — Figure 4, Table 2, Figures 11, 12;
 - :mod:`repro.analysis.semantic` — Figures 13, 14, 15, 16, 17 (clustering
-  correlation and overlap dynamics);
-- :mod:`repro.analysis.streaming` — out-of-core variants of the popularity
-  and overlap analyses over a :class:`~repro.trace.store.TraceStore`,
-  holding at most a day window in memory.
+  correlation and overlap dynamics).
 """
 
 from repro.analysis.contribution import (
@@ -37,14 +38,6 @@ from repro.analysis.semantic import (
     overlap_evolution,
     pair_overlaps,
 )
-from repro.analysis.streaming import (
-    streaming_file_spread,
-    streaming_max_spread_fraction,
-    streaming_overlap_evolution,
-    streaming_rank_evolution,
-    streaming_rank_replication,
-    streaming_top_files_on,
-)
 
 __all__ = [
     "clustering_correlation",
@@ -57,11 +50,5 @@ __all__ = [
     "rank_evolution",
     "rank_replication",
     "size_cdf_by_popularity",
-    "streaming_file_spread",
-    "streaming_max_spread_fraction",
-    "streaming_overlap_evolution",
-    "streaming_rank_evolution",
-    "streaming_rank_replication",
-    "streaming_top_files_on",
     "top_as_table",
 ]

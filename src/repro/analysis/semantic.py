@@ -7,14 +7,15 @@ next one, which is what makes semantic neighbour lists work.
 
 The *overlap evolution* analyses (Figures 15-17) group client pairs by their
 cache overlap on the first analysis day and track the mean overlap of each
-group over time.
+group over time; like the popularity analyses they run over a day source
+(an in-memory ``Trace`` or an on-disk ``TraceStore``, see
+:mod:`repro.analysis.popularity`).
 
 The pair-counting entry points accept either a plain cache map or a
 :class:`~repro.trace.compiled.CompiledTrace`; the compiled form routes
-through its sparse overlap kernel, and cache-map inputs default to
-C-level ``Counter`` accumulation over ``combinations``.  All paths
-produce the exact dict the original nested pair loop computes (kept
-reachable with ``use_compiled=False`` as the reference).
+through its sparse overlap kernel, and cache-map inputs use C-level
+``Counter`` accumulation over ``combinations``.  Both produce the same
+dict (pinned by the digests in ``tests/golden/``).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import (
     Union,
 )
 
-from repro.trace.compiled import CompiledTrace, FileInterner
-from repro.trace.model import ClientId, FileId, Trace, pair_key
+from repro.trace.compiled import CompiledTrace
+from repro.trace.model import ClientId, DaySource, FileId
 from repro.util.cdf import Series
 from repro.util.rng import RngStream
 
@@ -48,7 +49,6 @@ def pair_overlaps(
     file_filter: Optional[FileFilter] = None,
     max_sources_per_file: Optional[int] = None,
     rng: Optional[RngStream] = None,
-    use_compiled: bool = True,
 ) -> Dict[Tuple[ClientId, ClientId], int]:
     """Number of common (qualifying) files for every overlapping pair.
 
@@ -80,23 +80,16 @@ def pair_overlaps(
             if file_filter is None or file_filter(fid):
                 sharers_of[fid].append(client_id)
 
+    # The O(s^2) pair enumeration runs in C; sorted sharers make every
+    # pair come out in canonical (low, high) order.
     overlaps: Counter = Counter()
-    if max_sources_per_file is None and use_compiled:
-        # Hot path: push the O(s^2) pair enumeration into C.
-        for sharers in sharers_of.values():
-            if len(sharers) > 1:
-                overlaps.update(combinations(sorted(sharers), 2))
-        return dict(overlaps)
-
-    for fid, sharers in sharers_of.items():
+    for sharers in sharers_of.values():
         if max_sources_per_file is not None and len(sharers) > max_sources_per_file:
             if rng is None:
                 raise ValueError("subsampling requires an rng")
             sharers = rng.sample_without_replacement(sharers, max_sources_per_file)
-        sharers = sorted(sharers)
-        for i in range(len(sharers)):
-            for j in range(i + 1, len(sharers)):
-                overlaps[pair_key(sharers[i], sharers[j])] += 1
+        if len(sharers) > 1:
+            overlaps.update(combinations(sorted(sharers), 2))
     return dict(overlaps)
 
 
@@ -108,7 +101,6 @@ def clustering_correlation(
     name: str = "clustering",
     max_sources_per_file: Optional[int] = None,
     rng: Optional[RngStream] = None,
-    use_compiled: bool = True,
 ) -> Series:
     """P(>= n+1 common files | >= n common files), per n (Figure 13).
 
@@ -123,7 +115,6 @@ def clustering_correlation(
         file_filter=file_filter,
         max_sources_per_file=max_sources_per_file,
         rng=rng,
-        use_compiled=use_compiled,
     )
     histogram: Counter = Counter(overlaps.values())
     if not histogram:
@@ -178,12 +169,11 @@ def popularity_band_filter(
 
 
 def overlap_evolution(
-    trace: Trace,
+    source: DaySource,
     first_day: Optional[int] = None,
     overlap_levels: Optional[Sequence[int]] = None,
     max_pairs_per_level: int = 500,
     seed: int = 0,
-    use_compiled: bool = True,
 ) -> List[Series]:
     """Mean overlap over time for pair groups fixed on the first day
     (Figures 15-17).
@@ -194,8 +184,11 @@ def overlap_evolution(
     are subsampled for tractability.  Series are named
     ``"<k> Common Files, <n> Pairs"`` with ``n`` the *full* group size, as
     in the paper's legends.
+
+    ``source`` is a ``Trace`` or a ``TraceStore``.  Only the first day's
+    pair enumeration and, per follow day, that day's caches are held.
     """
-    days = trace.days()
+    days = source.days()
     if not days:
         raise ValueError("trace has no days")
     if first_day is None:
@@ -203,17 +196,19 @@ def overlap_evolution(
     if first_day not in days:
         raise ValueError(f"first_day {first_day} not in trace")
 
-    base = trace.snapshots_on(first_day)
+    base = source.snapshots_on(first_day)
     overlaps = pair_overlaps({c: f for c, f in base.items() if f})
+    del base
     groups: Dict[int, List[Tuple[ClientId, ClientId]]] = defaultdict(list)
     for pair, n in overlaps.items():
         groups[n].append(pair)
+    del overlaps
 
     if overlap_levels is None:
         overlap_levels = sorted(groups)
     rng = RngStream(seed, "overlap-evolution")
 
-    selected: List[Tuple[int, int, List[Tuple[ClientId, ClientId]]]] = []
+    selected: List[Tuple[List[Tuple[ClientId, ClientId]], Series]] = []
     for level in overlap_levels:
         pairs = groups.get(level, [])
         if not pairs:
@@ -221,40 +216,24 @@ def overlap_evolution(
         full_size = len(pairs)
         if full_size > max_pairs_per_level:
             pairs = rng.sample_without_replacement(sorted(pairs), max_pairs_per_level)
-        selected.append((level, full_size, pairs))
+        selected.append(
+            (pairs, Series(name=f"{level} Common Files, {full_size} Pairs"))
+        )
+    del groups
 
-    follow_days = [d for d in days if d >= first_day]
-    # Per-day caches of the tracked clients only, interned to int sets
-    # (one intern table for the whole call) so the per-pair intersections
-    # hash ints; intersection *sizes* are representation-independent.
-    tracked = {c for _, _, pairs in selected for pair in pairs for c in pair}
-    interner = FileInterner() if use_compiled else None
-    day_caches: Dict[int, Dict[ClientId, FrozenSet]] = {}
-    for day in follow_days:
-        snaps = trace.snapshots_on(day)
-        if interner is not None:
-            day_caches[day] = {
-                c: interner.intern_set(snaps[c]) for c in tracked if c in snaps
-            }
-        else:
-            day_caches[day] = {c: snaps[c] for c in tracked if c in snaps}
-
-    out: List[Series] = []
-    for level, full_size, pairs in selected:
-        series = Series(name=f"{level} Common Files, {full_size} Pairs")
-        for day in follow_days:
-            snaps = day_caches[day]
-            values: List[int] = []
-            for a, b in pairs:
-                cache_a = snaps.get(a)
-                cache_b = snaps.get(b)
-                if cache_a is None or cache_b is None:
-                    continue
-                values.append(len(cache_a & cache_b))
+    for day in days:
+        if day < first_day:
+            continue
+        snaps = source.snapshots_on(day)
+        for pairs, series in selected:
+            values = [
+                len(snaps[a] & snaps[b])
+                for a, b in pairs
+                if a in snaps and b in snaps
+            ]
             if values:
                 series.append(day, sum(values) / len(values))
-        out.append(series)
-    return out
+    return [series for _pairs, series in selected]
 
 
 def mean_overlap_decay(series: Series) -> float:

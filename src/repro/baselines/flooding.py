@@ -73,12 +73,11 @@ class FloodResult:
 class FloodingSearch:
     """Flood queries over a fixed overlay built from a static trace.
 
-    By default the membership probes run on the trace's compiled form:
-    the queried file id is interned to an int once per search, and each
-    visited peer's cache is a frozen set of ints.  ``use_compiled=False``
-    probes the original string caches; results are identical (only the
-    key representation changes — the BFS order and the overlay RNG never
-    see file ids).
+    Membership probes run on the trace's compiled form: the queried file
+    id is interned to an int once per search, and each visited peer's
+    cache is a frozen set of ints (only the key representation differs
+    from the string caches — the BFS order and the overlay RNG never see
+    file ids).
     """
 
     def __init__(
@@ -86,29 +85,22 @@ class FloodingSearch:
         trace: StaticTrace,
         config: Optional[FloodingConfig] = None,
         seed: int = 0,
-        use_compiled: bool = True,
     ) -> None:
         self.trace = trace
         self.config = config or FloodingConfig()
         self.rng = RngStream(seed, "flooding")
         self.peers = sorted(trace.caches)
         self.overlay = build_overlay(self.peers, self.config.degree, self.rng)
-        if use_compiled:
-            compiled = trace.compiled()
-            self._file_index: Optional[Dict[FileId, int]] = compiled.file_index
-            row = compiled.client_row
-            sets = compiled.cache_sets
-            self._lookup: Dict[ClientId, frozenset] = {
-                peer: sets[row[peer]] for peer in self.peers
-            }
-        else:
-            self._file_index = None
-            self._lookup = trace.caches
+        compiled = trace.compiled()
+        self._file_index: Dict[FileId, int] = compiled.file_index
+        row = compiled.client_row
+        sets = compiled.cache_sets
+        self._lookup: Dict[ClientId, frozenset] = {
+            peer: sets[row[peer]] for peer in self.peers
+        }
 
-    def _file_key(self, file_id: FileId):
+    def _file_key(self, file_id: FileId) -> Optional[int]:
         """Interned probe key (None — matching nothing — if unknown)."""
-        if self._file_index is None:
-            return file_id
         return self._file_index.get(file_id)
 
     def search(self, start: ClientId, file_id: FileId) -> FloodResult:
@@ -181,16 +173,13 @@ def measure_flooding(
     num_queries: int = 200,
     config: Optional[FloodingConfig] = None,
     seed: int = 0,
-    use_compiled: bool = True,
 ) -> Dict[str, float]:
     """Monte-Carlo estimate of flooding cost on a static trace.
 
     Queries pick a random requester and a random file held by someone else,
     then measure contacts-until-hit.  Returns hit rate and mean contacts.
     """
-    search = FloodingSearch(
-        trace, config=config, seed=seed, use_compiled=use_compiled
-    )
+    search = FloodingSearch(trace, config=config, seed=seed)
     rng = RngStream(seed, "flooding-queries")
     sharers = [c for c, cache in trace.caches.items() if cache]
     if not sharers:

@@ -40,10 +40,8 @@ class WalkResult:
 class RandomWalkSearch:
     """k parallel random walks with step budgets.
 
-    Membership probes run on the compiled trace by default (interned
-    file key against frozen int sets); ``use_compiled=False`` probes the
-    original string caches.  Walk RNG draws never touch file ids, so
-    results are identical either way.
+    Membership probes run on the compiled trace (interned file key
+    against frozen int sets); walk RNG draws never touch file ids.
     """
 
     def __init__(
@@ -51,31 +49,23 @@ class RandomWalkSearch:
         trace: StaticTrace,
         config: Optional[RandomWalkConfig] = None,
         seed: int = 0,
-        use_compiled: bool = True,
     ) -> None:
         self.trace = trace
         self.config = config or RandomWalkConfig()
         self.rng = RngStream(seed, "random-walk")
         self.peers = sorted(trace.caches)
         self.overlay = build_overlay(self.peers, self.config.degree, self.rng)
-        if use_compiled:
-            compiled = trace.compiled()
-            row = compiled.client_row
-            sets = compiled.cache_sets
-            self._file_index = compiled.file_index
-            self._lookup: Dict[ClientId, frozenset] = {
-                peer: sets[row[peer]] for peer in self.peers
-            }
-        else:
-            self._file_index = None
-            self._lookup = trace.caches
+        compiled = trace.compiled()
+        row = compiled.client_row
+        sets = compiled.cache_sets
+        self._file_index = compiled.file_index
+        self._lookup: Dict[ClientId, frozenset] = {
+            peer: sets[row[peer]] for peer in self.peers
+        }
 
     def search(self, start: ClientId, file_id: FileId) -> WalkResult:
         lookup = self._lookup
-        if self._file_index is None:
-            file_key = file_id
-        else:
-            file_key = self._file_index.get(file_id)
+        file_key = self._file_index.get(file_id)
         contacted = 0
         for walker in range(self.config.walkers):
             walk_rng = self.rng.child(f"walk[{start}/{walker}]")
@@ -96,12 +86,9 @@ def measure_random_walk(
     num_queries: int = 200,
     config: Optional[RandomWalkConfig] = None,
     seed: int = 0,
-    use_compiled: bool = True,
 ) -> Dict[str, float]:
     """Monte-Carlo hit rate / contact cost of random-walk search."""
-    search = RandomWalkSearch(
-        trace, config=config, seed=seed, use_compiled=use_compiled
-    )
+    search = RandomWalkSearch(trace, config=config, seed=seed)
     rng = RngStream(seed, "walk-queries")
     replica_slots: list[Tuple[ClientId, FileId]] = [
         (peer, fid)

@@ -30,12 +30,12 @@ class LookupStats:
 class ServerLookup:
     """A central file -> sources index with publish/unpublish.
 
-    The public API speaks string file ids.  Built from a trace with
-    ``use_compiled`` (the default), the internal index is keyed by the
-    trace's interned file ints — ``_key`` translates at the boundary, and
-    ids unknown to the intern table (published later) fall back to their
-    string key — so bulk construction walks the compiled inverted index
-    instead of hashing every (client, file-string) pair.
+    The public API speaks string file ids.  Built from a trace, the
+    internal index is keyed by the trace's interned file ints — ``_key``
+    translates at the boundary, and ids unknown to the intern table
+    (published later) fall back to their string key — so bulk
+    construction walks the compiled inverted index instead of hashing
+    every (client, file-string) pair.
     """
 
     def __init__(self) -> None:
@@ -44,22 +44,15 @@ class ServerLookup:
         self.stats = LookupStats()
 
     @classmethod
-    def from_trace(
-        cls, trace: StaticTrace, use_compiled: bool = True
-    ) -> "ServerLookup":
+    def from_trace(cls, trace: StaticTrace) -> "ServerLookup":
         lookup = cls()
-        if use_compiled:
-            compiled = trace.compiled()
-            lookup._file_index = compiled.file_index
-            for idx in range(compiled.num_files):
-                rows = compiled.sharer_rows_of(idx)
-                if len(rows):
-                    lookup._index[idx] = set(compiled.client_ids[r] for r in rows)
-            lookup.stats.index_entries += compiled.total_replicas
-            return lookup
-        for client_id, cache in trace.caches.items():
-            for fid in cache:
-                lookup.publish(client_id, fid)
+        compiled = trace.compiled()
+        lookup._file_index = compiled.file_index
+        for idx in range(compiled.num_files):
+            rows = compiled.sharer_rows_of(idx)
+            if len(rows):
+                lookup._index[idx] = set(compiled.client_ids[r] for r in rows)
+        lookup.stats.index_entries += compiled.total_replicas
         return lookup
 
     def _key(self, file_id: FileId):

@@ -460,14 +460,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     except UnknownExperimentError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.workers > 1 and spec.sequential_only:
-        print(
-            f"error: experiment {spec.name!r} is sequential-only (its "
-            "engine refuses compiled/vectorized input or manages its own "
-            "subprocesses) and cannot run with --workers",
-            file=sys.stderr,
-        )
-        return 2
     problem = _check_out_parents(args)
     if problem:
         print(problem, file=sys.stderr)
@@ -1473,14 +1465,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list",
         action="store_true",
         help="print the experiment registry and exit",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="validate shard-compatibility: sequential-only experiments "
-        "are rejected (the experiment itself runs in-process)",
     )
     _add_obs_flags(p)
     # Experiments default to the paper seed, not the generic CLI seed 0

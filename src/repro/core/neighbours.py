@@ -17,8 +17,9 @@ how the list is maintained:
   ones — dominate the list.
 
 All strategies expose the same interface so the simulator can treat them
-uniformly: ``ordered()`` (best neighbour first), ``contains``/``position``
-(O(1) membership used by the fast two-hop path), and ``record_upload``.
+uniformly: ``ordered()`` (best neighbour first), ``members()`` (an RNG-free
+O(1) membership view, used by the fast two-hop path, or None for Random)
+and ``record_upload``.
 """
 
 from __future__ import annotations
@@ -51,40 +52,16 @@ class NeighbourStrategy(ABC):
         ``popularity`` is the number of sources of the requested file at
         request time (only the Popularity strategy uses it)."""
 
-    def contains(self, peer: ClientId) -> bool:
-        """Is ``peer`` in the current list?
-
-        The base default is an O(n) scan over :meth:`ordered` — correct
-        for any strategy, including sampling ones where membership is
-        only defined against a fresh draw (Random).  Strategies with
-        materialized lists (LRU, History, Popularity, Fixed) override
-        with true O(1) lookups that do **not** call :meth:`ordered`,
-        which is what the two-hop fast path relies on.
-        """
-        return peer in self.ordered()
-
-    def position(self, peer: ClientId) -> Optional[int]:
-        """Index of ``peer`` in the ordered list, or None.
-
-        O(n) by default; overridden with O(1) lookups alongside
-        :meth:`contains`.
-        """
-        ordered = self.ordered()
-        try:
-            return list(ordered).index(peer)
-        except ValueError:
-            return None
-
     def members(self):
         """The current list as an RNG-free O(1) membership view, or None.
 
         Strategies with a materialized list (LRU, History, Popularity,
-        Fixed) return a mapping/set whose ``in`` operator answers the
-        same question as :meth:`contains` without consuming any RNG;
-        the vectorized two-hop fast path unions these views to test many
+        Fixed) return a mapping/set whose ``in`` operator tells whether a
+        peer is in :meth:`ordered` without rebuilding it or consuming
+        any RNG; the two-hop fast path unions these views to test many
         sharers at once.  Sampling strategies (Random), whose membership
         is only defined against a fresh draw, return None — callers must
-        fall back to per-probe :meth:`contains` calls so the seeded draw
+        probe a fresh :meth:`ordered` per check so the seeded draw
         pattern is preserved.
         """
         return None
@@ -110,14 +87,6 @@ class LRUNeighbours(NeighbourStrategy):
 
     def ordered(self) -> Sequence[ClientId]:
         return self._list
-
-    def contains(self, peer: ClientId) -> bool:
-        return peer in self._members
-
-    def position(self, peer: ClientId) -> Optional[int]:
-        if peer not in self._members:
-            return None
-        return self._list.index(peer)
 
     def members(self):
         return self._members
@@ -175,17 +144,6 @@ class _ScoredNeighbours(NeighbourStrategy):
         self._ensure_ranked()
         return self._cache
 
-    def contains(self, peer: ClientId) -> bool:
-        # O(1) once ranked; deliberately does not route through
-        # ordered() so membership probes are cheap and countable apart
-        # from full-list enumerations.
-        self._ensure_ranked()
-        return peer in self._cache_set
-
-    def position(self, peer: ClientId) -> Optional[int]:
-        self._ensure_ranked()
-        return self._cache_set.get(peer)
-
     def members(self):
         self._ensure_ranked()
         return self._cache_set
@@ -233,12 +191,6 @@ class FixedNeighbours(NeighbourStrategy):
     def ordered(self) -> Sequence[ClientId]:
         return self._list
 
-    def contains(self, peer: ClientId) -> bool:
-        return peer in self._positions
-
-    def position(self, peer: ClientId) -> Optional[int]:
-        return self._positions.get(peer)
-
     def members(self):
         return self._positions
 
@@ -253,10 +205,10 @@ class RandomNeighbours(NeighbourStrategy):
     share at least one file (maintained by the simulator); free-riders never
     appear since they share nothing.
 
-    Random keeps the base-class O(n) ``contains``/``position`` *on
-    purpose*: membership is only defined against a fresh sample, so each
-    probe must call :meth:`ordered` (and consume RNG draws) — seeded
-    runs depend on exactly that draw pattern.
+    Random has no ``members()`` view *on purpose*: membership is only
+    defined against a fresh sample, so each probe must call
+    :meth:`ordered` (and consume RNG draws) — seeded runs depend on
+    exactly that draw pattern.
     """
 
     def __init__(

@@ -18,13 +18,13 @@ The appendix states that ``(1/2) * N * ln(N)`` iterations suffice for
 mixing, where ``N`` is the total number of replicas; that schedule is the
 default (see :func:`repro.util.zipf.swap_iterations`).
 
-By default the swap state runs on the trace's compiled form — slots hold
-interned file ints, so the per-iteration membership checks hash ints
-instead of strings — and translates back to string ids only when a
-snapshot is taken.  ``use_compiled=False`` keeps the original string
-slots; the monotone intern makes slot order identical either way, and
-each iteration draws the same two ``randrange`` values and accepts or
-refuses the same swaps, so seeded outputs are byte-identical.
+The swap state runs on the trace's compiled form — slots hold interned
+file ints, so the per-iteration membership checks hash ints instead of
+strings — and translates back to string ids only when a snapshot is
+taken.  The monotone intern keeps slot order that of sorted string
+slots, so the two ``randrange`` draws of each iteration and its
+accept/refuse decision do not depend on the key representation (seeded
+outputs are pinned by the digests in ``tests/golden/``).
 """
 
 from __future__ import annotations
@@ -39,34 +39,25 @@ from repro.util.zipf import swap_iterations
 class _SwapState:
     """Mutable replica-slot view of a static trace.
 
-    With ``use_compiled`` the caches and slots hold interned file ints
-    (see :mod:`repro.trace.compiled`); :meth:`cache_map` translates back
-    to the public string ids, preserving the trace's client order.
+    The caches and slots hold interned file ints (see
+    :mod:`repro.trace.compiled`); :meth:`cache_map` translates back to
+    the public string ids, preserving the trace's client order.
     """
 
-    def __init__(self, trace: StaticTrace, use_compiled: bool = True) -> None:
-        self._file_ids = None
-        if use_compiled:
-            compiled = trace.compiled()
-            self._file_ids = compiled.file_ids
-            # Same client order as trace.caches; columns are sorted int
-            # lists corresponding elementwise to sorted string caches.
-            self.caches: Dict[ClientId, Set] = {
-                peer: set(compiled.cache_column(peer))
-                for peer in compiled.client_ids
-            }
-            self.slots: List[Tuple[ClientId, int]] = [
-                (peer, file_idx)
-                for peer in sorted(compiled.client_row)
-                for file_idx in compiled.cache_column(peer)
-            ]
-        else:
-            self.caches = trace.copy_mutable()
-            self.slots = [
-                (peer, file_id)
-                for peer, cache in sorted(self.caches.items())
-                for file_id in sorted(cache)
-            ]
+    def __init__(self, trace: StaticTrace) -> None:
+        compiled = trace.compiled()
+        self._file_ids = compiled.file_ids
+        # Same client order as trace.caches; columns are sorted int
+        # lists corresponding elementwise to sorted string caches.
+        self.caches: Dict[ClientId, Set[int]] = {
+            peer: set(compiled.cache_column(peer))
+            for peer in compiled.client_ids
+        }
+        self.slots: List[Tuple[ClientId, int]] = [
+            (peer, file_idx)
+            for peer in sorted(compiled.client_row)
+            for file_idx in compiled.cache_column(peer)
+        ]
 
     def try_swap(self, i: int, j: int) -> bool:
         """Attempt to swap the files of slots ``i`` and ``j``.
@@ -93,8 +84,6 @@ class _SwapState:
 
     def cache_map(self) -> Dict[ClientId, Set[FileId]]:
         """Current caches as string-keyed sets (a snapshot copy)."""
-        if self._file_ids is None:
-            return {c: set(files) for c, files in self.caches.items()}
         file_ids = self._file_ids
         return {
             c: {file_ids[i] for i in files}
@@ -116,7 +105,6 @@ def randomize_trace(
     trace: StaticTrace,
     rng: RngStream,
     iterations: Optional[int] = None,
-    use_compiled: bool = True,
 ) -> StaticTrace:
     """Return a randomized copy of ``trace``.
 
@@ -130,7 +118,7 @@ def randomize_trace(
         return trace.replace_caches({c: set() for c in trace.caches})
     if iterations is None:
         iterations = swap_iterations(n_replicas)
-    state = _SwapState(trace, use_compiled=use_compiled)
+    state = _SwapState(trace)
     for _ in range(iterations):
         swap_once(state, rng)
     return trace.replace_caches(state.cache_map())
@@ -140,7 +128,6 @@ def randomization_schedule(
     trace: StaticTrace,
     rng: RngStream,
     checkpoints: List[int],
-    use_compiled: bool = True,
 ) -> List[Tuple[int, StaticTrace]]:
     """Randomize progressively, snapshotting at each swap-count checkpoint.
 
@@ -151,7 +138,7 @@ def randomization_schedule(
     """
     if checkpoints != sorted(checkpoints):
         raise ValueError("checkpoints must be sorted ascending")
-    state = _SwapState(trace, use_compiled=use_compiled)
+    state = _SwapState(trace)
     out: List[Tuple[int, StaticTrace]] = []
     done = 0
     for target in checkpoints:

@@ -12,21 +12,15 @@ the literal uniform-peer reading by default and a replica-weighted variant
 (peers picked proportionally to their remaining request count) behind a
 flag, so the sensitivity of the results to this choice can be measured.
 
-Two equivalent engines produce the sequence:
-
-- the **compiled** engine (default) runs on
-  :class:`~repro.trace.compiled.CompiledTrace` — per-peer file lists are
-  interned ints, and the replica-weighted variant picks peers through a
-  Fenwick tree (O(log n) per event instead of an O(n) scan);
-- the **legacy** engine (``use_compiled=False``) is the original
-  string-keyed loop, kept as the reference implementation for the
-  equivalence tests.
-
-Both consume the RNG identically — the monotone intern makes the sorted
-int file lists correspond elementwise to the sorted string lists, every
-shuffle/randrange draw depends only on lengths and totals, and the
-Fenwick descent selects exactly the peer the linear scan would — so the
-generated sequence is byte-identical between engines for any seed.
+The sequence is drawn on :class:`~repro.trace.compiled.CompiledTrace`:
+per-peer file lists are interned ints (the monotone intern makes the
+sorted int lists correspond elementwise to the sorted string lists), the
+per-event peer draws come in batches from a
+:class:`~repro.core.vectorized.WordStream`, and the replica-weighted
+variant picks peers through a Fenwick tree (O(log n) per event instead of
+an O(n) scan).  Every draw equals the one a per-event ``randrange`` over
+the string-keyed lists would make, so seeded sequences match the digests
+pinned in ``tests/golden/``.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from repro.core.vectorized import word_stream
+from repro.core.vectorized import WordStream
 from repro.trace.compiled import CompiledTrace, FileIdx
 from repro.trace.model import ClientId, FileId, StaticTrace
 from repro.util.rng import RngStream
@@ -51,10 +45,10 @@ class Request:
 class UniformRequestStream:
     """Uniform-peer request iterator over a compiled trace.
 
-    A picklable replacement for the old generator: all mutable draw state
-    (the shuffled per-peer lists, the compacting peer list, the RNG) lives
-    in instance attributes, so a checkpoint taken between events resumes
-    the sequence exactly where it stopped.  ``peers`` is compacted lazily:
+    Picklable mid-sequence: all mutable draw state (the shuffled per-peer
+    lists, the compacting peer list, the RNG and its word stream) lives in
+    instance attributes, so a checkpoint taken between events resumes the
+    sequence exactly where it stopped.  ``peers`` is compacted lazily:
     exhausted peers are swap-removed.
     """
 
@@ -70,12 +64,11 @@ class UniformRequestStream:
         pending: Dict[ClientId, List[FileIdx]],
         peers: List[ClientId],
         rng: RngStream,
-        ws=None,
     ) -> None:
         self.pending = pending
         self.peers = peers
         self.rng = rng
-        self.ws = ws
+        self.ws = WordStream(rng.py)
         self._buf: List[int] = []
         self._marks: List[int] = []
         self._bp = 0
@@ -87,18 +80,14 @@ class UniformRequestStream:
         peers = self.peers
         if not peers:
             raise StopIteration
-        ws = self.ws
-        if ws is not None:
-            bp = self._bp
-            buf = self._buf
-            if bp >= len(buf):
-                buf, self._marks = ws.fixed_batch(len(peers), self.BATCH)
-                self._buf = buf
-                bp = 0
-            idx = buf[bp]
-            self._bp = bp + 1
-        else:
-            idx = self.rng.py.randrange(len(peers))
+        bp = self._bp
+        buf = self._buf
+        if bp >= len(buf):
+            buf, self._marks = self.ws.fixed_batch(len(peers), self.BATCH)
+            self._buf = buf
+            bp = 0
+        idx = buf[bp]
+        self._bp = bp + 1
         peer = peers[idx]
         files = self.pending[peer]
         file_idx = files.pop()
@@ -106,16 +95,15 @@ class UniformRequestStream:
             peers[idx] = peers[-1]
             peers.pop()
             del self.pending[peer]
-            if ws is not None:
-                self._drop_buffer()
+            self._drop_buffer()
         return (peer, file_idx)
 
     def _drop_buffer(self) -> None:
         """Abandon unconsumed speculative draws, un-consuming their words.
 
         The next batch re-derives draws from the rewound words under the
-        new modulus — the word sequence (and therefore every draw the
-        scalar engine would make) is unchanged.
+        new modulus — the word sequence (and therefore every later draw)
+        is unchanged.
         """
         if self._bp < len(self._buf):
             self.ws.rewind_to(self._marks[self._bp - 1])
@@ -124,8 +112,7 @@ class UniformRequestStream:
         self._bp = 0
 
     def __getstate__(self):
-        if self.ws is not None:
-            self._drop_buffer()
+        self._drop_buffer()
         return (self.pending, self.peers, self.rng, self.ws)
 
     def __setstate__(self, state) -> None:
@@ -133,8 +120,7 @@ class UniformRequestStream:
         self._buf = []
         self._marks = []
         self._bp = 0
-        if self.ws is not None:
-            self.ws.attach(self.rng.py)
+        self.ws.attach(self.rng.py)
 
 
 class WeightedRequestStream:
@@ -175,12 +161,11 @@ class WeightedRequestStream:
         pending: Dict[ClientId, List[FileIdx]],
         peers: List[ClientId],
         rng: RngStream,
-        ws=None,
     ) -> None:
         self.pending = pending
         self.peers = peers
         self.rng = rng
-        self.ws = ws
+        self.ws = WordStream(rng.py)
         self._buf: List[int] = []
         self._marks: List[int] = []
         self._bp = 0
@@ -214,20 +199,16 @@ class WeightedRequestStream:
             raise StopIteration
         n = self.n
         tree = self.tree
-        ws = self.ws
-        if ws is not None:
-            bp = self._bp
-            buf = self._buf
-            if bp >= len(buf):
-                buf, self._marks = ws.countdown_batch(
-                    self.total, min(self.BATCH, self.total)
-                )
-                self._buf = buf
-                bp = 0
-            rem = buf[bp]
-            self._bp = bp + 1
-        else:
-            rem = self.rng.py.randrange(self.total)
+        bp = self._bp
+        buf = self._buf
+        if bp >= len(buf):
+            buf, self._marks = self.ws.countdown_batch(
+                self.total, min(self.BATCH, self.total)
+            )
+            self._buf = buf
+            bp = 0
+        rem = buf[bp]
+        self._bp = bp + 1
         pos = 0
         bit = self.top
         while bit:
@@ -257,7 +238,7 @@ class WeightedRequestStream:
         return (peer, file_idx)
 
     def __getstate__(self):
-        if self.ws is not None and self._bp < len(self._buf):
+        if self._bp < len(self._buf):
             # Un-consume the unconsumed tail of the batch: its marks
             # index the live chunk, which a pickle re-bases.  The resumed
             # stream re-derives identical draws from the rewound words.
@@ -292,35 +273,27 @@ class WeightedRequestStream:
         self._buf = []
         self._marks = []
         self._bp = 0
-        if self.ws is not None:
-            self.ws.attach(self.rng.py)
+        self.ws.attach(self.rng.py)
 
 
 def iter_requests_compiled(
     compiled: CompiledTrace,
     rng: RngStream,
     weighted_by_cache: bool = False,
-    vectorized: bool = True,
 ) -> Iterator[Tuple[ClientId, FileIdx]]:
     """The request sequence as ``(peer, file_idx)`` int tuples.
 
     This is the hot-path form: consumers that already run on the compiled
     representation (the search simulator) avoid the per-event string
-    translation and :class:`Request` allocation.  Draw-for-draw identical
-    to the legacy engine in :func:`generate_requests`.
+    translation and :class:`Request` allocation.
 
     Returns a picklable stream object (:class:`UniformRequestStream` or
     :class:`WeightedRequestStream`); the per-peer shuffles happen here, at
-    construction, so a stream pickled mid-sequence resumes exactly.
-
-    ``vectorized`` (the default) serves the per-event peer draws from a
-    :class:`~repro.core.vectorized.WordStream` over the same RNG — bulk
-    word generation and batched accept scans instead of one ``randrange``
-    call per event, byte-identical draws either way.  The construction
-    shuffles stay on the scalar path (C-backed ``getrandbits`` already
-    wins there) and run *before* the stream's first bulk take, so both
-    consume the one true word sequence.  ``vectorized=False`` (or numpy
-    being unavailable) keeps the scalar reference engine throughout.
+    construction, so a stream pickled mid-sequence resumes exactly.  The
+    shuffles draw through ``random.Random`` itself (C-backed
+    ``getrandbits`` wins there) and run *before* the stream's word stream
+    takes its first bulk chunk, so both consume the one true word
+    sequence.
     """
     pending: Dict[ClientId, List[FileIdx]] = {}
     offsets = compiled.cache_offsets
@@ -331,20 +304,17 @@ def iter_requests_compiled(
             files = list(column)  # sorted ascending == sorted string order
             rng.py.shuffle(files)
             pending[peer] = files
-    ws = word_stream(rng.py) if vectorized else None
 
     peers: List[ClientId] = sorted(pending)
     if weighted_by_cache:
-        return WeightedRequestStream(pending, peers, rng, ws=ws)
-    return UniformRequestStream(pending, peers, rng, ws=ws)
+        return WeightedRequestStream(pending, peers, rng)
+    return UniformRequestStream(pending, peers, rng)
 
 
 def generate_requests(
     trace: StaticTrace,
     rng: RngStream,
     weighted_by_cache: bool = False,
-    use_compiled: bool = True,
-    vectorized: bool = True,
 ) -> Iterator[Request]:
     """Yield the full request sequence for ``trace``.
 
@@ -355,47 +325,11 @@ def generate_requests(
     ``weighted_by_cache=True`` picks peers proportionally to their number
     of remaining requests (the replica-uniform variant); the default picks
     uniformly among peers with remaining requests.
-
-    ``use_compiled=False`` selects the original string-keyed engine; the
-    output is byte-identical either way (see the module docstring).
     """
-    if use_compiled:
-        compiled = trace.compiled()
-        file_ids = compiled.file_ids
-        for peer, file_idx in iter_requests_compiled(
-            compiled, rng, weighted_by_cache, vectorized=vectorized
-        ):
-            yield Request(peer=peer, file_id=file_ids[file_idx])
-        return
-
-    pending: Dict[ClientId, List[FileId]] = {}
-    for peer, cache in trace.caches.items():
-        if cache:
-            files = sorted(cache)
-            rng.py.shuffle(files)
-            pending[peer] = files
-
-    peers: List[ClientId] = sorted(pending)
-    # ``peers`` is compacted lazily: exhausted peers are swap-removed.
-    while peers:
-        if weighted_by_cache:
-            total = sum(len(pending[p]) for p in peers)
-            x = rng.py.randrange(total)
-            acc = 0
-            for idx, p in enumerate(peers):
-                acc += len(pending[p])
-                if x < acc:
-                    break
-        else:
-            idx = rng.py.randrange(len(peers))
-        peer = peers[idx]
-        files = pending[peer]
-        file_id = files.pop()
-        if not files:
-            peers[idx] = peers[-1]
-            peers.pop()
-            del pending[peer]
-        yield Request(peer=peer, file_id=file_id)
+    compiled = trace.compiled()
+    file_ids = compiled.file_ids
+    for peer, file_idx in iter_requests_compiled(compiled, rng, weighted_by_cache):
+        yield Request(peer=peer, file_id=file_ids[file_idx])
 
 
 def request_count(trace: StaticTrace) -> int:

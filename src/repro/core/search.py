@@ -34,8 +34,8 @@ from repro.core.neighbours import (
     NeighbourStrategy,
     make_strategy,
 )
-from repro.core.requests import generate_requests, iter_requests_compiled
-from repro.core.vectorized import word_stream
+from repro.core.requests import iter_requests_compiled
+from repro.core.vectorized import WordStream
 from repro.obs import COUNT_BOUNDS, LATENCY_BOUNDS_S, NULL_OBSERVER, Observer
 from repro.trace.compiled import CompiledTrace
 from repro.trace.model import ClientId, FileId, StaticTrace
@@ -250,20 +250,22 @@ SEARCH_CHECKPOINT_KIND = "search"
 class SearchSimulator:
     """Runs the Section 5 methodology over a static trace.
 
-    By default the simulation runs on the trace's compiled form
-    (:meth:`~repro.trace.model.StaticTrace.compiled`): files are interned
-    ints throughout the hot loop, current sharers live in a list indexed
-    by file index, and the request stream is consumed as int tuples.
-    ``use_compiled=False`` selects the original string-keyed engine, kept
-    as the reference implementation; seeded results are byte-identical
-    either way (the equivalence suite pins this).
+    The simulation runs on the trace's compiled form
+    (:meth:`~repro.trace.model.StaticTrace.compiled`, or a
+    :class:`~repro.trace.compiled.CompiledTrace` passed directly, as
+    sharded workers do): files are interned ints throughout the hot loop,
+    current sharers live in a list indexed by file index, and the request
+    stream is consumed as int tuples.  Request draws and fall-back
+    selection come from a :class:`~repro.core.vectorized.WordStream`
+    over this simulator's RNG (bulk words, the same draws as one
+    ``randrange`` per event).  Seeded results are pinned by the digests
+    in ``tests/golden/``.
 
     ``run(checkpointer=...)`` snapshots the whole simulator every
     ``checkpoint_every`` events; :meth:`resume_from` rebuilds it from the
     latest snapshot and the next ``run()`` continues mid-sequence with
     byte-identical final results (the resume-equivalence suite pins
-    this).  Checkpointing requires the compiled engine — the legacy
-    engine's request generator cannot be pickled.
+    this).
     """
 
     def __init__(
@@ -272,8 +274,6 @@ class SearchSimulator:
         config: Optional[SearchConfig] = None,
         obs: Optional[Observer] = None,
         ctx: Optional["RunContext"] = None,
-        use_compiled: bool = True,
-        vectorized: bool = True,
     ) -> None:
         if ctx is not None:
             if config is None:
@@ -286,34 +286,15 @@ class SearchSimulator:
         if self.config.initial_lists is not None:
             self._check_lists_against_trace()
         self.rng = RngStream(self.config.seed, "search")
-        self.use_compiled = use_compiled
-        # The batched engine: request draws and fall-back selection come
-        # from a WordStream over this simulator's RNG (bulk words, same
-        # draws), and the two-hop fast path unions RNG-free members()
-        # views.  vectorized=False keeps the scalar reference engine;
-        # seeded results are byte-identical either way (pinned by
-        # tests/core/test_vectorized_equivalence.py).
-        self.vectorized = vectorized and use_compiled
-        self._ws = word_stream(self.rng.py) if self.vectorized else None
-        # Sharded workers hand the simulator a CompiledTrace directly
-        # (attached from shared memory); the legacy engine has no
-        # string-keyed view of one, so compiled input forces compiled mode.
-        if isinstance(trace, CompiledTrace):
-            if not use_compiled:
-                raise ValueError(
-                    "a CompiledTrace input requires the compiled engine "
-                    "(use_compiled=True)"
-                )
-            self._compiled = trace
-        else:
-            self._compiled = trace.compiled() if use_compiled else None
+        self._ws = WordStream(self.rng.py)
+        self._compiled = (
+            trace if isinstance(trace, CompiledTrace) else trace.compiled()
+        )
         self._strategies: Dict[ClientId, NeighbourStrategy] = {}
-        # File keys are interned ints in compiled mode, FileId strings in
-        # legacy mode; both engines treat them as opaque throughout.
-        self._shared: Dict[ClientId, Set] = {}
-        self._sharers_of: Dict[FileId, List[ClientId]] = {}
-        self._sharers_list: Optional[List[Optional[List[ClientId]]]] = (
-            [None] * self._compiled.num_files if use_compiled else None
+        # File keys are interned file indices throughout.
+        self._shared: Dict[ClientId, Set[int]] = {}
+        self._sharers_list: List[Optional[List[ClientId]]] = (
+            [None] * self._compiled.num_files
         )
         self._sharer_peers: List[ClientId] = []  # peers sharing >= 1 file
         self._sharer_seen: Set[ClientId] = set()
@@ -330,9 +311,7 @@ class SearchSimulator:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        ws = self.__dict__.get("_ws")
-        if ws is not None:
-            ws.attach(self.rng.py)
+        self._ws.attach(self.rng.py)
 
     def _check_lists_against_trace(self) -> None:
         """Reject warm-start lists referencing peers absent from the trace.
@@ -389,26 +368,20 @@ class SearchSimulator:
             self._strategies[peer] = strategy
         return strategy
 
-    def _add_to_cache(self, peer: ClientId, file_key) -> None:
+    def _add_to_cache(self, peer: ClientId, file_key: int) -> None:
         self._shared.setdefault(peer, set()).add(file_key)
-        sharers_list = self._sharers_list
-        if sharers_list is not None:
-            sharers = sharers_list[file_key]
-            if sharers is None:
-                sharers_list[file_key] = [peer]
-            else:
-                sharers.append(peer)
+        sharers = self._sharers_list[file_key]
+        if sharers is None:
+            self._sharers_list[file_key] = [peer]
         else:
-            self._sharers_of.setdefault(file_key, []).append(peer)
+            sharers.append(peer)
         if peer not in self._sharer_seen:
             self._sharer_seen.add(peer)
             self._sharer_peers.append(peer)
 
-    def _sharers(self, file_key) -> Optional[List[ClientId]]:
+    def _sharers(self, file_key: int) -> Optional[List[ClientId]]:
         """Current sharers of ``file_key`` in upload order (None if none)."""
-        if self._sharers_list is not None:
-            return self._sharers_list[file_key]
-        return self._sharers_of.get(file_key)
+        return self._sharers_list[file_key]
 
     def shares(self, peer: ClientId, file_key) -> bool:
         return file_key in self._shared.get(peer, ())
@@ -486,24 +459,23 @@ class SearchSimulator:
         ):
             # Fast path (no message accounting): a sharer is reachable at
             # two hops iff it sits in some first-hop neighbour's list.
-            if self.vectorized:
-                # Batched membership: union the neighbours' RNG-free
-                # members() views once, then test every sharer against
-                # the union — the first sharer in some view is exactly
-                # the one the nested pair loop returns.  A None view
-                # (Random lists, whose membership consumes RNG draws)
-                # falls through to the reference loop.
-                union = self._member_union(first_hop)
-                if union is not None:
-                    for sharer in sharers:
-                        if sharer != peer and sharer in union:
-                            return sharer
-                    return None
+            # Materialized lists answer through the union of their
+            # RNG-free members() views — the first sharer in some view is
+            # exactly the one a per-pair probe loop returns.
+            union = self._member_union(first_hop)
+            if union is not None:
+                for sharer in sharers:
+                    if sharer != peer and sharer in union:
+                        return sharer
+                return None
+            # Random lists have no membership view: each (sharer,
+            # neighbour) probe draws a fresh list, and seeded runs depend
+            # on exactly that draw pattern.
             for sharer in sharers:
                 if sharer == peer:
                     continue
                 for neighbour in first_hop:
-                    if self._strategy_for(neighbour).contains(sharer):
+                    if sharer in self._strategy_for(neighbour).ordered():
                         return sharer
             return None
 
@@ -584,39 +556,20 @@ class SearchSimulator:
     def _fresh_state(self) -> _RunState:
         """Build the event-zero run state (streams, accumulators, RNGs)."""
         config = self.config
-        request_rng = self.rng.child("requests")
-        if self._compiled is not None:
-            requests = iter_requests_compiled(
-                self._compiled,
-                request_rng,
-                weighted_by_cache=config.weighted_requests,
-                vectorized=self.vectorized,
-            )
-        else:
-            requests = (
-                (r.peer, r.file_id)
-                for r in generate_requests(
-                    self.trace,
-                    request_rng,
-                    weighted_by_cache=config.weighted_requests,
-                    use_compiled=False,
-                )
-            )
+        requests = iter_requests_compiled(
+            self._compiled,
+            self.rng.child("requests"),
+            weighted_by_cache=config.weighted_requests,
+        )
         rare_rates: Optional[HitRateAccumulator] = None
-        rare_files: Set = set()
+        rare_files: Set[int] = set()
         if config.rare_cutoff is not None:
             rare_rates = HitRateAccumulator()
-            if self._compiled is not None:
-                rare_files = {
-                    idx
-                    for idx, c in enumerate(self._compiled.static_counts)
-                    if c <= config.rare_cutoff
-                }
-            else:
-                counts = self.trace.replica_counts()
-                rare_files = {
-                    f for f, c in counts.items() if c <= config.rare_cutoff
-                }
+            rare_files = {
+                idx
+                for idx, c in enumerate(self._compiled.static_counts)
+                if c <= config.rare_cutoff
+            }
         return _RunState(
             rates=HitRateAccumulator(),
             load=LoadTracker(),
@@ -676,12 +629,6 @@ class SearchSimulator:
         config = self.config
         obs = self.obs
         if checkpointer is not None:
-            if not self.use_compiled:
-                raise ValueError(
-                    "checkpointing requires the compiled engine "
-                    "(use_compiled=True): the legacy request generator "
-                    "cannot be pickled"
-                )
             check_positive("checkpoint_every", checkpoint_every)
         # Local flag + clock keep the disabled path to one branch per
         # request section; timing uses explicit clock reads because a
@@ -778,11 +725,7 @@ class SearchSimulator:
                     peer=peer,
                     # The lifecycle record crosses the boundary back to
                     # public string ids (trace events keep their schema).
-                    file_id=(
-                        self._compiled.file_ids[file_key]
-                        if self._compiled is not None
-                        else file_key
-                    ),
+                    file_id=self._compiled.file_ids[file_key],
                     outcome="fallback",
                     hops=len(first_hop),
                     one_hop_s=one_hop_s,
@@ -820,14 +763,9 @@ class SearchSimulator:
                 # Fall-back search (server or flooding) picks a source
                 # uniformly among currently online sharers.
                 started = clock() if profiled else 0.0
-                if self._ws is not None:
-                    answerer = online_sharers[
-                        self._ws.randrange(len(online_sharers))
-                    ]
-                else:
-                    answerer = online_sharers[
-                        self.rng.py.randrange(len(online_sharers))
-                    ]
+                answerer = online_sharers[
+                    self._ws.randrange(len(online_sharers))
+                ]
                 if profiled:
                     fallback_s = clock() - started
                     obs.record_span(
@@ -873,11 +811,7 @@ class SearchSimulator:
             rates=rates,
             load=load,
             num_peers=self.trace.num_clients,
-            num_files=(
-                self._compiled.num_files
-                if self._compiled is not None
-                else len(self.trace.distinct_files())
-            ),
+            num_files=self._compiled.num_files,
             unresolvable=unresolvable,
             probes_lost=self._probes_lost,
             evictions=self._evictions,
@@ -897,18 +831,9 @@ def simulate_search(
     config: Optional[SearchConfig] = None,
     obs: Optional[Observer] = None,
     ctx: Optional["RunContext"] = None,
-    use_compiled: bool = True,
-    vectorized: bool = True,
 ) -> SimulationResult:
     """One-call helper: build a simulator and run it."""
-    return SearchSimulator(
-        trace,
-        config,
-        obs=obs,
-        ctx=ctx,
-        use_compiled=use_compiled,
-        vectorized=vectorized,
-    ).run()
+    return SearchSimulator(trace, config, obs=obs, ctx=ctx).run()
 
 
 # ----------------------------------------------------------------------

@@ -30,20 +30,20 @@ Consumers hold one stream per ``random.Random`` (the mirror advances the
 shared state, so the stream must own it exclusively) and interleave
 batch and scalar calls freely; word consumption order is identical to
 the scalar calls they replace, so seeded sequences are byte-identical
-(pinned by ``tests/core/test_vectorized_equivalence.py``).
+(the kernels are pinned against ``random.Random`` in
+``tests/core/test_vectorized_equivalence.py``, the streams against the
+digests in ``tests/golden/``).
 
-numpy is imported lazily (mirroring ``repro.trace.compiled._get_sparse``)
-so processes that never draw — store-only tools, CLI ``--help`` — do not
-pay the import cost.  Without numpy, :func:`word_stream` returns None and
-callers fall back to the scalar engine.
+numpy (a declared dependency) is imported on the first draw, not at
+module import, so processes that never draw — store-only tools, CLI
+``--help`` — do not pay the import cost.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 _np = None
-_np_checked = False
 
 #: Words fetched from the bit generator per refill.  Big enough to
 #: amortize the two state round-trips (~624-word tuples) per batch,
@@ -54,14 +54,11 @@ CHUNK_WORDS = 8192
 
 def _get_np():
     """Import numpy on first use, not at module import (see docstring)."""
-    global _np, _np_checked
-    if not _np_checked:
-        _np_checked = True
-        try:
-            import numpy as _np_mod
-        except ImportError:  # pragma: no cover - only without numpy
-            _np_mod = None
-        _np = _np_mod
+    global _np
+    if _np is None:
+        import numpy
+
+        _np = numpy
     return _np
 
 
@@ -434,9 +431,3 @@ class WordStream:
             self._words = None
             self._len = 0
 
-
-def word_stream(py_random, chunk: int = CHUNK_WORDS) -> Optional[WordStream]:
-    """A :class:`WordStream` over ``py_random``, or None without numpy."""
-    if _get_np() is None:  # pragma: no cover - only without numpy
-        return None
-    return WordStream(py_random, chunk)

@@ -2,7 +2,7 @@
 
 Each committed benchmark baseline has its own JSON shape (a
 ``repro.metrics`` payload for the profile/chaos benches, bespoke
-objects for compiled/scaling/store/telemetry).  ``repro bench-summary``
+objects for scaling/store/telemetry).  ``repro bench-summary``
 reads them all and renders one table — the performance history of the
 repo in a single glance instead of eight files — plus a machine-readable
 ``repro.bench-summary/1`` JSON for dashboards.
@@ -67,23 +67,6 @@ def _headline_metrics(payload: Dict[str, object]) -> Dict[str, float]:
     return headline
 
 
-def _headline_compiled(payload: Dict[str, object]) -> Dict[str, float]:
-    timings = payload.get("timings", {})
-    gated = payload.get("gated", [])
-    speedups = [
-        float(entry["speedup"])
-        for name, entry in timings.items()
-        if isinstance(entry, dict) and "speedup" in entry
-        and (not gated or name in gated)
-    ]
-    headline: Dict[str, float] = {}
-    if speedups:
-        headline["min_speedup"] = min(speedups)
-    if "min_speedup" in payload:
-        headline["gate"] = float(payload["min_speedup"])
-    return headline
-
-
 def _headline_scaling(payload: Dict[str, object]) -> Dict[str, float]:
     headline: Dict[str, float] = {}
     baseline = payload.get("baseline", {})
@@ -126,7 +109,6 @@ def _headline_telemetry(payload: Dict[str, object]) -> Dict[str, float]:
 
 
 _SUMMARISERS = {
-    "bench-compiled": _headline_compiled,
     "bench-scaling": _headline_scaling,
     "bench-store": _headline_store,
     "bench-telemetry": _headline_telemetry,

@@ -62,21 +62,19 @@ class OverlayResult:
 class SemanticOverlaySimulator:
     """Builds and evaluates the epidemic semantic overlay.
 
-    ``use_compiled`` (the default) runs the proximity computations and
-    the search evaluation on the trace's compiled form (interned int
-    sets); ``use_compiled=False`` keeps the original string sets.  Views,
-    metrics and RNG draws are identical either way.
+    The proximity computations and the search evaluation run on
+    interned int sets (the trace's compiled form); views, metrics and RNG
+    draws are those of the string sets.
     """
 
     def __init__(
         self,
         trace: StaticTrace,
         config: Optional[OverlayConfig] = None,
-        use_compiled: bool = True,
     ) -> None:
         self.trace = trace
         self.config = config or OverlayConfig()
-        self._compiled = trace.compiled() if use_compiled else None
+        self._compiled = trace.compiled()
         sharers = [c for c, cache in trace.caches.items() if cache]
         if len(sharers) < 2:
             raise ValueError("need at least 2 sharers to build an overlay")
@@ -89,7 +87,6 @@ class SemanticOverlaySimulator:
             self.cyclon,
             config=self.config.vicinity,
             seed=self.config.seed,
-            use_compiled=use_compiled,
         )
         self._ideal: Optional[Dict[ClientId, List[ClientId]]] = None
 
@@ -98,13 +95,9 @@ class SemanticOverlaySimulator:
     def semantic_hit_rate(self) -> float:
         """Fraction of (peer, cached file) queries answerable by the
         peer's current semantic view."""
-        compiled = self._compiled
-        if compiled is not None:
-            row = compiled.client_row
-            sets = compiled.cache_sets
-            caches = {peer: sets[row[peer]] for peer in self.sharers}
-        else:
-            caches = self.trace.caches
+        row = self._compiled.client_row
+        sets = self._compiled.cache_sets
+        caches = {peer: sets[row[peer]] for peer in self.sharers}
         hits = 0
         total = 0
         for peer in self.sharers:

@@ -64,11 +64,11 @@ class VicinityConfig:
 class Vicinity:
     """Round-based Vicinity simulation on top of a Cyclon instance.
 
-    ``use_compiled`` (the default) interns the cache map to frozen sets
-    of ints once at construction, so the proximity computations — the
-    hot path of every gossip round — intersect int sets instead of
-    string sets.  Proximity values, and therefore views and RNG draws,
-    are identical either way.
+    The cache map is interned to frozen sets of ints once at
+    construction, so the proximity computations — the hot path of every
+    gossip round — intersect int sets instead of string sets (proximity
+    values depend only on set sizes, so views and RNG draws are those of
+    the string sets).
     """
 
     def __init__(
@@ -77,15 +77,9 @@ class Vicinity:
         cyclon,
         config: Optional[VicinityConfig] = None,
         seed: int = 0,
-        use_compiled: bool = True,
     ) -> None:
         self.caches = caches
-        if use_compiled:
-            self._prox_caches: CacheMap = FileInterner().intern_cache_map(
-                caches
-            )
-        else:
-            self._prox_caches = caches
+        self._prox_caches: CacheMap = FileInterner().intern_cache_map(caches)
         self.cyclon = cyclon
         self.config = config or VicinityConfig()
         self.rng = RngStream(seed, "vicinity")

@@ -68,8 +68,8 @@ def _get_sparse():
 
     scipy is optional (the combinations kernel covers its absence) and
     heavy (~30 MB RSS), so importing it eagerly would tax every consumer
-    of the trace layer — including streaming analyses whose whole point
-    is a small footprint — whether or not the CSR kernel ever runs.
+    of the trace layer — including store-backed analyses whose whole
+    point is a small footprint — whether or not the CSR kernel ever runs.
     """
     global _sparse, _sparse_checked
     if not _sparse_checked:
@@ -467,8 +467,8 @@ class CompiledTrace:
 class FileInterner:
     """A growing string-to-int intern table for ad-hoc cache maps.
 
-    The analyses that operate on arbitrary cache maps (per-day snapshot
-    dicts, filtered views) rather than on a ``StaticTrace`` use this to
+    Consumers that operate on arbitrary cache maps rather than on a
+    ``StaticTrace`` (the Vicinity overlay's proximity caches) use this to
     run their set arithmetic on ints.  Unlike :class:`CompiledTrace`,
     indices are assigned in first-seen order — these consumers only use
     intersection/union *sizes*, which are order-independent.

@@ -28,6 +28,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Protocol,
     Set,
     Tuple,
 )
@@ -98,6 +99,25 @@ class Snapshot:
     @property
     def empty(self) -> bool:
         return len(self.file_ids) == 0
+
+
+class DaySource(Protocol):
+    """What the day-indexed analyses read: a :class:`Trace` in memory or a
+    :class:`~repro.trace.store.TraceStore` on disk.
+
+    Each call returns fresh state for one day, so an analysis that loops
+    over days on the outside holds one day at a time whichever source it
+    is given.
+    """
+
+    def days(self) -> List[int]:
+        """Sorted days having snapshots."""
+
+    def replica_counts(self, day: int) -> Counter:
+        """Counter file id -> number of sources on ``day``."""
+
+    def snapshots_on(self, day: int) -> Dict[ClientId, FrozenSet[FileId]]:
+        """Client -> cache observed on ``day``."""
 
 
 class Trace:
@@ -475,7 +495,7 @@ class StaticTrace:
         )
 
     def copy_mutable(self) -> Dict[ClientId, Set[FileId]]:
-        """Caches as mutable sets (for the randomization algorithm)."""
+        """Caches as mutable sets (a copy the caller may mutate freely)."""
         return {c: set(cache) for c, cache in self.caches.items()}
 
     def replace_caches(

@@ -44,6 +44,7 @@ interns in sorted-discovery order.  Either way the mapping is recorded in
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import mmap
@@ -496,10 +497,7 @@ class DaySegment:
 
     def replica_counts(self) -> Counter:
         """Counter global file idx -> sources on this day."""
-        counts: Counter = Counter()
-        for idx in self.files:
-            counts[idx] += 1
-        return counts
+        return Counter(self.files)
 
     def close(self) -> None:
         self.rows = self.offsets = self.files = None  # release exported views
@@ -558,7 +556,7 @@ class TraceStore:
     @property
     def file_ids(self) -> Tuple[FileId, ...]:
         # Ids only: analyses translating int columns back to string ids
-        # (the common streaming case) should not pay for a FileMeta object
+        # (every day-source view) should not pay for a FileMeta object
         # per file; full metadata parses lazily in :attr:`file_metas`.
         if self._file_ids is None:
             lines = self._read_table(
@@ -615,8 +613,8 @@ class TraceStore:
         return seg
 
     def release_day(self, day: int) -> None:
-        """Unmap a day's segment (streaming passes call this as the window
-        slides, keeping the mapped set to the current day)."""
+        """Unmap a day's segment (day-at-a-time passes call this as the
+        window slides, keeping the mapped set to the current day)."""
         seg = self._segments.pop(day, None)
         if seg is not None:
             seg.close()
@@ -629,38 +627,43 @@ class TraceStore:
             self.release_day(day)
 
     # -- boundary views --------------------------------------------------------
+    #
+    # ``snapshots_on`` and ``replica_counts`` are the store's side of the
+    # day-source protocol (:class:`~repro.trace.model.DaySource`): like
+    # the ``Trace`` methods they return copies, empty for an absent day,
+    # and they unmap the day's segment again unless the caller had it
+    # mapped already, so a day-outer analysis keeps one day mapped.
 
-    def day_int_caches(self, day: int) -> Dict[ClientId, FrozenSet[int]]:
-        """Client -> frozenset of *global file indices* for ``day``.
+    @contextlib.contextmanager
+    def _day(self, day: int) -> Iterator[DaySegment]:
+        mapped = day in self._segments
+        try:
+            yield self.segment(day)
+        finally:
+            if not mapped:
+                self.release_day(day)
 
-        The streaming analyses run their set arithmetic on these (ints
-        intern bijectively to the string ids, and intersection sizes are
-        representation-independent)."""
-        seg = self.segment(day)
-        ids = self.client_ids
-        return {
-            ids[seg.rows[j]]: frozenset(seg.cache_column(j))
-            for j in range(seg.n_clients)
-        }
-
-    def day_snapshots(self, day: int) -> Dict[ClientId, FrozenSet[FileId]]:
+    def snapshots_on(self, day: int) -> Dict[ClientId, FrozenSet[FileId]]:
         """Client -> frozenset of file-id strings for ``day`` (the exact
         shape :meth:`Trace.snapshots_on` returns)."""
-        seg = self.segment(day)
+        if day not in self._segment_entries:
+            return {}
         ids = self.client_ids
         fids = self.file_ids
-        return {
-            ids[seg.rows[j]]: frozenset(fids[i] for i in seg.cache_column(j))
-            for j in range(seg.n_clients)
-        }
+        with self._day(day) as seg:
+            return {
+                ids[seg.rows[j]]: frozenset(map(fids.__getitem__, seg.cache_column(j)))
+                for j in range(seg.n_clients)
+            }
 
-    def day_replica_counts(self, day: int) -> Counter:
+    def replica_counts(self, day: int) -> Counter:
         """Counter file-id string -> sources on ``day`` (equals
         ``Trace.replica_counts(day)``)."""
+        if day not in self._segment_entries:
+            return Counter()
         fids = self.file_ids
-        return Counter(
-            {fids[i]: n for i, n in self.segment(day).replica_counts().items()}
-        )
+        with self._day(day) as seg:
+            return Counter({fids[i]: n for i, n in seg.replica_counts().items()})
 
     def compiled_day(self, day: int) -> CompiledTrace:
         """The day as a :class:`CompiledTrace` over the store's *global*
@@ -681,7 +684,7 @@ class TraceStore:
         """One day as an in-memory :class:`Trace` (metadata restricted to
         the clients observed that day; file metadata shared)."""
         trace = Trace(files=self.file_metas)
-        snapshots = self.day_snapshots(day)
+        snapshots = self.snapshots_on(day)
         metas = self.client_metas
         for client_id in snapshots:
             trace.add_client(metas[client_id])
@@ -694,7 +697,7 @@ class TraceStore:
         converter; needs whole-trace RAM, by definition)."""
         trace = Trace(files=self.file_metas, clients=self.client_metas)
         for day, _seg in self.iter_days():
-            for client_id, cache in self.day_snapshots(day).items():
+            for client_id, cache in self.snapshots_on(day).items():
                 trace.add_snapshot(Snapshot(day, client_id, cache))
         return trace
 

@@ -104,14 +104,6 @@ def test_resume_mid_run_state_is_from_disk(static_trace, tmp_path):
     assert resumed._run_state.processed == info.step
 
 
-def test_checkpointing_requires_compiled_engine(static_trace, tmp_path):
-    simulator = SearchSimulator(
-        static_trace, CONFIGS["plain-lru"], use_compiled=False
-    )
-    with pytest.raises(ValueError, match="compiled"):
-        simulator.run(checkpointer=Checkpointer(tmp_path / "ckpt"))
-
-
 def test_checkpoint_every_must_be_positive(static_trace, tmp_path):
     simulator = SearchSimulator(static_trace, CONFIGS["plain-lru"])
     with pytest.raises(ValueError):

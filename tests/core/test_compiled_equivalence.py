@@ -1,48 +1,19 @@
-"""Seeded equivalence between the compiled and legacy engines.
+"""Seeded equivalence between the compiled engines and the frozen
+string-keyed reference engines.
 
-Every consumer of the compiled trace layer keeps its original
-string-keyed path reachable with ``use_compiled=False``; these tests pin
-the tentpole guarantee — identical RNG draw order, identical results —
-for every refactored layer: the search simulator (all strategies,
-two-hop, availability), request generation, randomization, the three
-baselines, the semantic overlay and the clustering analyses.
+The string-keyed engines were deleted once their seeded outputs were
+recorded as digests in ``tests/golden/engines.json`` (the recorder
+refused to write unless both engines agreed on every case).  These
+tests pin the surviving engine of every layer — the search simulator
+(all strategies, two-hop, availability), request generation,
+randomization, the three baselines, the semantic overlay and the
+clustering analyses — to those digests: identical RNG draw order,
+identical results.
 """
 
 import pytest
 
-from repro.analysis.semantic import (
-    clustering_correlation,
-    overlap_evolution,
-    pair_overlaps,
-)
-from repro.baselines.flooding import measure_flooding
-from repro.baselines.random_walk import measure_random_walk
-from repro.baselines.server_search import ServerLookup
-from repro.core.randomization import randomization_schedule, randomize_trace
-from repro.core.requests import generate_requests
-from repro.core.search import SearchConfig, simulate_search
-from repro.overlay.simulator import OverlayConfig, SemanticOverlaySimulator
-from repro.util.rng import RngStream
-
-
-def _search_fingerprint(result):
-    return (
-        result.rates,
-        result.rare_rates,
-        result.unresolvable,
-        result.probes_lost,
-        result.evictions,
-        result.exchanges,
-        result.num_peers,
-        result.num_files,
-    )
-
-
-def _run_both(trace, **config_kwargs):
-    config = SearchConfig(**config_kwargs)
-    compiled = simulate_search(trace, config, use_compiled=True)
-    legacy = simulate_search(trace, config, use_compiled=False)
-    return compiled, legacy
+from tests.golden.cases import assert_case
 
 
 class TestSearchEquivalence:
@@ -50,170 +21,71 @@ class TestSearchEquivalence:
         "strategy", ["lru", "history", "random", "popularity"]
     )
     @pytest.mark.parametrize("two_hop", [False, True])
-    def test_all_strategies(self, small_static_trace, strategy, two_hop):
-        compiled, legacy = _run_both(
-            small_static_trace,
-            list_size=10,
-            strategy=strategy,
-            two_hop=two_hop,
-            seed=5,
-        )
-        assert _search_fingerprint(compiled) == _search_fingerprint(legacy)
+    def test_all_strategies(self, strategy, two_hop):
+        hops = "two" if two_hop else "one"
+        assert_case(f"search/fixture/{strategy}/{hops}-hop")
 
-    def test_availability_below_one(self, small_static_trace):
-        compiled, legacy = _run_both(
-            small_static_trace, list_size=10, availability=0.7, seed=5
-        )
-        assert _search_fingerprint(compiled) == _search_fingerprint(legacy)
+    def test_availability_below_one(self):
+        assert_case("search/fixture/availability")
 
-    def test_rare_files_and_exchanges(self, small_static_trace):
-        compiled, legacy = _run_both(
-            small_static_trace,
-            list_size=10,
-            rare_cutoff=3,
-            track_exchanges=True,
-            seed=5,
-        )
-        assert _search_fingerprint(compiled) == _search_fingerprint(legacy)
+    def test_rare_files_and_exchanges(self):
+        assert_case("search/fixture/rare-exchanges")
 
-    def test_load_tracking(self, small_static_trace):
-        compiled, legacy = _run_both(
-            small_static_trace, list_size=10, track_load=True, seed=5
-        )
-        assert compiled.load.messages == legacy.load.messages
+    def test_load_tracking(self):
+        # The payload carries the per-peer message counts.
+        assert_case("search/fixture/lru/one-hop")
 
 
 class TestRequestEquivalence:
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_streams_are_byte_identical(self, small_static_trace, weighted):
-        compiled = list(
-            generate_requests(
-                small_static_trace,
-                RngStream(3, "req"),
-                weighted_by_cache=weighted,
-            )
-        )
-        legacy = list(
-            generate_requests(
-                small_static_trace,
-                RngStream(3, "req"),
-                weighted_by_cache=weighted,
-                use_compiled=False,
-            )
-        )
-        assert compiled == legacy
+    def test_streams_are_byte_identical(self, weighted):
+        assert_case(f"requests/fixture/{'weighted' if weighted else 'uniform'}")
 
 
 class TestRandomizationEquivalence:
-    def test_randomize_trace(self, small_static_trace):
-        compiled = randomize_trace(small_static_trace, RngStream(4, "rand"))
-        legacy = randomize_trace(
-            small_static_trace, RngStream(4, "rand"), use_compiled=False
-        )
-        assert compiled.caches == legacy.caches
-        # Insertion order matters downstream (request generation iterates
-        # the dict), so require it too, not just dict equality.
-        assert list(compiled.caches) == list(legacy.caches)
+    def test_randomize_trace(self):
+        # The payload keeps the caches' client order: request generation
+        # iterates the dict, so insertion order matters downstream.
+        assert_case("randomize/fixture")
 
-    def test_schedule_checkpoints(self, small_static_trace):
-        compiled = randomization_schedule(
-            small_static_trace, RngStream(4, "rand"), [10, 50]
-        )
-        legacy = randomization_schedule(
-            small_static_trace,
-            RngStream(4, "rand"),
-            [10, 50],
-            use_compiled=False,
-        )
-        for (n_c, t_c), (n_l, t_l) in zip(compiled, legacy):
-            assert n_c == n_l
-            assert t_c.caches == t_l.caches
+    def test_schedule_checkpoints(self):
+        assert_case("randomize/fixture/schedule")
 
-    def test_search_on_randomized_trace(self, small_static_trace):
-        randomized = randomize_trace(small_static_trace, RngStream(4, "rand"))
-        compiled, legacy = _run_both(randomized, list_size=10, seed=5)
-        assert _search_fingerprint(compiled) == _search_fingerprint(legacy)
+    def test_search_on_randomized_trace(self):
+        assert_case("randomize/fixture/search")
 
 
 class TestBaselineEquivalence:
-    def test_flooding(self, small_static_trace):
-        compiled = measure_flooding(small_static_trace, num_queries=50, seed=2)
-        legacy = measure_flooding(
-            small_static_trace, num_queries=50, seed=2, use_compiled=False
-        )
-        assert compiled == legacy
+    def test_flooding(self):
+        assert_case("flooding/fixture")
 
-    def test_random_walk(self, small_static_trace):
-        compiled = measure_random_walk(
-            small_static_trace, num_queries=50, seed=2
-        )
-        legacy = measure_random_walk(
-            small_static_trace, num_queries=50, seed=2, use_compiled=False
-        )
-        assert compiled == legacy
+    def test_random_walk(self):
+        assert_case("random-walk/fixture")
 
-    def test_server_lookup(self, small_static_trace):
-        compiled = ServerLookup.from_trace(small_static_trace)
-        legacy = ServerLookup.from_trace(
-            small_static_trace, use_compiled=False
-        )
-        assert compiled.index_size() == legacy.index_size()
-        assert compiled.stats.index_entries == legacy.stats.index_entries
-        some_files = sorted(small_static_trace.distinct_files())[:20]
-        for fid in some_files + ["unknown-file"]:
-            assert compiled.lookup(fid) == legacy.lookup(fid)
-        assert compiled.stats.hits == legacy.stats.hits
-        # Publish/unpublish of ids unknown to the intern table still work.
-        compiled.publish(999, "unknown-file")
-        legacy.publish(999, "unknown-file")
-        assert compiled.lookup("unknown-file") == legacy.lookup("unknown-file")
-        compiled.unpublish(999, "unknown-file")
-        legacy.unpublish(999, "unknown-file")
-        assert compiled.lookup("unknown-file") == legacy.lookup("unknown-file")
+    def test_server_lookup(self):
+        # Includes publish/unpublish of an id unknown to the intern table.
+        assert_case("server-lookup/fixture")
 
 
 class TestOverlayEquivalence:
     @pytest.mark.parametrize("jaccard", [False, True])
-    def test_overlay_series(self, small_static_trace, jaccard):
-        def run(use_compiled):
-            config = OverlayConfig(rounds=5, seed=3)
-            config.vicinity.jaccard = jaccard
-            sim = SemanticOverlaySimulator(
-                small_static_trace, config, use_compiled=use_compiled
-            )
-            return sim.run(measure_every=1)
-
-        compiled = run(True)
-        legacy = run(False)
-        assert compiled.hit_rate_by_round == legacy.hit_rate_by_round
-        assert compiled.quality_by_round == legacy.quality_by_round
-        assert compiled.connected == legacy.connected
+    def test_overlay_series(self, jaccard):
+        assert_case(f"overlay/fixture/{'jaccard' if jaccard else 'overlap'}")
 
 
 class TestAnalysisEquivalence:
-    def test_clustering_correlation(self, small_static_trace):
-        caches = dict(small_static_trace.caches)
-        via_compiled = clustering_correlation(small_static_trace.compiled())
-        via_combos = clustering_correlation(caches)
-        via_legacy = clustering_correlation(caches, use_compiled=False)
-        assert via_compiled == via_combos == via_legacy
+    def test_clustering_correlation(self):
+        assert_case("clustering/fixture/compiled")
+        assert_case("clustering/fixture/cache-map")
 
-    def test_pair_overlaps_subsampled_path_untouched(self, small_static_trace):
-        caches = dict(small_static_trace.caches)
-        capped_a = pair_overlaps(
-            caches, max_sources_per_file=5, rng=RngStream(1, "cap")
-        )
-        capped_b = pair_overlaps(
-            caches,
-            max_sources_per_file=5,
-            rng=RngStream(1, "cap"),
-            use_compiled=False,
-        )
-        assert capped_a == capped_b
+    def test_pair_overlaps_subsampled_path_untouched(self):
+        assert_case("pair-overlaps/fixture/capped")
 
-    def test_overlap_evolution(self, small_temporal_trace):
-        compiled = overlap_evolution(small_temporal_trace, seed=6)
-        legacy = overlap_evolution(
-            small_temporal_trace, seed=6, use_compiled=False
-        )
-        assert compiled == legacy
+    def test_overlap_evolution(self, small_temporal_trace, tmp_path):
+        from repro.trace.io import trace_to_store
+        from tests.golden.cases import assert_day_case
+
+        with trace_to_store(small_temporal_trace, tmp_path / "store") as store:
+            assert_day_case(
+                "overlap-evolution/fixture/seed6", small_temporal_trace, store
+            )

@@ -26,7 +26,7 @@ class TestLRU:
         for peer in (1, 2, 3):
             lru.record_upload(peer)
         assert list(lru.ordered()) == [3, 2]
-        assert not lru.contains(1)
+        assert 1 not in lru.members()
 
     def test_reupload_moves_to_front(self):
         lru = LRUNeighbours(3)
@@ -34,14 +34,6 @@ class TestLRU:
             lru.record_upload(peer)
         assert list(lru.ordered()) == [1, 3, 2]
         assert len(lru) == 3
-
-    def test_position(self):
-        lru = LRUNeighbours(3)
-        lru.record_upload(7)
-        lru.record_upload(8)
-        assert lru.position(8) == 0
-        assert lru.position(7) == 1
-        assert lru.position(99) is None
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -170,11 +162,13 @@ class TestFactory:
 
 
 class TestMembershipProbeCost:
-    """Audit: ``contains``/``position`` are O(1) membership probes that do
-    not enumerate the list.  The two-hop fast path issues one membership
-    probe per (sharer, first-hop neighbour) pair, so routing ``contains``
-    through ``ordered()`` would turn every probe into a rebuild-and-scan;
-    counting both during a real run pins the separation."""
+    """Audit: membership probes on materialized lists go through the
+    RNG-free ``members()`` view and never enumerate the list.  The
+    two-hop fast path unions one view per first-hop neighbour, so
+    routing membership through ``ordered()`` would turn every probe into
+    a rebuild-and-scan; counting both during a real run pins the
+    separation.  Random lists have no view: each (sharer, neighbour)
+    probe draws a fresh list, the draw pattern seeded runs depend on."""
 
     @pytest.mark.parametrize("cls", [LRUNeighbours, HistoryNeighbours,
                                      PopularityNeighbours])
@@ -190,10 +184,36 @@ class TestMembershipProbeCost:
             return original(self)
 
         monkeypatch.setattr(cls, "ordered", counting_ordered)
-        assert strategy.contains(1)
-        assert not strategy.contains(99)
-        assert strategy.position(1) is not None
+        assert 1 in strategy.members()
+        assert 99 not in strategy.members()
         assert calls["ordered"] == 0
+
+    @staticmethod
+    def _count_two_hop_run(monkeypatch, name, cls, trace):
+        from repro.core.search import SearchConfig, simulate_search
+
+        counts = {"ordered": 0, "members": 0}
+        original_ordered = cls.ordered
+        original_members = cls.members
+
+        def counting_ordered(self):
+            counts["ordered"] += 1
+            return original_ordered(self)
+
+        def counting_members(self):
+            counts["members"] += 1
+            return original_members(self)
+
+        monkeypatch.setattr(cls, "ordered", counting_ordered)
+        monkeypatch.setattr(cls, "members", counting_members)
+        result = simulate_search(
+            trace,
+            SearchConfig(
+                list_size=5, strategy=name, two_hop=True,
+                track_load=False, seed=1,
+            ),
+        )
+        return counts, result
 
     @pytest.mark.parametrize("name, cls", [
         ("lru", LRUNeighbours),
@@ -203,35 +223,21 @@ class TestMembershipProbeCost:
     def test_two_hop_run_probes_more_than_it_enumerates(
         self, monkeypatch, name, cls, small_static_trace
     ):
-        from repro.core.search import SearchConfig, simulate_search
-
-        counts = {"ordered": 0, "contains": 0}
-        original_ordered = cls.ordered
-        original_contains = cls.contains
-
-        def counting_ordered(self):
-            counts["ordered"] += 1
-            return original_ordered(self)
-
-        def counting_contains(self, peer):
-            counts["contains"] += 1
-            return original_contains(self, peer)
-
-        monkeypatch.setattr(cls, "ordered", counting_ordered)
-        monkeypatch.setattr(cls, "contains", counting_contains)
-        # The scalar engine probes per (sharer, neighbour) pair; the
-        # vectorized engine unions members() views instead, so this
-        # pins the scalar probe pattern specifically.
-        simulate_search(
-            small_static_trace,
-            SearchConfig(
-                list_size=5, strategy=name, two_hop=True,
-                track_load=False, seed=1,
-            ),
-            vectorized=False,
+        counts, _ = self._count_two_hop_run(
+            monkeypatch, name, cls, small_static_trace
         )
-        assert counts["contains"] > 0
-        # One enumeration per issued query (plus warm-up); membership
-        # probes dominate because every one-hop miss fans out to
-        # (sharers x first-hop) contains probes.
-        assert counts["ordered"] < counts["contains"]
+        # One enumeration per issued query (plus misses too costly for
+        # the fast path); membership views dominate because every
+        # eligible one-hop miss unions one view per first-hop neighbour.
+        assert 0 < counts["ordered"] < counts["members"]
+
+    def test_random_two_hop_draws_a_fresh_list_per_probe(
+        self, monkeypatch, small_static_trace
+    ):
+        counts, result = self._count_two_hop_run(
+            monkeypatch, "random", RandomNeighbours, small_static_trace
+        )
+        # members() answers None, so each (sharer, neighbour) probe
+        # draws: far more enumerations than the one per issued query.
+        assert counts["members"] > 0
+        assert counts["ordered"] > 2 * result.rates.requests

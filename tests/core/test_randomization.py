@@ -82,15 +82,18 @@ class TestInvariants:
 
 class TestSwapRules:
     def make_state(self, caches):
-        # The legacy engine keeps string (peer, file) slots, which these
-        # white-box assertions index into; the compiled engine's
-        # equivalence is pinned in test_compiled_equivalence.py.
-        return _SwapState(build_static(caches), use_compiled=False)
+        return _SwapState(build_static(caches))
+
+    @staticmethod
+    def slot(state, peer, file_id):
+        """Index of ``peer``'s slot holding ``file_id`` (slots hold the
+        interned file ints)."""
+        return state.slots.index((peer, state._file_ids.index(file_id)))
 
     def test_swap_same_peer_refused(self):
         state = self.make_state({0: ["a", "b"]})
-        i = state.slots.index((0, "a"))
-        j = state.slots.index((0, "b"))
+        i = self.slot(state, 0, "a")
+        j = self.slot(state, 0, "b")
         assert not state.try_swap(i, j)
 
     def test_swap_same_file_refused(self):
@@ -100,18 +103,18 @@ class TestSwapRules:
     def test_swap_creating_duplicate_refused(self):
         # Swapping 0's "a" with 1's "b" would put "b" twice in cache 0.
         state = self.make_state({0: ["a", "b"], 1: ["b", "c"]})
-        i = state.slots.index((0, "a"))
-        j = state.slots.index((1, "b"))
+        i = self.slot(state, 0, "a")
+        j = self.slot(state, 1, "b")
         assert not state.try_swap(i, j)
 
     def test_valid_swap_applies(self):
         state = self.make_state({0: ["a"], 1: ["b"]})
-        i = state.slots.index((0, "a"))
-        j = state.slots.index((1, "b"))
+        i = self.slot(state, 0, "a")
+        j = self.slot(state, 1, "b")
         assert state.try_swap(i, j)
-        assert state.caches[0] == {"b"}
-        assert state.caches[1] == {"a"}
-        assert (0, "b") in state.slots and (1, "a") in state.slots
+        assert state.cache_map() == {0: {"b"}, 1: {"a"}}
+        assert self.slot(state, 0, "b") == i
+        assert self.slot(state, 1, "a") == j
 
 
 class TestMixing:

@@ -1,25 +1,28 @@
-"""Seeded equivalence between the vectorized and scalar engines.
+"""Seeded equivalence between the batched engine and the scalar draws.
 
-PR 8's core-layer tentpole: the batched draw kernels
-(:mod:`repro.core.vectorized`) and the two-hop member-union fast path
-must not change a single seeded draw.  These tests pin byte-identity at
-three levels — the word/draw kernels against ``random.Random`` itself,
-the request streams, and the full search simulator (all strategies,
-two-hop, availability, probe loss) — plus mid-stream pickling, which is
-what a checkpoint does to a live ``WordStream``.
+The batched draw kernels (:mod:`repro.core.vectorized`) and the two-hop
+member-union fast path must not change a single seeded draw.  These
+tests pin byte-identity at three levels — the word/draw kernels against
+``random.Random`` itself, the request streams, and the full search
+simulator (all strategies, two-hop, availability, probe loss) — plus
+mid-stream pickling, which is what a checkpoint does to a live
+``WordStream``.  The scalar engine the streams and the simulator were
+compared against is deleted; its seeded outputs survive as the digests
+in ``tests/golden/engines.json``.
 """
 
 import pickle
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core.requests import generate_requests, iter_requests_compiled
-from repro.core.search import SearchConfig, simulate_search
+from repro.core.requests import iter_requests_compiled
 from repro.core.vectorized import WordStream
 from repro.util.rng import RngStream
+from tests.golden.cases import assert_case
 
 
 class TestWordStreamKernels:
@@ -103,32 +106,8 @@ class TestWordStreamKernels:
 
 class TestRequestStreamEquivalence:
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_streams_byte_identical(self, small_static_trace, weighted):
-        vectorized = list(
-            generate_requests(
-                small_static_trace,
-                RngStream(3, "req"),
-                weighted_by_cache=weighted,
-                vectorized=True,
-            )
-        )
-        scalar = list(
-            generate_requests(
-                small_static_trace,
-                RngStream(3, "req"),
-                weighted_by_cache=weighted,
-                vectorized=False,
-            )
-        )
-        legacy = list(
-            generate_requests(
-                small_static_trace,
-                RngStream(3, "req"),
-                weighted_by_cache=weighted,
-                use_compiled=False,
-            )
-        )
-        assert vectorized == scalar == legacy
+    def test_streams_byte_identical(self, weighted):
+        assert_case(f"requests/fixture/{'weighted' if weighted else 'uniform'}")
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_pickled_mid_stream_resumes_exactly(
@@ -141,7 +120,6 @@ class TestRequestStreamEquivalence:
                 compiled,
                 RngStream(7, "req"),
                 weighted_by_cache=weighted,
-                vectorized=True,
             )
 
         reference = list(stream())
@@ -153,63 +131,28 @@ class TestRequestStreamEquivalence:
             assert head + tail == reference, f"diverged after cut={cut}"
 
 
-def _fingerprint(result):
-    return (
-        result.rates,
-        result.rare_rates,
-        result.unresolvable,
-        result.probes_lost,
-        result.evictions,
-        result.exchanges,
-    )
-
-
 class TestSearchEquivalence:
     @pytest.mark.parametrize(
         "strategy", ["lru", "history", "random", "popularity"]
     )
     @pytest.mark.parametrize("two_hop", [False, True])
-    def test_all_strategies(self, small_static_trace, strategy, two_hop):
-        config = SearchConfig(
-            list_size=10, strategy=strategy, two_hop=two_hop, seed=5
-        )
-        vectorized = simulate_search(
-            small_static_trace, config, vectorized=True
-        )
-        scalar = simulate_search(
-            small_static_trace, config, vectorized=False
-        )
-        legacy = simulate_search(
-            small_static_trace, config, use_compiled=False
-        )
-        assert _fingerprint(vectorized) == _fingerprint(scalar)
-        assert _fingerprint(vectorized) == _fingerprint(legacy)
+    def test_all_strategies(self, strategy, two_hop):
+        hops = "two" if two_hop else "one"
+        assert_case(f"search/fixture/{strategy}/{hops}-hop")
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_availability_loss_and_load(self, small_static_trace, weighted):
-        config = SearchConfig(
-            list_size=10,
-            availability=0.7,
-            probe_loss_rate=0.1,
-            weighted_requests=weighted,
-            track_load=True,
-            seed=5,
+    def test_availability_loss_and_load(self, weighted):
+        assert_case(
+            "search/fixture/availability-loss/"
+            + ("weighted" if weighted else "uniform")
         )
-        vectorized = simulate_search(
-            small_static_trace, config, vectorized=True
-        )
-        scalar = simulate_search(
-            small_static_trace, config, vectorized=False
-        )
-        assert _fingerprint(vectorized) == _fingerprint(scalar)
-        assert vectorized.load.messages == scalar.load.messages
 
 
 def test_import_does_not_pull_numpy():
-    """The kernels must not tax processes that never draw (satellite 1).
+    """The kernels must not tax processes that never draw.
 
-    Importing the module — and building a search simulator with
-    ``vectorized=False`` — must leave numpy unimported, mirroring the
+    Importing the draw, request and search modules must leave numpy
+    unimported; it loads on the first draw, mirroring the
     ``_get_sparse()`` contract in the trace layer.
     """
     script = (
@@ -222,6 +165,5 @@ def test_import_does_not_pull_numpy():
     subprocess.run(
         [sys.executable, "-c", script],
         check=True,
-        env={"PYTHONPATH": "src"},
-        cwd=str(__import__("pathlib").Path(__file__).resolve().parents[2]),
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src")},
     )

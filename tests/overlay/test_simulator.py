@@ -105,9 +105,8 @@ class TestOverlayVsReactive:
         assert list(fixed.ordered()) == [1, 2, 3]
         fixed.record_upload(99)
         assert list(fixed.ordered()) == [1, 2, 3]
-        assert fixed.contains(2)
-        assert fixed.position(3) == 2
-        assert fixed.position(99) is None
+        assert 2 in fixed.members()
+        assert 99 not in fixed.members()
 
     def test_warm_start_seeds_lru(self):
         from repro.core.search import SearchConfig, SearchSimulator

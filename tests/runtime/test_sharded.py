@@ -259,15 +259,6 @@ class TestSequentialOnlyGuards:
         assert result.returncode == 2
         assert "--store" in result.stderr
 
-    def test_sequential_only_experiment_named(self):
-        result = _cli(
-            "experiment", "extrapolation", "--scale", "tiny",
-            "--workers", "2", check=False,
-        )
-        assert result.returncode == 2
-        assert "extrapolation" in result.stderr
-        assert "sequential-only" in result.stderr
-
     def test_run_all_names_sequential_only(self, tmp_path):
         result = _cli(
             "run-all", "--scale", "tiny", "--only", "chaos",

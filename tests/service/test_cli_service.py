@@ -134,22 +134,29 @@ class TestServeLoadgenSmoke:
 
 def test_serve_drain_exits_zero_under_sigterm(tmp_path):
     """Full-fidelity drain contract: run `repro serve` as a subprocess,
-    SIGTERM it mid-life, assert rc=0 and a freed port."""
+    SIGTERM it mid-life, assert rc=0 and a freed port.  The child runs
+    from a scratch directory, so the import path must not depend on the
+    working directory."""
     import os
     import signal
     import socket
     import subprocess
     import sys
     import time
+    from pathlib import Path
+
+    import repro
 
     port_file = tmp_path / "port"
     env = dict(os.environ)
-    env["PYTHONPATH"] = "src"
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
          "--port-file", str(port_file), "--grace", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
+        cwd=str(tmp_path),
         env=env,
         text=True,
     )

@@ -10,6 +10,7 @@ from repro.trace.compiled import CompiledTrace, FileInterner
 from repro.trace.model import StaticTrace
 from repro.util.rng import RngStream
 from tests.conftest import build_static
+from tests.golden.cases import assert_case
 
 
 @pytest.fixture
@@ -108,16 +109,21 @@ class TestOverlapKernels:
                 )
 
     def test_pair_overlaps_matches_legacy(self, trace, compiled):
-        legacy = pair_overlaps(dict(trace.caches), use_compiled=False)
-        assert compiled.pair_overlaps() == legacy
-        assert pair_overlaps(compiled) == legacy
+        # The nested-loop engine's output, frozen as a digest too.
+        expected = {(0, 1): 1, (0, 3): 2, (1, 3): 1}
+        assert compiled.pair_overlaps() == expected
+        assert pair_overlaps(compiled) == expected
+        assert pair_overlaps(dict(trace.caches)) == expected
+        assert_case("pair-overlaps/pair-trace/compiled")
+        assert_case("pair-overlaps/pair-trace/cache-map")
 
     def test_pair_overlaps_with_filter(self, trace, compiled):
         keep = lambda fid: fid != "alpha"
-        legacy = pair_overlaps(
-            dict(trace.caches), file_filter=keep, use_compiled=False
-        )
-        assert pair_overlaps(compiled, file_filter=keep) == legacy
+        expected = {(0, 3): 1}
+        assert pair_overlaps(compiled, file_filter=keep) == expected
+        assert pair_overlaps(dict(trace.caches), file_filter=keep) == expected
+        assert_case("pair-overlaps/pair-trace/filtered/compiled")
+        assert_case("pair-overlaps/pair-trace/filtered/cache-map")
 
     def test_both_kernels_agree(self, compiled):
         mask = [True] * compiled.num_files

@@ -60,8 +60,8 @@ class TestRoundTrip:
         trace = sample_trace()
         with trace_to_store(trace, tmp_path / "store") as store:
             for day in trace.days():
-                assert store.day_snapshots(day) == trace.snapshots_on(day)
-                assert store.day_replica_counts(day) == trace.replica_counts(day)
+                assert store.snapshots_on(day) == trace.snapshots_on(day)
+                assert store.replica_counts(day) == trace.replica_counts(day)
 
     def test_compiled_day_matches_trace(self, tmp_path):
         trace = sample_trace()
@@ -88,7 +88,7 @@ class TestRoundTrip:
             assert store.num_snapshots == small_temporal_trace.num_snapshots
             assert verify_store(tmp_path / "store") == []
             day = small_temporal_trace.days()[0]
-            assert store.day_snapshots(day) == small_temporal_trace.snapshots_on(day)
+            assert store.snapshots_on(day) == small_temporal_trace.snapshots_on(day)
 
     def test_streaming_conversion_is_byte_identical(self, tmp_path):
         # The single-pass streaming converter and the whole-trace path must
@@ -166,8 +166,8 @@ class TestWriter:
                 1, {0: ["c"]}, files=trace.files, clients=trace.clients
             )
         with open_store(tmp_path / "store") as store:
-            assert store.day_snapshots(1) == {0: frozenset({"c"})}
-            assert store.day_snapshots(2) == trace.snapshots_on(2)
+            assert store.snapshots_on(1) == {0: frozenset({"c"})}
+            assert store.snapshots_on(2) == trace.snapshots_on(2)
         assert verify_store(tmp_path / "store") == []
 
     def test_reappend_same_day_is_idempotent(self, tmp_path):
