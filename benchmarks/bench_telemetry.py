@@ -27,11 +27,18 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import sys
 import tempfile
 import time
 
-from benchmarks.bench_profile import profile_workload
-from repro.obs import FlightRecorder, Observer, read_telemetry
+# Run as a script, only ``benchmarks/`` itself is on ``sys.path``; the
+# ``benchmarks`` package lives in the repository root.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from benchmarks.bench_profile import profile_workload  # noqa: E402
+from repro.obs import FlightRecorder, Observer, read_telemetry  # noqa: E402
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(__file__), "results", "bench-telemetry.json"

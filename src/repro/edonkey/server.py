@@ -9,15 +9,17 @@ queries, propagates the server list, and — on old versions only — answers
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.edonkey.messages import (
+    And,
     BrowseReply,
     BrowseUser,
     CallbackRequest,
     ConnectReply,
     ConnectRequest,
     FileDescription,
+    Keyword,
     PublishFiles,
     QuerySources,
     QueryUsers,
@@ -65,6 +67,9 @@ class Server:
         self._sessions: Dict[int, _Session] = {}
         self._sources: Dict[str, Set[int]] = {}  # file_id -> client ids
         self._keywords: Dict[str, Set[str]] = {}  # token -> file ids
+        # token -> its keyword bucket in id order, kept for indexed tokens
+        # only and dropped whenever the bucket changes
+        self._sorted_buckets: Dict[str, List[str]] = {}
         self._descriptions: Dict[str, FileDescription] = {}
         self._nick_trigrams: Dict[str, Set[int]] = {}  # trigram -> client ids
         self.known_servers: Set[int] = {server_id}
@@ -100,6 +105,7 @@ class Server:
         self._sessions.clear()
         self._sources.clear()
         self._keywords.clear()
+        self._sorted_buckets.clear()
         self._descriptions.clear()
         self._nick_trigrams.clear()
 
@@ -126,6 +132,7 @@ class Server:
             desc = self._descriptions.pop(file_id, None)
             if desc is not None:
                 for token in desc.tokens():
+                    self._sorted_buckets.pop(token, None)
                     bucket = self._keywords.get(token)
                     if bucket is not None:
                         bucket.discard(file_id)
@@ -150,39 +157,68 @@ class Server:
                 self._descriptions[desc.file_id] = desc
                 for token in desc.tokens():
                     self._keywords.setdefault(token, set()).add(desc.file_id)
+                    self._sorted_buckets.pop(token, None)
 
     def handle_search(self, msg: SearchRequest) -> SearchReply:
-        # Narrow the candidate set with the keyword index when the query has
-        # a top-level Keyword / And-of-Keyword structure; otherwise scan.
-        candidates = self._candidate_ids(msg.query)
-        results: List[FileDescription] = []
-        truncated = False
-        for file_id in sorted(candidates):
-            desc = self._descriptions.get(file_id)
-            if desc is None or not msg.query.matches(desc):
-                continue
-            if len(results) >= msg.limit:
-                truncated = True
-                break
-            results.append(desc)
-        return SearchReply(results=results, truncated=truncated)
-
-    def _candidate_ids(self, query) -> Set[str]:
-        from repro.edonkey.messages import And, Keyword
-
+        """The first ``limit`` matches in file-id order; ``truncated``
+        when more exist (a ``limit`` of 0 or less returns no result and
+        reports whether any file matches)."""
+        query = msg.query
+        limit = max(msg.limit, 0)
+        descriptions = self._descriptions
         if isinstance(query, Keyword) and query.field is None:
-            return set(self._keywords.get(query.term.lower(), set()))
+            # An id is filed only under its own description's tokens, so
+            # every id in the term's bucket matches.
+            hits = self._sorted_bucket(query.term.lower())
+            return SearchReply(
+                results=[descriptions[file_id] for file_id in hits[:limit]],
+                truncated=len(hits) > limit,
+            )
+        results: List[FileDescription] = []
+        for file_id in self._scan_order(query):
+            desc = descriptions[file_id]
+            if query.matches(desc):
+                if len(results) == limit:
+                    return SearchReply(results=results, truncated=True)
+                results.append(desc)
+        return SearchReply(results=results, truncated=False)
+
+    def _scan_order(self, query) -> Iterable[str]:
+        """The ids, in order, that ``query`` is tested against.
+
+        For an ``And`` with field-less keyword parts that is the
+        intersection of their buckets, walked along the smallest one;
+        any other query scans the whole index.
+        """
         if isinstance(query, And):
-            narrowed: Optional[Set[str]] = None
-            for part in query.parts:
-                if isinstance(part, Keyword) and part.field is None:
-                    bucket = self._keywords.get(part.term.lower(), set())
-                    narrowed = (
-                        set(bucket) if narrowed is None else narrowed & bucket
-                    )
-            if narrowed is not None:
-                return narrowed
-        return set(self._descriptions)
+            terms = [
+                part.term.lower()
+                for part in query.parts
+                if isinstance(part, Keyword) and part.field is None
+            ]
+            if terms:
+                terms.sort(key=lambda term: len(self._keywords.get(term, ())))
+                walk = self._sorted_bucket(terms[0])
+                rest = [self._keywords.get(term, ()) for term in terms[1:]]
+                if not rest:
+                    return walk
+                return (
+                    file_id
+                    for file_id in walk
+                    if all(file_id in bucket for bucket in rest)
+                )
+        return sorted(self._descriptions)
+
+    def _sorted_bucket(self, token: str) -> List[str]:
+        """The ids filed under ``token``, in order; never memoised for a
+        token the index does not hold."""
+        memo = self._sorted_buckets.get(token)
+        if memo is None:
+            bucket = self._keywords.get(token)
+            if bucket is None:
+                return []
+            memo = self._sorted_buckets[token] = sorted(bucket)
+        return memo
 
     def handle_query_sources(self, msg: QuerySources) -> SourcesReply:
         sources = sorted(self._sources.get(msg.file_id, set()))
@@ -296,13 +332,30 @@ class Server:
                 problems.append(
                     f"{tag}: described file {file_id!r} has no sources"
                 )
+        tokens = {
+            file_id: set(desc.tokens())
+            for file_id, desc in self._descriptions.items()
+        }
         for token, bucket in self._keywords.items():
             for file_id in bucket:
-                if file_id not in self._descriptions:
+                if file_id not in tokens:
                     problems.append(
                         f"{tag}: keyword {token!r} indexes unknown file "
                         f"{file_id!r}"
                     )
+                elif token not in tokens[file_id]:
+                    problems.append(
+                        f"{tag}: keyword {token!r} indexes {file_id!r}, "
+                        "whose description lacks it"
+                    )
+        for token, memo in self._sorted_buckets.items():
+            bucket = self._keywords.get(token)
+            if bucket is None:
+                problems.append(
+                    f"{tag}: sorted bucket kept for unindexed token {token!r}"
+                )
+            elif memo != sorted(bucket):
+                problems.append(f"{tag}: sorted bucket of {token!r} is stale")
         for trigram, bucket in self._nick_trigrams.items():
             for client_id in bucket:
                 session = self._sessions.get(client_id)

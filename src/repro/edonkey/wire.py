@@ -26,18 +26,23 @@ The payload document carries four keys, always all present:
 - ``type``   — the message dataclass name (``SearchRequest``, ...);
 - ``fields`` — the dataclass fields, encoded recursively.
 
-Field encoding is driven by the dataclass type annotations: primitives
-pass through, ``bytes`` become ``{"$bytes": "<hex>"}``, tuples become
-JSON arrays (rebuilt as tuples on decode), and nested message
-dataclasses — :class:`~repro.edonkey.messages.FileDescription`, the
+Primitives pass through, ``bytes`` become ``{"$bytes": "<hex>"}``,
+tuples become JSON arrays (rebuilt as tuples on decode, as the
+annotations say), and nested message dataclasses —
+:class:`~repro.edonkey.messages.FileDescription`, the
 :class:`~repro.edonkey.messages.Query` expression tree — become
 ``{"$type": "<Name>", "fields": {...}}`` envelopes.  JSON is emitted
 with sorted keys and compact separators, so ``encode → decode → encode``
 reproduces the original bytes exactly.
 
+The codec is built once, when the module loads: a fields encoder per
+registered class, which ``json``'s C encoder calls back for dataclasses
+and ``bytes`` only, and a decoder per field annotation.
+
 Strictness: unknown message types, unknown or missing fields, wrong
 primitive types, bad hex, schema-version mismatches, zero-length,
-truncated and oversized frames all raise :class:`WireError` (a
+truncated and oversized frames, and payloads nested deeper than the
+interpreter's recursion limit all raise :class:`WireError` (a
 ``ValueError``) with a message naming the offence.
 
 The module deliberately imports neither ``asyncio`` nor anything heavy:
@@ -50,10 +55,11 @@ keeps the CLI's cold-import baseline asyncio-free.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import struct
 import typing
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.edonkey import messages as _messages
 from repro.edonkey.messages import Query
@@ -98,77 +104,96 @@ def _build_registry() -> Dict[str, type]:
 #: ``name -> dataclass`` for every encodable message type.
 MESSAGE_TYPES: Dict[str, type] = _build_registry()
 
-# Resolved type hints per dataclass, computed once (get_type_hints has
-# to evaluate the module's postponed annotations).
-_HINTS: Dict[type, Dict[str, Any]] = {}
-
-
-def _hints(cls: type) -> Dict[str, Any]:
-    hints = _HINTS.get(cls)
-    if hints is None:
-        hints = _HINTS[cls] = typing.get_type_hints(cls)
-    return hints
-
 
 # ----------------------------------------------------------------------
 # Encoding
+#
+# ``json``'s C encoder walks lists, tuples, dicts and primitives itself
+# and hands everything else to ``_encode_object``: message dataclasses,
+# through a fields encoder built once per registered class, and
+# ``bytes``.  No Python runs per primitive value.  Every dict reaches the
+# encoder with its keys in order (fields by name, dict-annotated fields
+# sorted by their encoder), so ``json`` is not asked to sort them.  A
+# dict in a field not annotated as one (a value contradicting its
+# annotation, which the decoder refuses) is left to ``json``: its keys
+# keep their insertion order, and int, float, bool or None keys become
+# strings.
 
 
-def _encode_value(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, str)):
+def _fields_encoder(cls: type) -> Callable[[Any], Dict[str, Any]]:
+    """``message -> {field name: value}`` for one registered class."""
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    hints = typing.get_type_hints(cls)
+    keyed = [n for n in names if typing.get_origin(hints[n]) is dict]
+
+    def encode_fields(message: Any) -> Dict[str, Any]:
+        fields = {name: getattr(message, name) for name in names}
+        for name in keyed:
+            fields[name] = _in_key_order(fields[name])
+        return fields
+
+    return encode_fields
+
+
+def _in_key_order(value: Any) -> Any:
+    """A dict field's value, sorted by its keys, which must be strings
+    (``json`` would turn an int key into a string rather than refuse
+    it)."""
+    if not isinstance(value, dict):
         return value
-    if isinstance(value, float):
-        return value
+    for key in value:
+        if not isinstance(key, str):
+            raise WireError(f"cannot encode dict key of type {type(key).__name__}")
+    return dict(sorted(value.items()))
+
+
+#: ``class -> fields encoder`` for every registered message type.
+_FIELD_ENCODERS: Dict[type, Callable[[Any], Dict[str, Any]]] = {
+    cls: _fields_encoder(cls) for cls in MESSAGE_TYPES.values()
+}
+
+
+def _encode_object(value: Any) -> Dict[str, Any]:
+    """The JSON encoder's hook for every value it cannot encode itself."""
+    cls = type(value)
+    encode_fields = _FIELD_ENCODERS.get(cls)
+    if encode_fields is not None:
+        return {"$type": cls.__name__, "fields": encode_fields(value)}
     if isinstance(value, bytes):
         return {"$bytes": value.hex()}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        cls = type(value)
-        if MESSAGE_TYPES.get(cls.__name__) is not cls:
-            raise WireError(
-                f"cannot encode unregistered dataclass {cls.__name__}"
-            )
-        return {"$type": cls.__name__, "fields": _encode_fields(value)}
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(item) for item in value]
-    if isinstance(value, dict):
-        encoded: Dict[str, Any] = {}
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise WireError(
-                    f"cannot encode dict key of type {type(key).__name__}"
-                )
-            encoded[key] = _encode_value(item)
-        return encoded
-    raise WireError(f"cannot encode value of type {type(value).__name__}")
+        raise WireError(f"cannot encode unregistered dataclass {cls.__name__}")
+    raise WireError(f"cannot encode value of type {cls.__name__}")
 
 
-def _encode_fields(message: Any) -> Dict[str, Any]:
-    return {
-        f.name: _encode_value(getattr(message, f.name))
-        for f in dataclasses.fields(message)
-    }
+_JSON = json.JSONEncoder(
+    sort_keys=False,
+    separators=(",", ":"),
+    ensure_ascii=True,
+    allow_nan=False,
+    check_circular=False,  # a cyclic value overflows the stack instead
+    default=_encode_object,
+)
 
 
 def encode_payload(message: Any, seq: Optional[int] = None) -> bytes:
     """The canonical JSON payload bytes for one message (no framing)."""
     cls = type(message)
-    if MESSAGE_TYPES.get(cls.__name__) is not cls:
+    encode_fields = _FIELD_ENCODERS.get(cls)
+    if encode_fields is None:
         raise WireError(f"cannot encode non-message type {cls.__name__}")
     if seq is not None and (isinstance(seq, bool) or not isinstance(seq, int)):
         raise WireError(f"seq must be an int or None, got {seq!r}")
     document = {
-        "v": WIRE_SCHEMA,
+        "fields": encode_fields(message),
         "seq": seq,
         "type": cls.__name__,
-        "fields": _encode_fields(message),
+        "v": WIRE_SCHEMA,
     }
-    return json.dumps(
-        document,
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-        allow_nan=False,
-    ).encode("ascii")
+    try:
+        return _JSON.encode(document).encode("ascii")
+    except TypeError as exc:  # a dict key json refuses, outside a Dict field
+        raise WireError(f"cannot encode {cls.__name__}: {exc}") from None
 
 
 def encode_frame(message: Any, seq: Optional[int] = None) -> bytes:
@@ -184,144 +209,249 @@ def encode_frame(message: Any, seq: Optional[int] = None) -> bytes:
 
 # ----------------------------------------------------------------------
 # Decoding
+#
+# One decoder per type hint and one fields decoder per registered class,
+# built once.  A decoder maps a parsed JSON value to the field value or
+# raises ``_Invalid``; the path to the offending value is assembled as
+# the error unwinds, so decoding a valid frame formats no strings.
+
+_Decoder = Callable[[Any], Any]
+
+_NESTED_TOO_DEEP = "frame payload is nested too deeply"
+
+
+class _Invalid(Exception):
+    """A decode failure; ``path`` collects its location, innermost first."""
+
+    def __init__(self, detail: str) -> None:
+        super().__init__(detail)
+        self.detail = detail
+        self.path: List[str] = []
+
+    def located(self, root: str) -> WireError:
+        return WireError(f"{root}{''.join(reversed(self.path))}: {self.detail}")
 
 
 def _type_name(hint: Any) -> str:
     return getattr(hint, "__name__", None) or str(hint)
 
 
-def _decode_value(value: Any, hint: Any, where: str) -> Any:
-    origin = typing.get_origin(hint)
-    if origin is typing.Union:
-        args = typing.get_args(hint)
-        if value is None and type(None) in args:
-            return None
-        concrete = [a for a in args if a is not type(None)]
-        if len(concrete) != 1:
-            raise WireError(f"{where}: unsupported union annotation {hint!r}")
-        return _decode_value(value, concrete[0], where)
-    if hint is bool:
-        if not isinstance(value, bool):
-            raise WireError(
-                f"{where}: expected bool, got {type(value).__name__}"
-            )
-        return value
-    if hint is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise WireError(
-                f"{where}: expected int, got {type(value).__name__}"
-            )
-        return value
-    if hint is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise WireError(
-                f"{where}: expected float, got {type(value).__name__}"
-            )
+def _got(value: Any) -> str:
+    return type(value).__name__
+
+
+def _exact(kind: type) -> _Decoder:
+    """Values of JSON type ``kind``, as they are (``int`` excludes ``bool``)."""
+
+    def decode(value: Any) -> Any:
+        if type(value) is kind:
+            return value
+        raise _Invalid(f"expected {kind.__name__}, got {_got(value)}")
+
+    return decode
+
+
+def _decode_float(value: Any) -> float:
+    if type(value) is float or type(value) is int:
         return float(value)
-    if hint is str:
-        if not isinstance(value, str):
-            raise WireError(
-                f"{where}: expected str, got {type(value).__name__}"
-            )
-        return value
-    if hint is bytes:
-        if (
-            not isinstance(value, dict)
-            or set(value) != {"$bytes"}
-            or not isinstance(value["$bytes"], str)
-        ):
-            raise WireError(f"{where}: expected a {{'$bytes': hex}} object")
+    raise _Invalid(f"expected float, got {_got(value)}")
+
+
+def _decode_bytes(value: Any) -> bytes:
+    if (
+        type(value) is not dict
+        or value.keys() != {"$bytes"}
+        or type(value["$bytes"]) is not str
+    ):
+        raise _Invalid("expected a {'$bytes': hex} object")
+    try:
+        return bytes.fromhex(value["$bytes"])
+    except ValueError as exc:
+        raise _Invalid(f"bad hex in $bytes: {exc}") from None
+
+
+_SCALAR_DECODERS: Dict[type, _Decoder] = {
+    bool: _exact(bool),
+    int: _exact(int),
+    str: _exact(str),
+    float: _decode_float,
+    bytes: _decode_bytes,
+}
+
+
+def _refusal(detail: str) -> _Decoder:
+    def refuse(value: Any) -> Any:
+        raise _Invalid(detail)
+
+    return refuse
+
+
+def _decode_items(decoders: Iterable[_Decoder], values: list) -> list:
+    """Each value through its decoder; a failure names its index."""
+    items: list = []
+    try:
+        for decode, value in zip(decoders, values):
+            items.append(decode(value))
+    except _Invalid as error:
+        error.path.append(f"[{len(items)}]")
+        raise
+    return items
+
+
+def _sequence_decoder(item_hint: Any, make: type) -> _Decoder:
+    """``List[item]`` (``make=list``) or ``Tuple[item, ...]`` (``tuple``)."""
+    decoders = itertools.repeat(_decoder(item_hint))
+
+    def decode(value: Any) -> Any:
+        if type(value) is not list:
+            raise _Invalid(f"expected list, got {_got(value)}")
+        return make(_decode_items(decoders, value))
+
+    return decode
+
+
+def _fixed_tuple_decoder(item_hints: Tuple[Any, ...]) -> _Decoder:
+    decoders = [_decoder(hint) for hint in item_hints]
+
+    def decode(value: Any) -> tuple:
+        if type(value) is not list:
+            raise _Invalid(f"expected list, got {_got(value)}")
+        if len(value) != len(decoders):
+            raise _Invalid(f"expected {len(decoders)} elements, got {len(value)}")
+        return tuple(_decode_items(decoders, value))
+
+    return decode
+
+
+def _dict_decoder(value_hint: Any) -> _Decoder:
+    decode_item = _decoder(value_hint)
+
+    def decode(value: Any) -> dict:
+        if type(value) is not dict:
+            raise _Invalid(f"expected object, got {_got(value)}")
+        decoded = {}
+        for key, item in value.items():
+            try:
+                decoded[key] = decode_item(item)
+            except _Invalid as error:
+                error.path.append(f"[{key!r}]")
+                raise
+        return decoded
+
+    return decode
+
+
+def _union_decoder(hint: Any) -> _Decoder:
+    args = typing.get_args(hint)
+    nullable = type(None) in args
+    concrete = [a for a in args if a is not type(None)]
+    inner = (
+        _decoder(concrete[0])
+        if len(concrete) == 1
+        else _refusal(f"unsupported union annotation {hint!r}")
+    )
+
+    def decode(value: Any) -> Any:
+        if value is None and nullable:
+            return None
+        return inner(value)
+
+    return decode
+
+
+def _envelope_decoder(expected: type) -> _Decoder:
+    """A ``{"$type": ..., "fields": ...}`` nested message of ``expected``."""
+
+    def decode(value: Any) -> Any:
+        if type(value) is not dict or value.keys() != {"$type", "fields"}:
+            raise _Invalid("expected a {'$type', 'fields'} message object")
+        name = value["$type"]
+        if type(name) is not str:
+            raise _Invalid("$type must be a string")
+        cls = MESSAGE_TYPES.get(name)
+        if cls is None:
+            raise _Invalid(f"unknown message type {name!r}")
+        if not issubclass(cls, expected):
+            raise _Invalid(f"{name} is not a {_type_name(expected)}")
         try:
-            return bytes.fromhex(value["$bytes"])
-        except ValueError as exc:
-            raise WireError(f"{where}: bad hex in $bytes: {exc}") from None
+            return _FIELD_DECODERS[cls](value["fields"])
+        except _Invalid as error:
+            error.path.append("." + name)
+            raise
+
+    return decode
+
+
+def _build_decoder(hint: Any) -> _Decoder:
+    scalar = _SCALAR_DECODERS.get(hint)
+    if scalar is not None:
+        return scalar
+    origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
+    if origin is typing.Union:
+        return _union_decoder(hint)
     if origin is list:
-        (item_hint,) = typing.get_args(hint)
-        if not isinstance(value, list):
-            raise WireError(
-                f"{where}: expected list, got {type(value).__name__}"
-            )
-        return [
-            _decode_value(item, item_hint, f"{where}[{index}]")
-            for index, item in enumerate(value)
-        ]
+        return _sequence_decoder(args[0], list)
     if origin is tuple:
-        args = typing.get_args(hint)
-        if not isinstance(value, list):
-            raise WireError(
-                f"{where}: expected list, got {type(value).__name__}"
-            )
         if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(
-                _decode_value(item, args[0], f"{where}[{index}]")
-                for index, item in enumerate(value)
-            )
-        if len(value) != len(args):
-            raise WireError(
-                f"{where}: expected {len(args)} elements, got {len(value)}"
-            )
-        return tuple(
-            _decode_value(item, item_hint, f"{where}[{index}]")
-            for index, (item, item_hint) in enumerate(zip(value, args))
-        )
+            return _sequence_decoder(args[0], tuple)
+        return _fixed_tuple_decoder(args)
     if origin is dict:
-        key_hint, value_hint = typing.get_args(hint)
-        if key_hint is not str:
-            raise WireError(f"{where}: unsupported dict key type {key_hint!r}")
-        if not isinstance(value, dict):
-            raise WireError(
-                f"{where}: expected object, got {type(value).__name__}"
-            )
-        return {
-            key: _decode_value(item, value_hint, f"{where}[{key!r}]")
-            for key, item in value.items()
-        }
+        if args[0] is not str:
+            return _refusal(f"unsupported dict key type {args[0]!r}")
+        return _dict_decoder(args[1])
     if isinstance(hint, type) and (
         dataclasses.is_dataclass(hint) or issubclass(hint, Query)
     ):
-        return _decode_envelope(value, expected=hint, where=where)
-    raise WireError(f"{where}: unsupported annotation {_type_name(hint)}")
+        return _envelope_decoder(hint)
+    return _refusal(f"unsupported annotation {_type_name(hint)}")
 
 
-def _decode_envelope(value: Any, expected: Optional[type], where: str) -> Any:
-    """Decode a ``{"$type": ..., "fields": ...}`` nested-message object."""
-    if not isinstance(value, dict) or set(value) != {"$type", "fields"}:
-        raise WireError(
-            f"{where}: expected a {{'$type', 'fields'}} message object"
-        )
-    name = value["$type"]
-    if not isinstance(name, str):
-        raise WireError(f"{where}: $type must be a string")
-    cls = MESSAGE_TYPES.get(name)
-    if cls is None:
-        raise WireError(f"{where}: unknown message type {name!r}")
-    if expected is not None and not issubclass(cls, expected):
-        raise WireError(
-            f"{where}: {name} is not a {_type_name(expected)}"
-        )
-    return _decode_fields(cls, value["fields"], where=f"{where}.{name}")
+_DECODERS: Dict[Any, _Decoder] = {}
 
 
-def _decode_fields(cls: type, fields: Any, where: str) -> Any:
-    if not isinstance(fields, dict):
-        raise WireError(f"{where}: fields must be an object")
+def _decoder(hint: Any) -> _Decoder:
+    """The decoder of one type hint, built on first request."""
+    decoder = _DECODERS.get(hint)
+    if decoder is None:
+        decoder = _DECODERS[hint] = _build_decoder(hint)
+    return decoder
+
+
+def _fields_decoder(cls: type) -> _Decoder:
+    """``{field name: JSON value} -> instance`` for one registered class."""
     declared = dataclasses.fields(cls)
-    declared_names = {f.name for f in declared}
-    unknown = sorted(set(fields) - declared_names)
-    if unknown:
-        raise WireError(f"{where}: unknown fields {unknown}")
-    missing = sorted(declared_names - set(fields))
-    if missing:
-        raise WireError(f"{where}: missing fields {missing}")
-    hints = _hints(cls)
-    kwargs = {
-        f.name: _decode_value(fields[f.name], hints[f.name], f"{where}.{f.name}")
-        for f in declared
-    }
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise WireError(f"{where}: invalid field values: {exc}") from exc
+    names = {f.name for f in declared}
+    hints = typing.get_type_hints(cls)
+    plan = tuple((f.name, _decoder(hints[f.name])) for f in declared)
+
+    def decode_fields(fields: Any) -> Any:
+        if type(fields) is not dict:
+            raise _Invalid("fields must be an object")
+        if fields.keys() != names:
+            unknown = sorted(set(fields) - names)
+            if unknown:
+                raise _Invalid(f"unknown fields {unknown}")
+            raise _Invalid(f"missing fields {sorted(names - set(fields))}")
+        kwargs = {}
+        for name, decode in plan:
+            try:
+                kwargs[name] = decode(fields[name])
+            except _Invalid as error:
+                error.path.append("." + name)
+                raise
+        try:
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise _Invalid(f"invalid field values: {exc}") from exc
+
+    return decode_fields
+
+
+#: ``class -> fields decoder`` for every registered message type.
+_FIELD_DECODERS: Dict[type, _Decoder] = {
+    cls: _fields_decoder(cls) for cls in MESSAGE_TYPES.values()
+}
 
 
 def decode_payload(data: bytes) -> Tuple[Any, Optional[int]]:
@@ -330,6 +460,8 @@ def decode_payload(data: bytes) -> Tuple[Any, Optional[int]]:
         document = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise WireError(f"undecodable frame payload: {exc}") from None
+    except RecursionError:
+        raise WireError(_NESTED_TOO_DEEP) from None
     if not isinstance(document, dict):
         raise WireError("frame payload must be a JSON object")
     expected_keys = {"v", "seq", "type", "fields"}
@@ -352,7 +484,12 @@ def decode_payload(data: bytes) -> Tuple[Any, Optional[int]]:
     cls = MESSAGE_TYPES.get(name)
     if cls is None:
         raise WireError(f"unknown message type {name!r}")
-    message = _decode_fields(cls, document["fields"], where=name)
+    try:
+        message = _FIELD_DECODERS[cls](document["fields"])
+    except _Invalid as error:
+        raise error.located(name) from error.__cause__
+    except RecursionError:
+        raise WireError(_NESTED_TOO_DEEP) from None
     return message, seq
 
 

@@ -16,7 +16,8 @@ here exactly as in the simulation — only the transport differs:
 
 Handlers returning ``None`` (``PublishFiles``) or a bare bool
 (``CallbackRequest``) are wrapped into :class:`~repro.edonkey.messages.Ack`;
-handler-level protocol errors (publish before connect) become
+handler-level protocol errors (publish before connect) and replies the
+codec refuses to frame (above ``MAX_FRAME_BYTES``) become
 :class:`~repro.edonkey.messages.ErrorReply` rather than a torn
 connection.  When a connection closes, every client id that connected
 on it is disconnected from the index — the TCP session *is* the
@@ -41,7 +42,7 @@ from repro.edonkey.protocol import (
     UnroutableMessageError,
 )
 from repro.edonkey.server import Server, ServerConfig
-from repro.edonkey.wire import WireError, read_frame, write_frame
+from repro.edonkey.wire import WireError, encode_frame, read_frame, write_frame
 from repro.faults import FaultConfig, FaultInjector
 from repro.obs import NULL_OBSERVER, Observer
 from repro.util.rng import RngStream
@@ -182,7 +183,8 @@ class IndexService:
                 reply = self._handle(message, connected)
                 if reply is _SUPPRESS:
                     continue
-                await write_frame(writer, reply, seq=seq)
+                writer.write(self._reply_frame(reply, seq))
+                await writer.drain()
         except (ConnectionError, OSError, asyncio.CancelledError):
             pass
         finally:
@@ -193,6 +195,16 @@ class IndexService:
             self.obs.gauge(
                 "progress/active_connections", len(self._connections)
             )
+
+    def _reply_frame(self, reply, seq: Optional[int]) -> bytes:
+        """``reply`` framed under ``seq``; a reply the codec refuses (one
+        above ``MAX_FRAME_BYTES``, say) becomes a framed ``ErrorReply``,
+        and the connection stays open."""
+        try:
+            return encode_frame(reply, seq=seq)
+        except WireError as exc:
+            self.obs.count("service/reply_wire_errors")
+            return encode_frame(ErrorReply(reason=str(exc)), seq=seq)
 
     def _handle(self, message, connected: Set[int]):
         """Dispatch one decoded request; returns the wire reply."""

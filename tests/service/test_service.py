@@ -1,9 +1,12 @@
 """Tests for the live index service and the load generator."""
 
 import asyncio
+import struct
+import sys
 
 import pytest
 
+from repro.edonkey import wire
 from repro.edonkey.messages import (
     Ack,
     BrowseUser,
@@ -11,10 +14,12 @@ from repro.edonkey.messages import (
     ErrorReply,
     FileDescription,
     Keyword,
+    Not,
     PublishFiles,
     QuerySources,
     SearchReply,
     SearchRequest,
+    SourcesReply,
 )
 from repro.edonkey.transport import TcpTransport
 from repro.faults import FaultConfig
@@ -227,6 +232,82 @@ class TestIndexService:
             await t.aclose()
             await _stop(service)
             del reply
+
+        run(scenario())
+
+    def test_deep_not_chain_is_answered(self):
+        async def scenario():
+            service = await _service()
+            t = await TcpTransport.open("127.0.0.1", service.port)
+            await t.request(
+                ConnectRequest(client_id=1, nickname="n", firewalled=False)
+            )
+            await t.request(PublishFiles(client_id=1, files=[desc()]))
+            query = Keyword("shared")
+            for _ in range(300):  # ~10 KB on the wire
+                query = Not(query)
+            found = await t.request(SearchRequest(client_id=1, query=query))
+            assert isinstance(found, SearchReply)
+            assert [d.file_id for d in found.results] == ["f1"]
+            await t.aclose()
+            await _stop(service)
+
+        run(scenario())
+
+    def test_too_deeply_nested_frame_gets_framed_wire_error(self):
+        async def scenario():
+            obs = Observer()
+            service = IndexService(ServiceConfig(), obs=obs)
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            depth = sys.getrecursionlimit()
+            query = (
+                '{"$type":"Not","fields":{"part":' * depth
+                + '{"$type":"Keyword","fields":{"field":null,"term":"x"}}'
+                + "}}" * depth
+            )
+            payload = (
+                '{"fields":{"client_id":1,"limit":5,"query":' + query + "},"
+                f'"seq":0,"type":"SearchRequest","v":"{wire.WIRE_SCHEMA}"}}'
+            ).encode("ascii")
+            writer.write(struct.pack(">I", len(payload)) + payload)
+            await writer.drain()
+            message, _ = await wire.read_frame(reader)
+            assert isinstance(message, ErrorReply)
+            assert "nested too deeply" in message.reason
+            assert await reader.read(64) == b""
+            assert obs.counters["service/wire_errors"] == 1
+            writer.close()
+            await _stop(service)
+
+        run(scenario())
+
+    def test_oversized_reply_is_framed_error_on_open_connection(
+        self, monkeypatch
+    ):
+        async def scenario():
+            obs = Observer()
+            service = IndexService(ServiceConfig(), obs=obs)
+            await service.start()
+            t = await TcpTransport.open("127.0.0.1", service.port)
+            await t.request(
+                ConnectRequest(client_id=1, nickname="n", firewalled=False)
+            )
+            files = [desc(f"f{i:03d}", name=f"song {i}") for i in range(160)]
+            await t.request(PublishFiles(client_id=1, files=files))
+            monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 20_000)
+            big = await t.request(SearchRequest(client_id=1, query=Keyword("song")))
+            assert isinstance(big, ErrorReply)
+            assert "oversized frame" in big.reason
+            assert obs.counters["service/reply_wire_errors"] == 1
+            # Same connection, session still published.
+            sources = await t.request(QuerySources(client_id=1, file_id="f007"))
+            assert isinstance(sources, SourcesReply)
+            assert sources.sources == [1]
+            await t.aclose()
+            await _stop(service)
 
         run(scenario())
 
