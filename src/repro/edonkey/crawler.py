@@ -211,8 +211,9 @@ class Crawler:
                 string.ascii_lowercase, repeat=self.config.query_length
             )
         )
+        server_ids = sorted(self.known_servers)
         for pattern in patterns:
-            for server_id in sorted(self.known_servers):
+            for server_id in server_ids:
                 reply = self._query_users(server_id, pattern)
                 self.stats.nickname_queries += 1
                 if reply is None:

@@ -302,9 +302,12 @@ class Network:
             was_offline = client_id in self.offline
             if online and was_offline:
                 self.offline.discard(client_id)
-                if client.server_id is not None:
-                    server_id = client.server_id
-                    client.connect(self, server_id)
+                if client.server_id is not None and not client.connect(
+                    self, client.server_id
+                ):
+                    # The reconnect was lost: orphan the client, as a
+                    # crash does, so a later day re-homes it.
+                    client.server_id = None
             elif not online and not was_offline:
                 self.offline.add(client_id)
                 if client.server_id is not None:
@@ -337,9 +340,12 @@ class Network:
         restored half the object graph (a session without its client, a
         cache set disagreeing with the client's shared dict) surfaces
         here instead of as a silently divergent trace.  Only the
-        *forward* session direction is checked — an online client can
-        legitimately hold a stale ``server_id`` with no live session
-        when message loss ate its reconnect attempt.
+        *forward* session direction is checked: every session must
+        belong to an online client that points at its server.  A client
+        whose reconnect is lost is orphaned (``server_id`` None) rather
+        than left pointing at a server without its session, but a
+        connect that timed out after the server accepted it leaves a
+        session its client never learnt of, which this check reports.
         """
         problems: List[str] = []
         for server_id, server in self.servers.items():

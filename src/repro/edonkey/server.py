@@ -85,6 +85,8 @@ class Server:
         return client_id in self._sessions
 
     def handle_connect(self, msg: ConnectRequest) -> ConnectReply:
+        # A re-connect replaces a live session: unpublish that one first.
+        self.handle_disconnect(msg.client_id)
         if len(self._sessions) >= self.config.max_users:
             return ConnectReply(accepted=False, reason="server full")
         self._sessions[msg.client_id] = _Session(
@@ -129,35 +131,69 @@ class Server:
         sources.discard(client_id)
         if not sources:
             del self._sources[file_id]
-            desc = self._descriptions.pop(file_id, None)
-            if desc is not None:
-                for token in desc.tokens():
-                    self._sorted_buckets.pop(token, None)
-                    bucket = self._keywords.get(token)
-                    if bucket is not None:
-                        bucket.discard(file_id)
-                        if not bucket:
-                            del self._keywords[token]
+            self._retire(file_id)
+
+    def _file(self, desc: FileDescription) -> None:
+        """Index ``desc`` as its id's description."""
+        self._descriptions[desc.file_id] = desc
+        for token in desc.tokens():
+            self._keywords.setdefault(token, set()).add(desc.file_id)
+            self._sorted_buckets.pop(token, None)
+
+    def _retire(self, file_id: str) -> None:
+        """Drop ``file_id``'s description from the index."""
+        desc = self._descriptions.pop(file_id, None)
+        if desc is not None:
+            for token in desc.tokens():
+                self._sorted_buckets.pop(token, None)
+                bucket = self._keywords.get(token)
+                if bucket is not None:
+                    bucket.discard(file_id)
+                    if not bucket:
+                        del self._keywords[token]
 
     # ------------------------------------------------------------------
     # Publishing and search
 
     def handle_publish(self, msg: PublishFiles) -> None:
-        session = self._sessions.get(msg.client_id)
+        """Replace the session's list with ``msg.files``.
+
+        Applied as a difference against the previous list: an id that
+        leaves it is unpublished, an id that stays keeps its index
+        entries, and only ids new to the session are filed.  The index
+        ends as if the old list had been removed and the new one added:
+        a kept id that this client alone publishes gets the message's
+        first description of it indexed, which is re-filed only when it
+        differs from the indexed one.
+        """
+        client_id = msg.client_id
+        session = self._sessions.get(client_id)
         if session is None:
-            raise KeyError(f"client {msg.client_id} not connected")
-        # Re-publication replaces the previous list.
-        for file_id in list(session.files):
-            self._remove_source(file_id, msg.client_id)
-        session.files = {}
+            raise KeyError(f"client {client_id} not connected")
+        old = session.files
+        files: Dict[str, FileDescription] = {}
         for desc in msg.files:
-            session.files[desc.file_id] = desc
-            self._sources.setdefault(desc.file_id, set()).add(msg.client_id)
-            if desc.file_id not in self._descriptions:
-                self._descriptions[desc.file_id] = desc
-                for token in desc.tokens():
-                    self._keywords.setdefault(token, set()).add(desc.file_id)
-                    self._sorted_buckets.pop(token, None)
+            file_id = desc.file_id
+            if file_id in files:
+                files[file_id] = desc  # the session keeps the last one
+                continue
+            files[file_id] = desc
+            if file_id in old:
+                indexed = self._descriptions[file_id]
+                if indexed is not desc and len(self._sources[file_id]) == 1:
+                    if indexed == desc:
+                        self._descriptions[file_id] = desc
+                    else:
+                        self._retire(file_id)
+                        self._file(desc)
+            else:
+                self._sources.setdefault(file_id, set()).add(client_id)
+                if file_id not in self._descriptions:
+                    self._file(desc)
+        for file_id in old:
+            if file_id not in files:
+                self._remove_source(file_id, client_id)
+        session.files = files
 
     def handle_search(self, msg: SearchRequest) -> SearchReply:
         """The first ``limit`` matches in file-id order; ``truncated``
@@ -263,7 +299,10 @@ class Server:
         # Patterns of length >= 3 go through the trigram index (the sweep
         # sends 26^3 of them); shorter patterns fall back to a full scan.
         if len(pattern) >= 3:
-            candidates = sorted(self._nick_trigrams.get(pattern[:3], set()))
+            bucket = self._nick_trigrams.get(pattern[:3])
+            if not bucket:  # most of a sweep's patterns
+                return UsersReply(users=[], supported=True)
+            candidates = sorted(bucket)
         else:
             candidates = sorted(self._sessions)
         matches: List[Tuple[int, str, bool]] = []

@@ -17,9 +17,10 @@ from repro.util.validation import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultConfig:
-    """Fault-model knobs.  Everything defaults to *off*.
+    """Fault-model knobs.  Everything defaults to *off*.  Frozen: a
+    variant is made with ``dataclasses.replace``.
 
     Message-level faults (independent per message):
 

@@ -52,17 +52,15 @@ class FaultInjector:
         # Effective config for the current day; day 0's value is set by
         # the first advance_day call (build time uses the base config).
         self.config = config
+        # Any knob nonzero *today*: read on every message hop, so it is
+        # kept with the effective config (``FaultConfig`` is frozen).
+        self.enabled = config.enabled
         self.stats = FaultStats()
         self._loss_rng = rng.child("loss")
         self._slow_rng = rng.child("slow")
         self._malformed_rng = rng.child("malformed")
         self._downtime_rng = rng.child("downtime")
         self.flaky_offline: Set[int] = set()
-
-    @property
-    def enabled(self) -> bool:
-        """Any knob nonzero *today* (the current effective config)."""
-        return self.config.enabled
 
     @property
     def active(self) -> bool:
@@ -164,6 +162,7 @@ class FaultInjector:
         of message traffic and iteration order."""
         if self.schedule is not None:
             self.config = self.schedule.config_on(day_index, self.base_config)
+            self.enabled = self.config.enabled
         if not self.config.peer_downtime:
             self.flaky_offline = set()
             return

@@ -1,43 +1,64 @@
 """The sorted keyword buckets behind ``Server.handle_search`` never go
-stale.
+stale, and a re-publish by difference ends where removing the old list
+and adding the new one would.
 
-Generated runs interleave connects, publishes, re-publishes, disconnects
-and crashes with searches of every shape the server treats differently
-(bare keywords, ``field=`` keywords, ``And`` with one and with two
-keywords, ``Or``/``Not``/``SizeRange`` scans) and any ``limit`` a client
-may send.  Every reply must equal a brute-force sorted scan over a model
-of the index kept by this test, and ``check_invariants`` must stay clean.
+Generated runs interleave connects (of live sessions too), publishes,
+re-publishes, disconnects and crashes with searches of every shape the
+server treats differently (bare keywords, ``field=`` keywords, ``And``
+with one and with two keywords, ``Or``/``Not``/``SizeRange`` scans) and
+any ``limit`` a client may send.  Re-publishes keep most of the previous
+list, change one field of a kept description, or repeat an id within
+one list.  Every search, source query and browse, and after each step a
+search matching every indexed description, must equal what a model of
+the index kept by this test answers, and ``check_invariants`` must stay
+clean.
 """
+
+import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.edonkey.messages import (
     And,
+    BrowseReply,
+    BrowseUser,
     ConnectRequest,
     FileDescription,
     Keyword,
     Not,
     Or,
     PublishFiles,
+    QuerySources,
     SearchReply,
     SearchRequest,
     SizeRange,
+    SourcesReply,
 )
 from repro.edonkey.server import Server
 
 WORDS = ("rock", "live", "demo", "mix")
 KINDS = ("audio", "video")
 ABSENT = ("jazz", "nothing")
-CLIENTS = range(4)
+CLIENTS = range(3)
+FILE_IDS = [f"f{i:02d}" for i in range(10)]
 
+NAMES = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+TAGS = st.lists(st.sampled_from(WORDS), max_size=2).map(tuple)
 DESCRIPTIONS = st.builds(
     FileDescription,
-    file_id=st.sampled_from([f"f{i:02d}" for i in range(10)]),
-    name=st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join),
+    file_id=st.sampled_from(FILE_IDS),
+    name=NAMES,
     size=st.integers(1, 100),
     kind=st.sampled_from(KINDS),
-    tags=st.lists(st.sampled_from(WORDS), max_size=2).map(tuple),
+    tags=TAGS,
+)
+#: One field of a description, changed.
+EDITS = st.one_of(
+    st.tuples(st.just("name"), NAMES),
+    st.tuples(st.just("size"), st.integers(1, 100)),
+    st.tuples(st.just("kind"), st.sampled_from(KINDS)),
+    st.tuples(st.just("tags"), TAGS),
 )
 
 TERMS = st.sampled_from(WORDS + KINDS + ABSENT).flatmap(
@@ -58,20 +79,37 @@ QUERIES = st.one_of(
     SIZES,
 )
 
+CONNECT = st.tuples(
+    st.just("connect"), st.sampled_from(CLIENTS), st.sampled_from(["peer", "bob"])
+)
+PUBLISH = st.tuples(
+    st.just("publish"), st.sampled_from(CLIENTS), st.lists(DESCRIPTIONS, max_size=5)
+)
+# A re-publish derived from the client's previous list: which ids to
+# keep (mostly all), what to add, one kept description to edit, and one
+# id to repeat (at which place, and whether the copy differs).
+REPUBLISH = st.tuples(
+    st.just("republish"),
+    st.sampled_from(CLIENTS),
+    st.lists(st.sampled_from([True, True, True, False]), min_size=1, max_size=4),
+    st.lists(DESCRIPTIONS, max_size=2),
+    st.one_of(st.none(), *[st.tuples(st.integers(0, 9), EDITS)] * 2),
+    st.none() | st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans()),
+)
+DISCONNECT = st.tuples(st.just("disconnect"), st.sampled_from(CLIENTS))
+CRASH = st.tuples(st.just("crash"))
+SEARCH = st.tuples(st.just("search"), QUERIES, st.integers(-2, 300))
+#: Each op kind, repeated by its weight: mostly (re-)publishes.
 OPS = st.one_of(
-    st.tuples(st.just("connect"), st.sampled_from(CLIENTS)),
-    st.tuples(
-        st.just("publish"), st.sampled_from(CLIENTS), st.lists(DESCRIPTIONS, max_size=5)
-    ),
-    st.tuples(st.just("disconnect"), st.sampled_from(CLIENTS)),
-    st.tuples(st.just("crash")),
-    st.tuples(st.just("search"), QUERIES, st.integers(-2, 300)),
+    *[CONNECT] * 2, *[PUBLISH] * 2, *[REPUBLISH] * 4, DISCONNECT, CRASH, *[SEARCH] * 2
 )
 
 
 class IndexModel:
     """What the index should hold: the first description published for
-    a file, kept while any session still publishes it."""
+    a file, kept while any session still publishes it.  A re-publish
+    removes the client's whole previous list, then adds the new one,
+    which is what the server's re-publish by difference must match."""
 
     def __init__(self):
         self.published = {}  # client -> {file_id: description}
@@ -102,26 +140,61 @@ class IndexModel:
         ]
         return SearchReply(results=matches[:limit], truncated=len(matches) > limit)
 
+    def query_sources(self, file_id):
+        return SourcesReply(
+            file_id=file_id, sources=sorted(self.sources.get(file_id, ()))
+        )
 
-@settings(max_examples=150, deadline=None)
+    def browse(self, client):
+        if client not in self.published:
+            return BrowseReply(allowed=False)
+        return BrowseReply(allowed=True, files=list(self.published[client].values()))
+
+
+def republished(previous, keep, additions, edit, repeat):
+    """The list a ``republish`` op sends, derived from ``previous``."""
+    files = [desc for i, desc in enumerate(previous) if keep[i % len(keep)]]
+    files += additions
+    if edit is not None and files:
+        index, (name, value) = edit
+        index %= len(files)
+        files[index] = dataclasses.replace(files[index], **{name: value})
+    if repeat is not None and files:
+        source, place, differs = repeat
+        copy = files[source % len(files)]
+        if differs:
+            copy = dataclasses.replace(copy, size=copy.size + 1)
+        files.insert(place % (len(files) + 1), copy)
+    return files
+
+
+@settings(max_examples=300, deadline=None)
 @given(ops=st.lists(OPS, max_size=40))
 def test_search_equals_sorted_scan(ops):
     server = Server(0)
     model = IndexModel()
+
+    def connect(client, nickname):
+        server.handle_connect(
+            ConnectRequest(client_id=client, nickname=nickname, firewalled=False)
+        )
+        model.unpublish(client)
+        model.published[client] = {}
+
     for op in ops:
         kind = op[0]
         if kind == "connect":
-            if op[1] in model.published:
-                continue  # a live session is never re-connected
-            server.handle_connect(
-                ConnectRequest(client_id=op[1], nickname="peer", firewalled=False)
-            )
-            model.published.setdefault(op[1], {})
-        elif kind == "publish":
+            connect(op[1], op[2])
+        elif kind in ("publish", "republish"):
             if op[1] not in model.published:
-                continue
-            server.handle_publish(PublishFiles(client_id=op[1], files=op[2]))
-            model.publish(op[1], op[2])
+                connect(op[1], "peer")
+            if kind == "publish":
+                files = op[2]
+            else:
+                previous = list(model.published[op[1]].values())
+                files = republished(previous, *op[2:])
+            server.handle_publish(PublishFiles(client_id=op[1], files=files))
+            model.publish(op[1], files)
         elif kind == "disconnect":
             server.handle_disconnect(op[1])
             model.unpublish(op[1])
@@ -136,6 +209,17 @@ def test_search_equals_sorted_scan(ops):
             )
             assert reply == model.search(query, limit)
         assert server.check_invariants() == []
+        limit = len(FILE_IDS)
+        reply = server.handle_search(
+            SearchRequest(client_id=0, query=SizeRange(), limit=limit)
+        )
+        assert reply == model.search(SizeRange(), limit)
+        for file_id in FILE_IDS:
+            query = QuerySources(client_id=0, file_id=file_id)
+            assert server.handle_query_sources(query) == model.query_sources(file_id)
+        for client in CLIENTS:
+            browse = BrowseUser(requester_id=0, target_id=client)
+            assert server.handle_browse_user(browse) == model.browse(client)
 
 
 def _server_with(*files):
@@ -173,3 +257,57 @@ def test_invariants_report_a_stale_or_orphan_sorted_bucket():
     assert any("sorted bucket of 'rock' is stale" in p for p in problems)
     assert any("unindexed token 'jazz'" in p for p in problems)
     assert any("'demo' indexes 'f1', whose description lacks" in p for p in problems)
+
+
+def _search(server, term):
+    return server.handle_search(SearchRequest(client_id=1, query=Keyword(term)))
+
+
+def test_republish_keeps_the_sorted_bucket_of_a_kept_token():
+    server = _server_with(
+        FileDescription("f1", "rock", 10), FileDescription("f2", "demo", 10)
+    )
+    _search(server, "rock")
+    _search(server, "demo")
+    kept = FileDescription("f1", "rock", 10)  # equal, as a decoded frame is
+    server.handle_publish(
+        PublishFiles(client_id=1, files=[kept, FileDescription("f3", "demo", 10)])
+    )
+    assert server._sorted_buckets == {"rock": ["f1"]}
+    # The index shares the session's object, as re-filing it would.
+    assert server._descriptions["f1"] is kept
+    assert _search(server, "demo").results == [FileDescription("f3", "demo", 10)]
+    assert server.check_invariants() == []
+
+
+def test_sole_source_republish_refiles_a_changed_description():
+    server = _server_with(FileDescription("f1", "rock", 10))
+    _search(server, "rock")
+    changed = FileDescription("f1", "jazz", 10)
+    server.handle_publish(
+        PublishFiles(client_id=1, files=[changed, FileDescription("f1", "mix", 10)])
+    )
+    assert _search(server, "rock").results == []
+    assert _search(server, "jazz").results == [changed]
+    assert _search(server, "mix").results == []
+    assert server._descriptions["f1"] is changed
+    browse = server.handle_browse_user(BrowseUser(requester_id=2, target_id=1))
+    assert browse.files == [FileDescription("f1", "mix", 10)]
+    assert server.check_invariants() == []
+
+
+def test_republish_keeps_the_description_another_source_still_publishes():
+    original = FileDescription("f1", "rock", 10)
+    server = _server_with(original)
+    server.handle_connect(ConnectRequest(client_id=2, nickname="other", firewalled=False))
+    server.handle_publish(PublishFiles(client_id=2, files=[original]))
+    _search(server, "rock")
+    server.handle_publish(
+        PublishFiles(client_id=1, files=[FileDescription("f1", "jazz", 10)])
+    )
+    assert _search(server, "rock").results == [original]
+    assert _search(server, "jazz").results == []
+    assert server._sorted_buckets == {"rock": ["f1"]}
+    query = QuerySources(client_id=3, file_id="f1")
+    assert server.handle_query_sources(query).sources == [1, 2]
+    assert server.check_invariants() == []

@@ -61,6 +61,24 @@ class TestSessions:
     def test_disconnect_unknown_is_noop(self):
         Server(0).handle_disconnect(42)
 
+    def test_reconnect_of_a_live_session_unpublishes_it(self):
+        server = Server(0)
+        connect(server, 1, nickname="oldnick")
+        publish(server, 1, desc("f1"))
+        assert connect(server, 1, nickname="newnick").accepted
+        reply = server.handle_query_sources(QuerySources(client_id=2, file_id="f1"))
+        assert reply.sources == []
+        assert server.handle_query_users(QueryUsers(pattern="old")).users == []
+        found = server.handle_query_users(QueryUsers(pattern="new")).users
+        assert found == [(1, "newnick", False)]
+        assert server.check_invariants() == []
+
+    def test_reconnect_does_not_count_its_own_session(self):
+        server = Server(0, ServerConfig(max_users=1))
+        connect(server, 1)
+        assert connect(server, 1).accepted
+        assert server.num_users == 1
+
 
 class TestPublishAndSearch:
     def test_search_by_keyword(self):

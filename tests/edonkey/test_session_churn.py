@@ -7,6 +7,7 @@ import pytest
 from repro.edonkey.crawler import Crawler, CrawlerConfig
 from repro.edonkey.messages import BrowseRequest, QueryUsers
 from repro.edonkey.network import NetworkConfig, build_network
+from repro.faults import FaultConfig
 from repro.workload.config import WorkloadConfig
 
 
@@ -116,6 +117,20 @@ class TestReconnection:
             if back:
                 return
         pytest.skip("no sharer happened to return this seed")
+
+    def test_lost_reconnect_orphans_the_client(self):
+        """A returning client whose reconnect is lost is orphaned and
+        re-homed on a later day; it never re-publishes to a server that
+        holds no session for it."""
+        net = churn_network(
+            seed=11, faults=FaultConfig(loss_rate=0.2, slow_rate=0.1)
+        )
+        for _ in range(6):
+            net.advance_day()
+            for cid, client in net.clients.items():
+                if client.server_id is not None and cid not in net.offline:
+                    assert net.servers[client.server_id].connected(cid)
+        assert net.faults.stats.clients_reassigned > 0
 
 
 class TestDeterminism:

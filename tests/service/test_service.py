@@ -150,6 +150,33 @@ class TestIndexService:
 
         run(scenario())
 
+    def test_reconnect_cycles_keep_the_index_bounded(self):
+        """connect -> publish fresh ids -> connect, over and over, leaves
+        only the last cycle's files indexed: a re-connect unpublishes
+        the session it replaces."""
+
+        async def scenario():
+            service = await _service()
+            t = await TcpTransport.open("127.0.0.1", service.port)
+            for cycle in range(20):
+                reply = await t.request(
+                    ConnectRequest(
+                        client_id=1, nickname=f"n{cycle:03d}", firewalled=False
+                    )
+                )
+                assert reply.accepted
+                files = [desc(f"c{cycle}-{i}", name=f"t{cycle} x") for i in range(3)]
+                await t.request(PublishFiles(client_id=1, files=files))
+            server = service.server
+            assert len(server._sources) == len(server._descriptions) == 3
+            assert set(server._keywords) == {"t19", "x", "unknown"}
+            assert set(server._nick_trigrams) == {"n01", "019"}
+            assert server.check_invariants() == []
+            await t.aclose()
+            await _stop(service)
+
+        run(scenario())
+
     def test_browse_user_is_server_mediated(self):
         async def scenario():
             service = await _service()
