@@ -26,8 +26,14 @@ Runs two ways, like ``bench_profile``:
 import os
 import time
 
+import pytest
+
 from repro.experiments import Scale
 from repro.experiments.chaos_experiment import run_chaos
+
+#: An infrastructure bench, not a paper result: the ``paper-results``
+#: CI job deselects it with ``-m "not infra"``.
+pytestmark = pytest.mark.infra
 
 
 def _timed_crawl(checkpoint_dir=None):

@@ -33,6 +33,8 @@ from __future__ import annotations
 import dataclasses
 import os
 
+import pytest
+
 from repro.analysis.semantic import pair_overlaps
 from repro.core.search import SearchConfig, simulate_search
 from repro.edonkey.crawler import Crawler, CrawlerConfig
@@ -40,6 +42,10 @@ from repro.edonkey.network import NetworkConfig, build_network
 from repro.runtime.cache import SHARED_TRACE_CACHE
 from repro.runtime.scale import DEFAULT_SEED, Scale, workload_config
 from repro.obs import Observer, RunMetrics, validate_metrics
+
+#: An infrastructure bench, not a paper result: the ``paper-results``
+#: CI job deselects it with ``-m "not infra"``.
+pytestmark = pytest.mark.infra
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(__file__), "results", "bench-profile.json"

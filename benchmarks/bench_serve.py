@@ -32,6 +32,8 @@ import asyncio
 import json
 import os
 
+import pytest
+
 from repro.obs import Observer
 from repro.service import (
     IndexService,
@@ -39,6 +41,10 @@ from repro.service import (
     ServiceConfig,
     run_loadgen,
 )
+
+#: An infrastructure bench, not a paper result: the ``paper-results``
+#: CI job deselects it with ``-m "not infra"``.
+pytestmark = pytest.mark.infra
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(__file__), "results", "bench-serve.json"

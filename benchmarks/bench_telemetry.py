@@ -31,6 +31,8 @@ import sys
 import tempfile
 import time
 
+import pytest
+
 # Run as a script, only ``benchmarks/`` itself is on ``sys.path``; the
 # ``benchmarks`` package lives in the repository root.
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,6 +41,10 @@ if ROOT not in sys.path:
 
 from benchmarks.bench_profile import profile_workload  # noqa: E402
 from repro.obs import FlightRecorder, Observer, read_telemetry  # noqa: E402
+
+#: An infrastructure bench, not a paper result: the ``paper-results``
+#: CI job deselects it with ``-m "not infra"``.
+pytestmark = pytest.mark.infra
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(__file__), "results", "bench-telemetry.json"

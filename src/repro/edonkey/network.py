@@ -103,6 +103,9 @@ class Network:
         self.stats = MessageStats()
         self.day = generator.config.start_day
         self._caches: Dict[int, Set[int]] = {}  # client -> file indices
+        # file index -> its description, one object for every client
+        # sharing the file, so re-publishes compare descriptions by identity
+        self._descriptions: Dict[int, FileDescription] = {}
         self._churn_rng = generator.rng.child("network-churn")
         self._session_rng = generator.rng.child("network-sessions")
         self.offline: Set[int] = set()
@@ -321,17 +324,20 @@ class Network:
         # table is compacted).  The client's insertion-ordered cache dict
         # feeds BrowseReply payloads and ultimately the trace's file
         # order, so resume-equivalence needs a canonical order here.
-        descriptions = {
-            meta.file_id: meta
-            for meta in map(self.generator.file_meta, sorted(indices))
-        }
+        descriptions = {}
+        for index in sorted(indices):
+            desc = self._descriptions.get(index)
+            if desc is None:
+                desc = _to_description(self.generator.file_meta(index))
+                self._descriptions[index] = desc
+            descriptions[desc.file_id] = desc
         # Drop files no longer shared, add new ones as complete.
         for file_id in list(client.cache):
             if file_id not in descriptions:
                 client.unshare(file_id)
-        for file_id, meta in descriptions.items():
+        for file_id, desc in descriptions.items():
             if file_id not in client.cache:
-                client.share(_to_description(meta))
+                client.share(desc)
 
     def check_invariants(self) -> List[str]:
         """Cross-layer consistency checks; returns problems (empty = ok).

@@ -164,32 +164,37 @@ class Server:
         ends as if the old list had been removed and the new one added:
         a kept id that this client alone publishes gets the message's
         first description of it indexed, which is re-filed only when it
-        differs from the indexed one.
+        differs from the indexed one.  The session keeps the message's
+        last description of each id, or the indexed object when the two
+        are equal, so an equal description is held once and browse
+        replies carry the objects search replies do.
         """
         client_id = msg.client_id
         session = self._sessions.get(client_id)
         if session is None:
             raise KeyError(f"client {client_id} not connected")
         old = session.files
+        sources = self._sources
+        descriptions = self._descriptions
         files: Dict[str, FileDescription] = {}
         for desc in msg.files:
             file_id = desc.file_id
-            if file_id in files:
-                files[file_id] = desc  # the session keeps the last one
-                continue
-            files[file_id] = desc
-            if file_id in old:
-                indexed = self._descriptions[file_id]
-                if indexed is not desc and len(self._sources[file_id]) == 1:
-                    if indexed == desc:
-                        self._descriptions[file_id] = desc
-                    else:
-                        self._retire(file_id)
+            indexed = descriptions.get(file_id)
+            if file_id not in files:
+                if file_id in old:
+                    if indexed is not desc and len(sources[file_id]) == 1:
+                        if indexed == desc:
+                            descriptions[file_id] = indexed = desc
+                        else:
+                            self._retire(file_id)
+                            self._file(desc)
+                            indexed = desc
+                else:
+                    sources.setdefault(file_id, set()).add(client_id)
+                    if indexed is None:
                         self._file(desc)
-            else:
-                self._sources.setdefault(file_id, set()).add(client_id)
-                if file_id not in self._descriptions:
-                    self._file(desc)
+                        indexed = desc
+            files[file_id] = indexed if indexed is desc or indexed == desc else desc
         for file_id in old:
             if file_id not in files:
                 self._remove_source(file_id, client_id)

@@ -37,7 +37,11 @@ reproduces the original bytes exactly.
 
 The codec is built once, when the module loads: a fields encoder per
 registered class, which ``json``'s C encoder calls back for dataclasses
-and ``bytes`` only, and a decoder per field annotation.
+and ``bytes`` only, and a decoder per field annotation.  A field
+annotated ``List[FileDescription]`` is encoded by joining into the
+envelope the stored encoding of each description (:data:`FRAGMENTS`),
+which is reused only for the very object it was encoded from; the bytes
+are the same.
 
 Strictness: unknown message types, unknown or missing fields, wrong
 primitive types, bad hex, schema-version mismatches, zero-length,
@@ -57,6 +61,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import operator
 import struct
 import typing
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -176,6 +181,182 @@ _JSON = json.JSONEncoder(
 )
 
 
+# ----------------------------------------------------------------------
+# Description fragments
+#
+# Replies carry the server's indexed description objects themselves, and
+# a description encodes to the same bytes wherever it appears.  So every
+# field annotated ``List[FileDescription]`` is encoded by joining the
+# stored encoding of each description into the envelope.  A stored
+# encoding is reused only for the very object it was encoded from, which
+# a frozen description holding values of exactly its annotated
+# (immutable) types cannot outgrow; a re-published description is a new
+# object, so nothing needs invalidating.  Any value off the annotation
+# takes the whole-document path above, with its bytes and errors.
+
+#: Entries the fragment store holds; filling it starts it over.
+FRAGMENT_STORE_ENTRIES = 1 << 16
+
+_ITEM = _messages.FileDescription
+_ITEM_NAMES = tuple(sorted(f.name for f in dataclasses.fields(_ITEM)))
+_ITEM_VALUES = operator.attrgetter(*_ITEM_NAMES)
+# A description encodes as _ITEM_HEAD + its stored part + "}", the part
+# running from its first field's value to the end of its fields object.
+_FIRST_KEY = b'{"%s":' % _ITEM_NAMES[0].encode("ascii")
+_ITEM_HEAD = b'{"$type":"%s","fields":' % _ITEM.__name__.encode("ascii") + _FIRST_KEY
+_ITEM_JOIN = b"}," + _ITEM_HEAD
+#: Field types whose exact instances are immutable and encode flat.
+_PLAIN = (str, int, float, bool)
+
+
+def _field_checks(cls: type) -> Tuple[Tuple[set, Optional[set]], ...]:
+    """Per field of ``cls`` in ``_ITEM_NAMES`` order: ``({its type}, None)``,
+    or ``({tuple}, {item type})`` for a ``Tuple[X, ...]``."""
+    hints = typing.get_type_hints(cls)
+    checks = []
+    for name in _ITEM_NAMES:
+        hint = hints[name]
+        args = typing.get_args(hint)
+        if typing.get_origin(hint) is tuple and args[1:] == (Ellipsis,):
+            check = ({tuple}, {args[0]})
+            hint = args[0]
+        else:
+            check = ({hint}, None)
+        if hint not in _PLAIN:
+            raise TypeError(f"cannot splice {cls.__name__}.{name}: {hint!r}")
+        checks.append(check)
+    return tuple(checks)
+
+
+_ITEM_CHECKS = _field_checks(_ITEM)
+
+
+class FragmentStore:
+    """The description each file id's part was encoded from, and that
+    part; how many descriptions were found here and encoded afresh.
+
+    One per process: every encoder in it sends the same description
+    objects.  Its two dicts are updated apart, so frames are encoded
+    from one thread (the service's event loop) at a time."""
+
+    def __init__(self) -> None:
+        self.described: Dict[str, Any] = {}
+        self.parts: Dict[str, bytes] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def clear(self) -> None:
+        self.described.clear()
+        self.parts.clear()
+
+
+#: The process's fragment store.
+FRAGMENTS = FragmentStore()
+
+
+def _encode_items(items: List[Any]) -> Optional[List[bytes]]:
+    """The stored part of each description, from one encoder call; None
+    when a value is not of its field's annotated type."""
+    rows = list(map(_ITEM_VALUES, items))
+    for column, (kinds, item_kinds) in zip(zip(*rows), _ITEM_CHECKS):
+        if not kinds.issuperset(map(type, column)):
+            return None
+        if item_kinds is not None and not item_kinds.issuperset(
+            map(type, itertools.chain.from_iterable(column))
+        ):
+            return None
+    # The values are flat and strings escape their quotes, so the fields
+    # objects are joined by the only occurrences of _FIRST_KEY.
+    text = _JSON.encode([dict(zip(_ITEM_NAMES, row)) for row in rows])
+    return text.encode("ascii")[len(_FIRST_KEY) + 1 : -1].split(b"," + _FIRST_KEY)
+
+
+def _spliced_list(items: Any) -> Optional[bytes]:
+    """``items`` as a JSON array of stored parts, storing those that are
+    missing; None when ``items`` is not a list of descriptions."""
+    if type(items) is not list:
+        return None
+    if not items:
+        return b"[]"
+    store = FRAGMENTS
+    described = store.described
+    stored = store.parts
+    parts: List[Any] = []
+    missing: List[int] = []
+    for item in items:
+        if type(item) is not _ITEM:
+            return None
+        file_id = item.file_id
+        if described.get(file_id) is item:
+            parts.append(stored[file_id])
+        else:
+            missing.append(len(parts))
+            parts.append(item)
+    if missing:
+        fresh = [parts[index] for index in missing]
+        encoded = _encode_items(fresh)
+        if encoded is None:
+            return None
+        for index, item, part in zip(missing, fresh, encoded):
+            parts[index] = part
+            if len(stored) >= FRAGMENT_STORE_ENTRIES:
+                store.clear()
+            described[item.file_id] = item
+            stored[item.file_id] = part
+        store.misses += len(missing)
+    store.hits += len(items) - len(missing)
+    return b"[" + _ITEM_HEAD + _ITEM_JOIN.join(parts) + b"}]"
+
+
+def _spliced_fields(cls: type) -> List[str]:
+    """The fields of ``cls`` annotated ``List[FileDescription]``, by name."""
+    hints = typing.get_type_hints(cls)
+    return sorted(
+        f.name for f in dataclasses.fields(cls) if hints[f.name] == List[_ITEM]
+    )
+
+
+def _spliced_encoder(cls: type) -> Callable[[Any, Optional[int]], Optional[bytes]]:
+    """``(message, seq) -> payload`` for ``cls``, splicing its
+    ``_spliced_fields``; None for a value off its annotation."""
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    spliced = _spliced_fields(cls)
+    plain = [name for name in names if name not in spliced]
+    encode_fields = _FIELD_ENCODERS[cls]
+    keys = {name: _JSON.encode(name).encode("ascii") + b":" for name in names}
+    ending = _JSON.encode({"type": cls.__name__, "v": WIRE_SCHEMA})
+    ending = b"," + ending[1:].encode("ascii")
+
+    def encode(message: Any, seq: Optional[int]) -> Optional[bytes]:
+        fields = encode_fields(message)
+        encoded = {
+            name: _JSON.encode(fields[name]).encode("ascii") for name in plain
+        }
+        for name in spliced:
+            array = _spliced_list(fields[name])
+            if array is None:
+                return None
+            encoded[name] = array
+        return b'{"fields":{%s},"seq":%s%s' % (
+            b",".join(keys[name] + encoded[name] for name in names),
+            b"null" if seq is None else b"%d" % seq,
+            ending,
+        )
+
+    return encode
+
+
+#: ``class -> spliced payload encoder``, for classes with a spliced field.
+_SPLICED_ENCODERS = {
+    cls: _spliced_encoder(cls)
+    for cls in MESSAGE_TYPES.values()
+    if _spliced_fields(cls)
+}
+
+
 def encode_payload(message: Any, seq: Optional[int] = None) -> bytes:
     """The canonical JSON payload bytes for one message (no framing)."""
     cls = type(message)
@@ -184,6 +365,14 @@ def encode_payload(message: Any, seq: Optional[int] = None) -> bytes:
         raise WireError(f"cannot encode non-message type {cls.__name__}")
     if seq is not None and (isinstance(seq, bool) or not isinstance(seq, int)):
         raise WireError(f"seq must be an int or None, got {seq!r}")
+    spliced = _SPLICED_ENCODERS.get(cls)
+    if spliced is not None:
+        try:
+            payload = spliced(message, seq)
+        except (TypeError, ValueError, RecursionError):
+            payload = None  # the whole-document path raises its own error
+        if payload is not None:
+            return payload
     document = {
         "fields": encode_fields(message),
         "seq": seq,

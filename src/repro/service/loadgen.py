@@ -11,7 +11,10 @@ toward popular files via the compiled trace's replica counts.
 
 The generator is open-loop: request *i* is dispatched at
 ``start + i / rate`` regardless of how fast earlier replies came back,
-which is what makes the measured latencies meaningful under load.
+and its latency is timed from that scheduled send, so a generator that
+falls behind its schedule shows in the latencies instead of hiding
+them; how late each send was is reported beside them
+(``loadgen/late_s``, ``loadgen/late_p99_ms``).
 Requests pipeline freely over a fixed pool of session connections
 (sequence numbers keep replies matched).
 
@@ -290,15 +293,21 @@ async def run_loadgen(
 
         loop = asyncio.get_running_loop()
         latencies: List[float] = []
+        lateness: List[float] = []
         outcomes = {"ok": 0, "errors": 0, "timeouts": 0}
         wire_failure: List[BaseException] = []
 
         async def fire(index: int, op: Op) -> None:
-            delay = start + index / config.rate - loop.time()
+            # Timed from the scheduled send, so a late loop adds to the
+            # latency instead of hiding in it (no coordinated omission).
+            due = start + index / config.rate
+            delay = due - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
+            late = max(0.0, loop.time() - due)
+            lateness.append(late)
+            obs.hist("loadgen/late_s", late, LATENCY_BOUNDS_S)
             obs.count(f"loadgen/sent/{op.kind}")
-            t0 = loop.time()
             try:
                 reply = await transports[op.session].request(
                     op.message, timeout=config.timeout_s
@@ -308,7 +317,7 @@ async def run_loadgen(
                 wire_failure.append(exc)
                 outcomes["errors"] += 1
                 return
-            elapsed = loop.time() - t0
+            elapsed = loop.time() - due
             latencies.append(elapsed)
             obs.hist("loadgen/latency_s", elapsed, LATENCY_BOUNDS_S)
             obs.hist(
@@ -350,5 +359,6 @@ async def run_loadgen(
     obs.gauge("loadgen/achieved_rps", result.throughput_rps)
     obs.gauge("loadgen/p50_ms", result.p50_ms)
     obs.gauge("loadgen/p99_ms", result.p99_ms)
+    obs.gauge("loadgen/late_p99_ms", _percentile_ms(lateness, 0.99))
     obs.gauge("loadgen/elapsed_s", result.elapsed_s)
     return result

@@ -42,9 +42,15 @@ from repro.edonkey.protocol import (
     UnroutableMessageError,
 )
 from repro.edonkey.server import Server, ServerConfig
-from repro.edonkey.wire import WireError, encode_frame, read_frame, write_frame
+from repro.edonkey.wire import (
+    FRAGMENTS,
+    WireError,
+    encode_frame,
+    read_frame,
+    write_frame,
+)
 from repro.faults import FaultConfig, FaultInjector
-from repro.obs import NULL_OBSERVER, Observer
+from repro.obs import LATENCY_BOUNDS_S, NULL_OBSERVER, Observer
 from repro.util.rng import RngStream
 
 #: Sentinel: the fault injector suppressed the reply (drop/timeout) —
@@ -199,12 +205,31 @@ class IndexService:
     def _reply_frame(self, reply, seq: Optional[int]) -> bytes:
         """``reply`` framed under ``seq``; a reply the codec refuses (one
         above ``MAX_FRAME_BYTES``, say) becomes a framed ``ErrorReply``,
-        and the connection stays open."""
+        and the connection stays open.
+
+        With metrics on, the encode time goes to a histogram per reply
+        type, and the descriptions the reply found in the codec's
+        fragment store, or had to encode, to ``wire/fragments/*``."""
+        obs = self.obs
         try:
-            return encode_frame(reply, seq=seq)
+            if not obs.enabled:
+                return encode_frame(reply, seq=seq)
+            hits, misses = FRAGMENTS.hits, FRAGMENTS.misses
+            start = obs.clock()
+            frame = encode_frame(reply, seq=seq)
+            obs.hist(
+                f"service/encode_s/{type(reply).__name__}",
+                obs.clock() - start,
+                LATENCY_BOUNDS_S,
+            )
         except WireError as exc:
-            self.obs.count("service/reply_wire_errors")
+            obs.count("service/reply_wire_errors")
             return encode_frame(ErrorReply(reason=str(exc)), seq=seq)
+        if FRAGMENTS.hits != hits or FRAGMENTS.misses != misses:
+            obs.count("wire/fragments/hits", FRAGMENTS.hits - hits)
+            obs.count("wire/fragments/misses", FRAGMENTS.misses - misses)
+            obs.gauge("wire/fragments/entries", len(FRAGMENTS))
+        return frame
 
     def _handle(self, message, connected: Set[int]):
         """Dispatch one decoded request; returns the wire reply."""

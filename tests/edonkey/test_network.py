@@ -108,3 +108,28 @@ class TestSeedInitialCaches:
         network.add_client(other)
         other.connect(network, 0)
         assert some_client.client_id in other.find_sources(network, fid)
+
+
+class TestOneDescriptionPerFile:
+    def test_tiny_network_holds_one_object_per_file_id(self):
+        from repro.edonkey.network import build_network
+        from repro.runtime import Scale, workload_config
+
+        network = build_network(
+            NetworkConfig(workload=workload_config(Scale.TINY)), seed=3
+        )
+        network.advance_day()
+        held = {}
+        for client in network.clients.values():
+            for shared in client.cache.values():
+                held.setdefault(shared.description.file_id, set()).add(
+                    id(shared.description)
+                )
+        for server in network.servers.values():
+            for session in server._sessions.values():
+                for file_id, desc in session.files.items():
+                    held.setdefault(file_id, set()).add(id(desc))
+            for file_id, desc in server._descriptions.items():
+                held.setdefault(file_id, set()).add(id(desc))
+        assert held
+        assert all(len(objects) == 1 for objects in held.values())

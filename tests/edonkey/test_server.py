@@ -3,6 +3,7 @@
 import pytest
 
 from repro.edonkey.messages import (
+    BrowseUser,
     ConnectRequest,
     FileDescription,
     Keyword,
@@ -150,6 +151,61 @@ class TestPublishAndSearch:
         assert not server.handle_search(
             SearchRequest(client_id=9, query=Keyword("unique"))
         ).results
+
+
+class TestOneObjectPerDescription:
+    """A session holds the indexed object of an id when its description
+    equals the indexed one, so equal descriptions are held once."""
+
+    def _browse(self, server, client_id):
+        return server.handle_browse_user(
+            BrowseUser(requester_id=9, target_id=client_id)
+        ).files
+
+    def test_equal_copies_are_held_once(self):
+        server = Server(0)
+        connect(server, 1)
+        connect(server, 2)
+        first, copy = desc("f", tags=("a",)), desc("f", tags=("a",))
+        publish(server, 1, first)
+        publish(server, 2, copy)
+        assert self._browse(server, 2)[0] is first
+        # ... and again when client 2 re-publishes a fresh equal copy
+        publish(server, 2, desc("f", tags=("a",)), desc("g"))
+        assert self._browse(server, 2)[0] is first
+        assert server.check_invariants() == []
+
+    def test_a_differing_copy_keeps_its_own_object(self):
+        server = Server(0)
+        connect(server, 1)
+        connect(server, 2)
+        first, other = desc("f", name="one"), desc("f", name="two")
+        publish(server, 1, first)
+        publish(server, 2, other)
+        assert self._browse(server, 1) == [first]
+        assert self._browse(server, 2)[0] is other
+        reply = server.handle_search(SearchRequest(client_id=9, query=Keyword("two")))
+        assert reply.results == []  # the index keeps the first description
+
+    def test_browse_returns_what_each_session_published(self):
+        server = Server(0)
+        for client_id in (1, 2, 3):
+            connect(server, client_id)
+        published = {
+            1: [desc("f", size=1), desc("g", name="gee")],
+            2: [desc("g", name="gee"), desc("f", size=2), desc("h")],
+            3: [desc("h"), desc("h", size=3)],  # the last copy of an id wins
+        }
+        for client_id, files in published.items():
+            publish(server, client_id, *files)
+        assert self._browse(server, 1) == published[1]
+        assert self._browse(server, 2) == published[2]
+        assert self._browse(server, 3) == [desc("h", size=3)]
+        held = {
+            id(d) for client_id in published for d in self._browse(server, client_id)
+        }
+        assert len(held) == 5  # f twice, g once, h twice
+        assert server.check_invariants() == []
 
 
 class TestQueryUsers:

@@ -1,10 +1,15 @@
 """Generated-message properties of the ``repro.wire/1`` codec, plus the
-encode-side rejections and the nesting limit.
+encode-side rejections, the nesting limit and the description fragments.
 
 Messages are drawn for every registered type from its field annotations:
 nested ``Query`` trees, non-ASCII strings, ``bytes``, tuples and ``None``
 optionals.  Each must decode back to itself, re-encode to the same bytes,
 and be the canonical JSON dump of its own parse.
+
+Replies and publishes whose lists repeat one description object and mix
+in equal-but-distinct copies must encode, cold, warm and after their
+fragments are evicted, to the bytes of the whole-document encoder; a
+value off its annotation must give that encoder's bytes or error.
 """
 
 import dataclasses
@@ -18,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.edonkey import messages as m
+from repro.edonkey import wire
 from repro.edonkey.wire import (
     MESSAGE_TYPES,
     WIRE_SCHEMA,
@@ -233,3 +239,189 @@ def test_nesting_past_json_loads_is_a_wire_error():
     ).encode("ascii")
     with pytest.raises(WireError, match="nested too deeply"):
         decode_payload(payload)
+
+
+# ----------------------------------------------------------------------
+# Description fragments: replies and publishes splice the stored
+# encoding of each description into the envelope.
+
+
+def _whole_document(message, seq=None):
+    """The payload of the one-call whole-document path, the reference
+    the spliced fields must reproduce byte for byte."""
+    cls = type(message)
+    document = {
+        "fields": wire._FIELD_ENCODERS[cls](message),
+        "seq": seq,
+        "type": cls.__name__,
+        "v": WIRE_SCHEMA,
+    }
+    try:
+        return wire._JSON.encode(document).encode("ascii")
+    except TypeError as exc:
+        raise WireError(f"cannot encode {cls.__name__}: {exc}") from None
+
+
+def _outcome(encode, *args, **kwargs):
+    try:
+        return encode(*args, **kwargs)
+    except ValueError as exc:  # WireError, or json's own
+        return f"{type(exc).__name__}: {exc}"
+
+
+_TEXT = st.text(max_size=10) | st.sampled_from(
+    ['naïve "quoted"', 'ß,{"availability":', "日本語", "\\"]
+)
+_DESCRIPTIONS = st.builds(
+    m.FileDescription,
+    file_id=st.sampled_from(["f1", "f2", "f3", "ü4"]),
+    name=_TEXT,
+    size=st.integers(),
+    kind=_TEXT,
+    tags=st.lists(_TEXT, max_size=3).map(tuple),
+    availability=st.integers(),
+    bitrate=st.integers(),
+)
+
+
+@st.composite
+def _description_lists(draw):
+    """Lists that repeat one object and mix in equal-but-distinct copies."""
+    pool = draw(st.lists(_DESCRIPTIONS, min_size=1, max_size=4))
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.booleans()), max_size=8
+        )
+    )
+    return [dataclasses.replace(pool[i]) if copy else pool[i] for i, copy in picks]
+
+
+_CARRIERS = st.one_of(
+    st.builds(m.SearchReply, _description_lists(), st.booleans()),
+    st.builds(m.BrowseReply, st.booleans(), _description_lists()),
+    st.builds(m.PublishFiles, st.integers(), _description_lists()),
+)
+
+
+@pytest.fixture()
+def small_store(monkeypatch):
+    """An empty fragment store that fills, and starts over, after three
+    entries."""
+    monkeypatch.setattr(wire, "FRAGMENT_STORE_ENTRIES", 3)
+    wire.FRAGMENTS.clear()
+    yield wire.FRAGMENTS
+    wire.FRAGMENTS.clear()
+
+
+_LISTED = {m.SearchReply: "results", m.BrowseReply: "files", m.PublishFiles: "files"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(message=_CARRIERS, seq=st.none() | st.integers(min_value=0))
+def test_spliced_descriptions_are_the_whole_document(message, seq):
+    expected = _whole_document(message, seq)
+    assert expected == json.dumps(
+        json.loads(expected), sort_keys=True, separators=(",", ":")
+    ).encode("ascii")
+    decoded, _ = decode_payload(expected)
+    assert decoded == message
+    for bound in (wire.FRAGMENT_STORE_ENTRIES, 3):
+        original = wire.FRAGMENT_STORE_ENTRIES
+        wire.FRAGMENT_STORE_ENTRIES = bound
+        try:
+            wire.FRAGMENTS.clear()
+            looked_up = wire.FRAGMENTS.hits + wire.FRAGMENTS.misses
+            cold = encode_payload(message, seq=seq)
+            warm = encode_payload(message, seq=seq)
+            looked_up = wire.FRAGMENTS.hits + wire.FRAGMENTS.misses - looked_up
+            wire.FRAGMENTS.clear()
+            evicted = encode_payload(message, seq=seq)
+        finally:
+            wire.FRAGMENT_STORE_ENTRIES = original
+        assert cold == warm == evicted == expected
+        assert len(wire.FRAGMENTS) <= bound
+        assert looked_up == 2 * len(getattr(message, _LISTED[type(message)]))
+
+
+def _carrier_of(items):
+    return m.SearchReply(results=items, truncated=False)
+
+
+class _Sub(m.FileDescription):
+    pass
+
+
+_D1 = m.FileDescription("f1", "one", 1, "audio", ("a",))
+_D2 = m.FileDescription("f2", "twö", 2)
+
+# Values off the annotation: each gives the whole-document bytes or error.
+_OFF_ANNOTATION = {
+    "tuple list": m.SearchReply(results=(_D1, _D2)),
+    "None element": m.SearchReply(results=[_D1, None]),
+    "dict element": m.BrowseReply(allowed=True, files=[_D1, {"f2": 2}]),
+    "tuple-keyed dict element": m.SearchReply(results=[_D1, {(1,): 2}]),
+    "subclass element": m.PublishFiles(
+        client_id=1, files=[_D1, _Sub("f2", "two", 2)]
+    ),
+    "set in tags": _carrier_of([m.FileDescription("f2", "x", 1, tags={"a"})]),
+    "list in tags": _carrier_of([m.FileDescription("f2", "x", 1, tags=["a"])]),
+    "description in tags": m.SearchReply(
+        results=[m.FileDescription("f2", "x", 1, tags=("a", _D1))]
+    ),
+    "bool size": m.SearchReply(results=[m.FileDescription("f2", "x", True)]),
+    "str size": m.SearchReply(results=[m.FileDescription("f2", "x", "1")]),
+    "nan size": m.SearchReply(results=[m.FileDescription("f2", "x", float("nan"))]),
+    "list file id": m.SearchReply(results=[m.FileDescription(["f2"], "x", 1)]),
+    "str subclass name": m.SearchReply(
+        results=[m.FileDescription("f2", type("Name", (str,), {})("x"), 1)]
+    ),
+    "dict truncated": m.SearchReply(results=[_D1], truncated={1: 2}),
+    "nan client id": m.PublishFiles(client_id=float("nan"), files=[_D1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OFF_ANNOTATION))
+def test_values_off_the_annotation_take_the_whole_document_path(name):
+    message = _OFF_ANNOTATION[name]
+    expected = _outcome(_whole_document, message, 5)
+    wire.FRAGMENTS.clear()
+    assert _outcome(encode_payload, message, seq=5) == expected
+    # ... also once the store holds the descriptions it carries
+    encode_payload(_carrier_of([_D1, _D2]))
+    assert _outcome(encode_payload, message, seq=5) == expected
+
+
+def test_a_bool_seq_is_refused_before_splicing():
+    with pytest.raises(WireError, match="seq must be an int or None"):
+        encode_payload(_carrier_of([_D1]), seq=True)
+
+
+def test_a_mutable_value_is_never_reused():
+    tags = ["a"]
+    message = _carrier_of([m.FileDescription("f2", "x", 1, tags=tags)])
+    before = encode_payload(message)
+    tags.append("b")
+    after = encode_payload(message)
+    assert after != before
+    assert after == _whole_document(message)
+
+
+def test_a_fragment_is_reused_only_for_its_own_object():
+    wire.FRAGMENTS.clear()
+    hits, misses = wire.FRAGMENTS.hits, wire.FRAGMENTS.misses
+    copy = dataclasses.replace(_D1)
+    encode_payload(_carrier_of([_D1, _D1]))
+    encode_payload(_carrier_of([_D1]))
+    encode_payload(_carrier_of([copy]))
+    encode_payload(_carrier_of([_D1]))
+    assert wire.FRAGMENTS.hits - hits == 1
+    assert wire.FRAGMENTS.misses - misses == 4
+    assert wire.FRAGMENTS.described == {"f1": _D1}
+
+
+def test_the_store_starts_over_when_full(small_store):
+    items = [m.FileDescription(f"f{i}", "x", i) for i in range(5)]
+    payload = encode_payload(_carrier_of(items))
+    assert payload == _whole_document(_carrier_of(items))
+    assert len(small_store) == 2
+    assert list(small_store.described) == ["f3", "f4"]

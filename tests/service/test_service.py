@@ -3,6 +3,7 @@
 import asyncio
 import struct
 import sys
+import time
 
 import pytest
 
@@ -399,3 +400,87 @@ class TestLoadGen:
             LoadGenConfig(rate=0)
         with pytest.raises(ValueError):
             LoadGenConfig(sessions=0)
+
+
+class TestCodecMetrics:
+    """``repro serve`` times each reply encode and counts what the
+    codec's fragment store saved, when metrics are on."""
+
+    @staticmethod
+    async def _search_twice(obs):
+        service = IndexService(ServiceConfig(), obs=obs)
+        await service.start()
+        t = await TcpTransport.open("127.0.0.1", service.port)
+        await t.request(ConnectRequest(client_id=1, nickname="n", firewalled=False))
+        files = [desc(f"f{i}", name=f"shared file {i}") for i in range(3)]
+        await t.request(PublishFiles(client_id=1, files=files))
+        search = SearchRequest(client_id=1, query=Keyword("shared"))
+        replies, fragments = [], []
+        for _ in range(2):
+            replies.append(await t.request(search))
+            fragments.append(
+                (
+                    obs.counters.get("wire/fragments/hits", 0),
+                    obs.counters.get("wire/fragments/misses", 0),
+                )
+            )
+        await t.aclose()
+        await _stop(service)
+        return replies, fragments
+
+    def test_a_repeated_search_is_answered_from_fragments(self):
+        obs = Observer()
+        replies, fragments = run(self._search_twice(obs))
+        assert replies[0] == replies[1] and len(replies[0].results) == 3
+        assert fragments == [(0, 3), (3, 3)]
+        metrics = obs.report()
+        assert metrics.gauges["wire/fragments/entries"] >= 3
+        assert metrics.histograms["service/encode_s/SearchReply"]["count"] == 2
+        assert metrics.histograms["service/encode_s/Ack"]["count"] == 1
+
+    def test_nothing_is_recorded_with_metrics_off(self):
+        obs = Observer(enabled=False)
+        replies, _ = run(self._search_twice(obs))
+        assert len(replies[1].results) == 3
+        metrics = obs.report()
+        assert not metrics.counters and not metrics.gauges
+        assert not metrics.histograms
+
+
+class TestLoadGenTiming:
+    def test_a_stalled_loop_shows_in_the_latencies(self, monkeypatch):
+        # 100 requests due over 0.1 s; the loop stalls 0.3 s before the
+        # first read request goes out, so the other 99 leave late.
+        stall_s = 0.3
+        original = TcpTransport.request
+        stalled = []
+
+        async def request(self, message, *args, **kwargs):
+            if not stalled and not isinstance(
+                message, (ConnectRequest, PublishFiles)
+            ):
+                stalled.append(message)
+                time.sleep(stall_s)
+            return await original(self, message, *args, **kwargs)
+
+        monkeypatch.setattr(TcpTransport, "request", request)
+
+        async def scenario():
+            obs = Observer()
+            service = IndexService(ServiceConfig())
+            port = await service.start()
+            result = await run_loadgen(
+                LoadGenConfig(
+                    port=port, requests=100, rate=1000.0, sessions=2, timeout_s=10.0
+                ),
+                obs=obs,
+            )
+            await _stop(service)
+            return result, obs.report()
+
+        result, metrics = run(scenario())
+        assert stalled and result.ok == 100
+        assert result.p50_ms >= 200
+        assert metrics.gauges["loadgen/late_p99_ms"] >= 200
+        assert metrics.histograms["loadgen/late_s"]["count"] == 100
+        assert metrics.histograms["loadgen/latency_s"]["count"] == 100
