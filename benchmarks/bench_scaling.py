@@ -1,6 +1,6 @@
 """Scaling benchmark of the sharded multi-process runtime.
 
-Three measurements, mirroring the contract of
+Two measurements, mirroring the contract of
 :mod:`repro.runtime.sharded`:
 
 - **strong scaling** (gated): one fixed DEFAULT-scale search workload —
@@ -10,14 +10,10 @@ Three measurements, mirroring the contract of
   can express it*: on runners with fewer visible cores than workers the
   speedup gate is reported as skipped (a process pool cannot beat the
   core count).
-- **weak scaling** (informational): crawls with ``clients = base x
-  workers`` against ``sharded_crawl`` with that worker count.  Ideal
-  efficiency (t1/tN) is 1.0; the real curve pays for each worker
-  rebuilding the shared network, which is the documented cost model.
 - **import baseline** (always gated, even under ``--no-gate``): a fresh
   interpreter importing the CLI + trace-store + shm + runtime modules
   must stay numpy-free and under ``RSS_CEILING_MB`` — the lazy-import
-  regression check for the kernels this PR added.
+  regression check for the numpy-backed kernels.
 
 Sharded search results are checked against the sequential run before any
 timing is reported.  Results land in
@@ -36,7 +32,7 @@ import time
 
 from repro.core.search import SearchConfig, simulate_search
 from repro.runtime.cache import SHARED_TRACE_CACHE
-from repro.runtime.scale import DEFAULT_SEED, Scale, workload_config
+from repro.runtime.scale import DEFAULT_SEED, Scale
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 RESULTS_JSON = os.path.join(RESULTS_DIR, "bench-scaling.json")
@@ -70,15 +66,6 @@ BASELINE_MODULES = (
 #: numpy-free and under the RSS ceiling.
 SERVICE_MODULES = ("repro.service",)
 RSS_CEILING_MB = 64.0
-
-#: Weak-scaling crawl size per worker, by scale.
-CLIENTS_PER_WORKER = {
-    Scale.TINY: 40,
-    Scale.SMALL: 60,
-    Scale.DEFAULT: 150,
-    Scale.LARGE: 300,
-}
-WEAK_DAYS = 3
 
 
 def _cores() -> int:
@@ -172,54 +159,6 @@ def run_strong(scale: Scale, seed: int, repeat: int, worker_counts) -> dict:
     }
 
 
-def _weak_workload(scale: Scale, workers: int):
-    import dataclasses
-
-    clients = CLIENTS_PER_WORKER.get(scale, 150) * workers
-    return dataclasses.replace(
-        workload_config(Scale.SMALL),
-        num_clients=clients,
-        num_files=max(clients * 15, 500),
-        days=WEAK_DAYS,
-        mainstream_pool_size=min(clients, max(clients * 15, 500)),
-    )
-
-
-def run_weak(scale: Scale, seed: int, repeat: int, worker_counts) -> dict:
-    """Work grows with the pool: ``clients = base x workers``."""
-    from repro.edonkey.crawler import Crawler, CrawlerConfig
-    from repro.edonkey.network import NetworkConfig, build_network
-    from repro.runtime.sharded import sharded_crawl
-
-    def sequential():
-        network = build_network(
-            NetworkConfig(workload=_weak_workload(scale, 1)), seed=seed
-        )
-        return Crawler(network, CrawlerConfig(days=WEAK_DAYS), seed=seed).crawl()
-
-    seq_secs, _ = _best_of(repeat, sequential)
-    base_clients = CLIENTS_PER_WORKER.get(scale, 150)
-    runs = {"1": {"clients": base_clients, "secs": seq_secs}}
-    for workers in worker_counts:
-        if workers == 1:
-            continue
-        secs, _ = _best_of(
-            repeat,
-            lambda w=workers: sharded_crawl(
-                NetworkConfig(workload=_weak_workload(scale, w)),
-                CrawlerConfig(days=WEAK_DAYS),
-                seed,
-                workers=w,
-            ),
-        )
-        runs[str(workers)] = {
-            "clients": base_clients * workers,
-            "secs": secs,
-            "efficiency": seq_secs / secs,
-        }
-    return {"days": WEAK_DAYS, "runs": runs}
-
-
 def run_bench(scale: Scale = Scale.DEFAULT, seed: int = DEFAULT_SEED,
               repeat: int = 2, worker_counts=WORKER_COUNTS) -> dict:
     cores = _cores()
@@ -244,7 +183,6 @@ def run_bench(scale: Scale = Scale.DEFAULT, seed: int = DEFAULT_SEED,
         },
         "baseline": check_import_baseline(),
         "strong": run_strong(scale, seed, repeat, worker_counts),
-        "weak": run_weak(scale, seed, repeat, worker_counts),
     }
 
 
@@ -288,17 +226,6 @@ def render(doc: dict) -> str:
         )
     if not gate["enforced"]:
         lines.append(f"(speedup gate skipped: {gate['reason']})")
-    lines += [
-        "",
-        f"weak scaling  (clients = base x workers, {doc['weak']['days']} days)",
-        f"{'workers':<10}{'clients':>10}{'secs':>10}{'efficiency':>12}",
-    ]
-    for workers, run in doc["weak"]["runs"].items():
-        efficiency = run.get("efficiency")
-        lines.append(
-            f"{workers:<10}{run['clients']:>10}{run['secs']:>9.2f}s"
-            + (f"{efficiency:>11.2f}x" if efficiency is not None else f"{'-':>12}")
-        )
     return "\n".join(lines)
 
 

@@ -52,6 +52,18 @@ def _scale(name: str) -> Scale:
         ) from None
 
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
+    return workers
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
@@ -969,9 +981,6 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     )
     from repro.edonkey.network import NetworkConfig, build_network
     from repro.faults import FaultConfig, FaultSchedule, RetryPolicy
-    from repro.trace.io import save_trace
-    from repro.trace.stats import general_characteristics
-    from repro.util.tables import percent
 
     problem = _check_out_parents(args)
     if problem:
@@ -1005,30 +1014,6 @@ def cmd_crawl(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-
-    if args.workers > 1:
-        # The shard split reproduces the sequential budget window only
-        # when every browse costs exactly one budget unit and only one
-        # process owns durable side state — reject anything that breaks
-        # either premise instead of failing deep inside a worker.
-        for flag, active in (
-            ("--checkpoint-dir", bool(args.checkpoint_dir)),
-            ("--retries", args.retries > 0),
-            ("--fault-schedule", bool(args.fault_schedule)),
-            ("--loss-rate", args.loss_rate > 0),
-            ("--slow-rate", args.slow_rate > 0),
-            ("--malformed-rate", args.malformed_rate > 0),
-            ("--peer-downtime", args.peer_downtime > 0),
-            ("--server-crash-day", args.server_crash_day is not None),
-        ):
-            if active:
-                print(
-                    f"error: {flag} cannot be combined with --workers "
-                    "(sharded crawling requires a fault-free, retry-free "
-                    "budget window and a single checkpointing process)",
-                    file=sys.stderr,
-                )
-                return 2
 
     if args.resume:
         if args.fault_schedule:
@@ -1094,7 +1079,6 @@ def cmd_crawl(args: argparse.Namespace) -> int:
                 "report; pass them on the initial run",
                 file=sys.stderr,
             )
-        network = crawler.network
         from repro.obs.log import get_log
 
         get_log().info(
@@ -1129,53 +1113,6 @@ def cmd_crawl(args: argparse.Namespace) -> int:
                 )
                 return 2
         obs = _observer(args)
-        if args.workers > 1:
-            from repro.obs.log import get_log
-            from repro.runtime.sharded import ShardedRunner
-
-            get_log().info(
-                f"Crawling {args.clients} clients for {args.days} days "
-                f"({args.workers} workers)..."
-            )
-            recorder = _start_telemetry(
-                args,
-                obs,
-                {
-                    "command": "crawl",
-                    "seed": args.seed,
-                    "clients": args.clients,
-                    "days": args.days,
-                    "workers": args.workers,
-                },
-            )
-            outcome = "completed"
-            try:
-                sharded = ShardedRunner(
-                    args.workers, obs=obs, telemetry=_telemetry_spec(args)
-                ).crawl(
-                    NetworkConfig(
-                        workload=workload, faults=faults, fault_schedule=None
-                    ),
-                    CrawlerConfig(days=args.days),
-                    seed=args.seed,
-                    days=args.days,
-                    store_dir=args.store,
-                    stream=args.stream,
-                )
-            except BaseException:
-                outcome = "failed"
-                raise
-            finally:
-                if recorder is not None:
-                    recorder.close(outcome)
-            return _crawl_summary(
-                args,
-                obs,
-                sharded.trace,
-                crawler=None,
-                faults_active=False,
-                store_dir=args.store,
-            )
         network = build_network(
             NetworkConfig(
                 workload=workload, faults=faults, fault_schedule=schedule
@@ -1227,27 +1164,15 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     finally:
         if recorder is not None:
             recorder.close(outcome)
-    return _crawl_summary(
-        args,
-        obs,
-        trace,
-        crawler=crawler,
-        faults_active=network.faults.active,
-        store_dir=getattr(crawler, "store_dir", None),
-    )
+    return _crawl_summary(args, obs, trace, crawler)
 
 
-def _crawl_summary(
-    args: argparse.Namespace,
-    obs,
-    trace,
-    crawler,
-    faults_active: bool,
-    store_dir,
-) -> int:
+def _crawl_summary(args: argparse.Namespace, obs, trace, crawler) -> int:
     from repro.trace.io import save_trace
     from repro.trace.stats import general_characteristics
     from repro.util.tables import percent
+
+    store_dir = getattr(crawler, "store_dir", None)
 
     if args.stream:
         # Streamed days live only in the store; the resident trace keeps
@@ -1265,7 +1190,7 @@ def _crawl_summary(
             f"clients ({percent(chars.free_rider_fraction)} free-riders), "
             f"{chars.num_distinct_files} files."
         )
-    if faults_active and crawler is not None:
+    if crawler.network.faults.active:
         print(crawler.degradation_report(trace).render())
     if args.output:
         save_trace(trace, args.output)
@@ -1447,7 +1372,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probability a neighbour probe is lost (one-hop only)")
     p.add_argument("--evict-dead", action="store_true",
                    help="evict neighbours whose probes keep failing")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
+    p.add_argument("--workers", type=_worker_count, default=1, metavar="N",
                    help="simulate list sizes in N worker processes over "
                    "shared-memory trace columns (results are identical "
                    "for any N)")
@@ -1504,7 +1429,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=1,
         metavar="N",
         help="run experiments in N worker processes; an explicit --only "
@@ -1631,10 +1556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", action="store_true",
                    help="drop each day from memory once appended to "
                    "--store (bounded RSS; the paper-scale crawl path)")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="shard browsing across N worker processes by "
-                   "client id (results are identical for any N; "
-                   "incompatible with faults, retries and checkpoints)")
     p.add_argument("--checkpoint-dir", metavar="DIR",
                    help="write an end-of-day checkpoint here after every "
                    "simulated day")

@@ -1,10 +1,10 @@
 """Crash-persistent flight recorder: ``repro.telemetry/1`` JSONL snapshots.
 
-A multi-minute sharded crawl is a black box while it runs — metrics only
-materialise if the run finishes cleanly.  A :class:`FlightRecorder`
-fixes that: a daemon thread appends one JSON snapshot line to a shared
-file every ``interval_s``, each line written via
-:func:`repro.util.atomic.append_line` (single ``O_APPEND`` write +
+A multi-minute crawl or sharded search is a black box while it runs —
+metrics only materialise if the run finishes cleanly.  A
+:class:`FlightRecorder` fixes that: a daemon thread appends one JSON
+snapshot line to a shared file every ``interval_s``, each line written
+via :func:`repro.util.atomic.append_line` (single ``O_APPEND`` write +
 fsync), so
 
 - a SIGKILLed run still leaves a usable timeline up to its last

@@ -40,21 +40,9 @@ from repro.runtime.runner import (
     validate_manifest,
 )
 
-def __getattr__(name: str):
-    # ``ShardedRunner`` lives behind a lazy import: repro.runtime is on
-    # the CLI-help path and must not pull the crawler/network stack (or
-    # transitively numpy) until a sharded run is actually requested.
-    if name in ("ShardedRunner", "sharded_crawl", "sharded_search"):
-        from repro.runtime import sharded
-
-        return getattr(sharded, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "DEFAULT_SEED",
     "ExperimentSpec",
-    "ShardedRunner",
     "MANIFEST_SCHEMA",
     "RunContext",
     "RunManifest",

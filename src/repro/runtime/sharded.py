@@ -1,16 +1,16 @@
-"""Sharded multi-process execution (the Scale.HUGE runtime).
+"""Sharded multi-process execution.
 
-One seeded run, many processes, identical bytes.  Three fan-outs live
-here, all built on the same two invariants:
+One seeded run, many processes, identical bytes.  Two fan-outs live
+here, both built on the same two invariants:
 
-- **worker-count invariance** — every per-shard random stream is derived
-  from the *run seed and stable entity ids*, never from the worker
-  count or the scheduling order, so ``--workers 1`` and ``--workers 8``
-  replay the exact same draws;
-- **deterministic merge** — workers return position-tagged partial
-  results and the coordinator folds them in the order the sequential
-  engine would have produced them, so merged artefacts (traces, metrics,
-  tables) are byte-identical to a single-process run.
+- **worker-count invariance** — every worker's random stream is derived
+  from the *run seed*, never from the worker count or the scheduling
+  order, so ``--workers 1`` and ``--workers 8`` replay the exact same
+  draws;
+- **deterministic merge** — the coordinator folds worker results in the
+  order the sequential loop would have produced them, so merged
+  artefacts (stdout, metrics, tables) are identical to a
+  single-process run.
 
 The fan-outs:
 
@@ -22,133 +22,30 @@ The fan-outs:
     run already re-seeds ``RngStream(seed, "search")``, so per-run
     isolation is free.
 
-``sharded_crawl``
-    Client-sharded crawling.  Every worker rebuilds the same network
-    (build and churn draw from seed-derived streams), runs the same
-    nickname sweeps, and computes the same global browse shuffle; it
-    then *delivers* only the browses of its shard
-    (``client_id % num_shards == shard``), spooling position-tagged
-    browse records to disk, one pickle frame per day.  The coordinator
-    merge-sorts the frames by window position and replays them into a
-    fresh :class:`~repro.trace.model.Trace` — the same insertion order
-    as the sequential crawler for any worker count.
-
 ``run_experiments_parallel``
     One worker per experiment for ``repro run-all``.  Each worker runs
     :meth:`Runner.run` in its own process (manifests and CSVs are
     per-experiment files, so there is no write contention) and returns
     the outcome minus the in-memory result object.
 
-Budget-accounting caveat: the crawl shard split is only exact when every
-browse costs one budget unit, i.e. with retries disabled — a retried
-browse consumes budget that later shards would have seen.  The CLI
-rejects ``--workers`` together with retries or fault flags for exactly
-this reason.
+The crawl has no fan-out: each simulated day is one nickname sweep of a
+fixed size followed by one browse pass, and only the browse pass could
+be split, so a sharded crawl measured slower than the sequential one.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import os
-import pickle
-import tempfile
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.edonkey.crawler import Crawler, CrawlerConfig, CrawlStats
-from repro.edonkey.messages import BrowseRequest
 from repro.obs import NULL_OBSERVER, Observer, TraceRecorder
 from repro.obs.telemetry import TelemetrySpec
-from repro.trace.model import ClientMeta, FileMeta, Trace
 
-__all__ = [
-    "ShardedCrawlResult",
-    "ShardedRunner",
-    "run_experiments_parallel",
-    "sharded_crawl",
-    "sharded_search",
-]
+__all__ = ["run_experiments_parallel", "sharded_search"]
 
 
 def _pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
     return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-
-
-class ShardedRunner:
-    """The multi-process runtime, bound to a worker count and observer.
-
-    A thin facade over the three fan-outs below; shard assignment is
-    ``client_id % workers`` — derived from stable client ids, never from
-    scheduling, which is what makes results worker-count-invariant.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        obs=NULL_OBSERVER,
-        telemetry: Optional[TelemetrySpec] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.obs = obs
-        self.telemetry = telemetry
-
-    def shard_of(self, client_id: int) -> int:
-        return client_id % self.workers
-
-    def search(self, static, configs, span_names=None):
-        return sharded_search(
-            static,
-            configs,
-            workers=self.workers,
-            obs=self.obs,
-            span_names=span_names,
-            telemetry=self.telemetry,
-        )
-
-    def crawl(
-        self,
-        network_config,
-        crawler_config,
-        seed: int,
-        days: Optional[int] = None,
-        store_dir: Optional[str] = None,
-        stream: bool = False,
-    ) -> "ShardedCrawlResult":
-        return sharded_crawl(
-            network_config,
-            crawler_config,
-            seed,
-            workers=self.workers,
-            obs=self.obs,
-            days=days,
-            store_dir=store_dir,
-            stream=stream,
-            telemetry=self.telemetry,
-        )
-
-    def run_experiments(
-        self,
-        names: List[str],
-        seed: int,
-        scale,
-        results_dir: str,
-        force: bool = False,
-        write_metrics: bool = False,
-        on_outcome=None,
-    ):
-        return run_experiments_parallel(
-            names,
-            seed,
-            scale,
-            results_dir,
-            workers=self.workers,
-            force=force,
-            write_metrics=write_metrics,
-            on_outcome=on_outcome,
-            telemetry=self.telemetry,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -250,387 +147,6 @@ def sharded_search(
         if worker_obs is not None:
             obs.merge_from(worker_obs)
     return results
-
-
-# ----------------------------------------------------------------------
-# Sharded crawl
-
-
-class _ShardCrawler(Crawler):
-    """A crawler that browses only its shard of the global budget window.
-
-    The global shuffle and the budget window are computed exactly as the
-    sequential crawler would (same RNG stream, same draws); delivery is
-    then restricted to ``client_id % num_shards == shard``.  Successful
-    browses are spooled as position-tagged records — one pickle frame
-    per day, so worker memory stays bounded by a day.
-    """
-
-    def __init__(
-        self, *args, shard: int, num_shards: int, spool_path: str, **kwargs
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.shard = shard
-        self.num_shards = num_shards
-        self._spool_path = spool_path
-        self._spool = None
-        # Worker-local first-occurrence tracking.  A client belongs to
-        # exactly one shard, so its globally-first successful browse is
-        # also this worker's first — metadata travels exactly once.
-        self._sent_clients: set = set()
-        self._sent_files: set = set()
-
-    def browse_all(self, trace: Trace, day: int, budget: int) -> int:
-        if self._spool is None:
-            self._spool = open(self._spool_path, "wb")
-        # The identical global shuffle (same stream, same draw), then the
-        # exact sequential budget window: with retries disabled every
-        # client in order costs one unit, so the window is order[:budget].
-        order = self.rng.shuffled(sorted(self.reachable_users))
-        window = order[:budget]
-        records = []
-        successes = 0
-        for position, client_id in enumerate(window):
-            if client_id % self.num_shards != self.shard:
-                continue
-            self.stats.browse_attempts += 1
-            reply = self.network.to_client(
-                client_id, BrowseRequest(requester_id=-1)
-            )
-            if reply is None or not reply.allowed:
-                self.stats.browse_refused += 1
-                continue
-            meta = None
-            if client_id not in self._sent_clients:
-                self._sent_clients.add(client_id)
-                profile = self._profiles_by_id[client_id].meta
-                meta = (
-                    profile.uid,
-                    profile.ip,
-                    profile.country,
-                    profile.asn,
-                    profile.nickname,
-                )
-            file_ids = []
-            new_files: Dict[str, Tuple[int, str, str]] = {}
-            for desc in reply.files:
-                file_ids.append(desc.file_id)
-                if desc.file_id not in self._sent_files:
-                    self._sent_files.add(desc.file_id)
-                    new_files[desc.file_id] = (desc.size, desc.kind, desc.name)
-            records.append((position, client_id, meta, file_ids, new_files))
-            successes += 1
-            self.stats.browse_succeeded += 1
-        pickle.dump(
-            (day, records), self._spool, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        return successes
-
-    def close_spool(self) -> None:
-        if self._spool is not None:
-            self._spool.close()
-            self._spool = None
-
-
-def _crawl_worker(
-    network_config,
-    crawler_config,
-    seed: int,
-    days: Optional[int],
-    shard: int,
-    num_shards: int,
-    spool_path: str,
-    want_obs: bool,
-    want_trace: bool = False,
-    telemetry: Optional[TelemetrySpec] = None,
-):
-    """Run one shard's crawl.
-
-    Returns ``(stats, observer, tracer, resource_gauges)``: the observer
-    only from shard 0 (every shard replays the same discovery work, so
-    merging all of them would double-count), the tracer and resource
-    gauges from *every* shard when tracing/telemetry is on — span events
-    and RSS/CPU peaks are genuinely per-process and the coordinator
-    attributes them to their shard.
-    """
-    from repro.edonkey.network import build_network
-    from repro.obs.log import set_context
-    from repro.obs.telemetry import FlightRecorder
-
-    source = f"shard {shard}"
-    set_context(source)
-    is_primary = shard == 0
-    # Non-primary shards only need a live observer when something reads
-    # it (a tracer track or a flight recorder); otherwise keep the old
-    # near-free NULL_OBSERVER path.
-    need_obs = want_obs and (
-        is_primary or want_trace or telemetry is not None
-    )
-    tracer = (
-        TraceRecorder(pid=shard + 2, process_name=source)
-        if (want_obs and want_trace)
-        else None
-    )
-    obs = Observer(tracer=tracer) if need_obs else NULL_OBSERVER
-    recorder = None
-    if telemetry is not None and want_obs:
-        recorder = FlightRecorder(
-            telemetry.path,
-            obs,
-            interval_s=telemetry.interval_s,
-            source=source,
-        ).start()
-    outcome = "completed"
-    try:
-        network = build_network(network_config, seed=seed, obs=obs)
-        crawler = _ShardCrawler(
-            network,
-            crawler_config,
-            seed=seed,
-            obs=obs,
-            shard=shard,
-            num_shards=num_shards,
-            spool_path=spool_path,
-        )
-        try:
-            crawler.crawl(days=days)
-        finally:
-            crawler.close_spool()
-    except BaseException:
-        outcome = "failed"
-        raise
-    finally:
-        if recorder is not None:
-            recorder.close(outcome)
-    resource_gauges = {
-        name: value
-        for name, value in obs.gauges.items()
-        if name.startswith("resource/")
-    }
-    return (
-        crawler.stats,
-        (obs if (want_obs and is_primary) else None),
-        (tracer if (tracer is not None and not is_primary) else None),
-        resource_gauges,
-    )
-
-
-@dataclass
-class ShardedCrawlResult:
-    """What a sharded crawl hands back to the CLI."""
-
-    trace: Trace
-    stats: CrawlStats
-    days_appended: int = 0
-
-
-def sharded_crawl(
-    network_config,
-    crawler_config: CrawlerConfig,
-    seed: int,
-    workers: int,
-    obs=NULL_OBSERVER,
-    days: Optional[int] = None,
-    store_dir: Optional[str] = None,
-    stream: bool = False,
-    telemetry: Optional[TelemetrySpec] = None,
-) -> ShardedCrawlResult:
-    """Crawl with ``workers`` client shards; byte-identical merged trace.
-
-    Every worker rebuilds the same network and runs the same discovery
-    sweeps (cheap relative to browsing, and required: churn draws from
-    per-day-per-client streams each worker must replay); browses are
-    split by ``client_id % workers``.  The coordinator replays the
-    spooled records in global window order — the trace's client, file
-    and snapshot insertion order is exactly the sequential crawler's.
-
-    With ``store_dir`` each merged day is appended to the on-disk store;
-    ``stream`` additionally drops it from the in-memory trace afterwards
-    (the bounded-RSS Scale.HUGE path).
-    """
-    if crawler_config.retry is not None:
-        raise ValueError(
-            "sharded_crawl requires retries disabled: a retried browse "
-            "consumes budget other shards would have seen, so the shard "
-            "split no longer reproduces the sequential budget window"
-        )
-    if stream and store_dir is None:
-        raise ValueError("stream=True requires a store_dir sink")
-    total_days = days if days is not None else crawler_config.days
-    spool_dir = tempfile.mkdtemp(prefix="repro_crawl_shards_")
-    spool_paths = [
-        os.path.join(spool_dir, f"shard-{shard}.spool")
-        for shard in range(workers)
-    ]
-    want_trace = obs.tracer is not None
-    try:
-        with _pool(workers) as pool:
-            futures = [
-                pool.submit(
-                    _crawl_worker,
-                    network_config,
-                    crawler_config,
-                    seed,
-                    days,
-                    shard,
-                    workers,
-                    spool_paths[shard],
-                    obs.enabled,
-                    want_trace,
-                    telemetry,
-                )
-                for shard in range(workers)
-            ]
-            outcomes = [future.result() for future in futures]
-        shard_stats = [stats for stats, _obs, _tracer, _gauges in outcomes]
-        worker0_obs = outcomes[0][1]
-        merged = _merge_crawl(
-            spool_paths,
-            shard_stats,
-            total_days,
-            store_dir=store_dir,
-            stream=stream,
-        )
-        if obs.enabled and worker0_obs is not None:
-            _fold_crawl_metrics(obs, worker0_obs, shard_stats[0], merged.stats)
-        if obs.enabled:
-            for _stats, _wobs, worker_tracer, gauges in outcomes:
-                if worker_tracer is not None and obs.tracer is not None:
-                    obs.tracer.merge_from(worker_tracer)
-                for name, value in gauges.items():
-                    obs.gauge(name, value)
-        return merged
-    finally:
-        for path in spool_paths:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        try:
-            os.rmdir(spool_dir)
-        except OSError:
-            pass
-
-
-def _merge_crawl(
-    spool_paths: List[str],
-    shard_stats: List[CrawlStats],
-    total_days: int,
-    store_dir: Optional[str],
-    stream: bool,
-) -> ShardedCrawlResult:
-    """Replay spooled browse records into one trace, day by day."""
-    trace = Trace()
-    days_appended = 0
-    spools = [open(path, "rb") for path in spool_paths]
-    try:
-        for _ in range(total_days):
-            day = None
-            day_records = []
-            for spool in spools:
-                frame_day, records = pickle.load(spool)
-                if day is None:
-                    day = frame_day
-                elif frame_day != day:
-                    raise RuntimeError(
-                        f"shard day skew: {frame_day} != {day} "
-                        "(workers replayed different networks)"
-                    )
-                day_records.extend(records)
-            day_records.sort(key=lambda record: record[0])
-            for _pos, client_id, meta, file_ids, new_files in day_records:
-                if client_id not in trace.clients:
-                    uid, ip, country, asn, nickname = meta
-                    trace.add_client(
-                        ClientMeta(
-                            client_id=client_id,
-                            uid=uid,
-                            ip=ip,
-                            country=country,
-                            asn=asn,
-                            nickname=nickname,
-                        )
-                    )
-                for file_id in file_ids:
-                    if file_id not in trace.files:
-                        size, kind, name = new_files[file_id]
-                        trace.add_file(
-                            FileMeta(
-                                file_id=file_id, size=size, kind=kind, name=name
-                            )
-                        )
-                trace.observe(day, client_id, file_ids)
-            if store_dir is not None:
-                _append_store_day(store_dir, trace, day)
-                days_appended += 1
-                if stream:
-                    trace.drop_day(day)
-    finally:
-        for spool in spools:
-            spool.close()
-    stats = _merge_stats(shard_stats)
-    return ShardedCrawlResult(
-        trace=trace, stats=stats, days_appended=days_appended
-    )
-
-
-def _append_store_day(store_dir: str, trace: Trace, day: int) -> None:
-    from repro.trace.store import TraceStoreWriter
-
-    with TraceStoreWriter.open(store_dir, create=True) as writer:
-        writer.append_day(
-            day,
-            trace.snapshots_on(day),
-            files=trace.files,
-            clients=trace.clients,
-        )
-
-
-def _merge_stats(shard_stats: List[CrawlStats]) -> CrawlStats:
-    """Fold per-shard stats into the sequential crawler's totals.
-
-    Browse counters partition across shards and are summed; discovery
-    counters (sweeps, users, firewalled skips) are replicated work —
-    identical in every worker — so shard 0's values already are the
-    sequential numbers.
-    """
-    first = shard_stats[0]
-    return replace(
-        first,
-        browse_attempts=sum(s.browse_attempts for s in shard_stats),
-        browse_refused=sum(s.browse_refused for s in shard_stats),
-        browse_succeeded=sum(s.browse_succeeded for s in shard_stats),
-    )
-
-
-def _fold_crawl_metrics(
-    obs,
-    worker0_obs,
-    worker0_stats: CrawlStats,
-    merged_stats: CrawlStats,
-) -> None:
-    """Merge shard 0's observer, then correct the shard-local counters.
-
-    Shard 0's metrics export is complete except where counts depend on
-    *which* browses it delivered: the per-attempt message/hop counters
-    and the ``crawler/browse_*`` counters.  Those are topped up with the
-    other shards' share so the merged counters equal a sequential run's.
-    """
-    obs.merge_from(worker0_obs)
-    attempt_delta = merged_stats.browse_attempts - worker0_stats.browse_attempts
-    for counter in ("network/client_hops", "network/messages/BrowseRequest"):
-        if counter in obs.counters:
-            obs.counters[counter] += attempt_delta
-    for field_name in ("browse_attempts", "browse_refused", "browse_succeeded"):
-        counter = f"crawler/{field_name}"
-        delta = getattr(merged_stats, field_name) - getattr(
-            worker0_stats, field_name
-        )
-        if counter in obs.counters:
-            obs.counters[counter] += delta
-    obs.gauge(
-        "crawler/browse_success_rate", merged_stats.browse_success_rate
-    )
 
 
 # ----------------------------------------------------------------------
