@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.stats import FaultStats
-from repro.trace.model import ClientId
 from repro.util.cdf import Series
 
 
@@ -48,10 +47,8 @@ class HitRateAccumulator:
 class LoadTracker:
     """Messages (queries) received per client (Figure 22)."""
 
+    #: Messages per target; the search loops count into it directly.
     messages: Counter = field(default_factory=Counter)
-
-    def record(self, target: ClientId, count: int = 1) -> None:
-        self.messages[target] += count
 
     @property
     def total_messages(self) -> int:

@@ -24,8 +24,11 @@ and ``record_upload``.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Sequence
+from bisect import bisect_left
+from heapq import nsmallest
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.trace.model import ClientId
 from repro.util.rng import RngStream
@@ -114,45 +117,57 @@ class _ScoredNeighbours(NeighbourStrategy):
     ``capacity`` by (score desc, recency desc).  Recency breaks ties
     deterministically — the most recent uploader wins, which matches the
     cache-management intuition and avoids arbitrary dict order.
+
+    The list is kept ranked as uploads arrive.  A bump only improves the
+    bumped peer's key ``(-score, -recency)`` and recency is unique, so
+    the new top ``capacity`` is the old one with that peer removed and
+    re-inserted by ``bisect`` (pushing the last peer out if it was not
+    listed before).  Only evicting a listed peer ranks all scores again.
     """
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        self._scores: Dict[ClientId, float] = {}
-        self._recency: Dict[ClientId, int] = {}
+        #: Sort key ``(-score, -recency)`` of every past uploader.
+        self._keys: Dict[ClientId, Tuple[float, int]] = {}
         self._clock = 0
-        self._cache: Optional[List[ClientId]] = None
-        self._cache_set: Dict[ClientId, int] = {}
+        # The visible list, best first, and its keys in the same order.
+        self._ranked: List[ClientId] = []
+        self._ranked_keys: List[Tuple[float, int]] = []
+        self._listed: Set[ClientId] = set()
 
     def _bump(self, uploader: ClientId, amount: float) -> None:
-        self._scores[uploader] = self._scores.get(uploader, 0.0) + amount
+        old = self._keys.get(uploader)
+        score = (0.0 if old is None else -old[0]) + amount
         self._clock += 1
-        self._recency[uploader] = self._clock
-        self._cache = None
-
-    def _ensure_ranked(self) -> None:
-        """Rebuild the ranked view if dirty (amortized O(1) when clean)."""
-        if self._cache is None:
-            ranked = sorted(
-                self._scores,
-                key=lambda peer: (-self._scores[peer], -self._recency[peer]),
-            )
-            self._cache = ranked[: self.capacity]
-            self._cache_set = {peer: i for i, peer in enumerate(self._cache)}
+        key = self._keys[uploader] = (-score, -self._clock)
+        ranked, ranked_keys = self._ranked, self._ranked_keys
+        if uploader in self._listed:
+            at = bisect_left(ranked_keys, old)
+            del ranked[at], ranked_keys[at]
+        elif len(ranked) < self.capacity:
+            self._listed.add(uploader)
+        elif key < ranked_keys[-1]:
+            self._listed.remove(ranked.pop())
+            ranked_keys.pop()
+            self._listed.add(uploader)
+        else:
+            return
+        at = bisect_left(ranked_keys, key)
+        ranked.insert(at, uploader)
+        ranked_keys.insert(at, key)
 
     def ordered(self) -> Sequence[ClientId]:
-        self._ensure_ranked()
-        return self._cache
+        return self._ranked
 
     def members(self):
-        self._ensure_ranked()
-        return self._cache_set
+        return self._listed
 
     def evict(self, peer: ClientId) -> None:
-        if peer in self._scores:
-            del self._scores[peer]
-            self._recency.pop(peer, None)
-            self._cache = None
+        if self._keys.pop(peer, None) is not None and peer in self._listed:
+            keys = self._keys
+            self._ranked = nsmallest(self.capacity, keys, key=keys.__getitem__)
+            self._ranked_keys = [keys[p] for p in self._ranked]
+            self._listed = set(self._ranked)
 
 
 class HistoryNeighbours(_ScoredNeighbours):
@@ -203,7 +218,10 @@ class RandomNeighbours(NeighbourStrategy):
 
     ``population`` is a callable returning the current list of peers that
     share at least one file (maintained by the simulator); free-riders never
-    appear since they share nothing.
+    appear since they share nothing.  The list must be append-only: a peer
+    is appended once and never removed or moved.  The owner's index is
+    therefore looked up once, and each draw skips that index instead of
+    copying the list without it.
 
     Random has no ``members()`` view *on purpose*: membership is only
     defined against a fresh sample, so each probe must call
@@ -215,30 +233,108 @@ class RandomNeighbours(NeighbourStrategy):
         self,
         capacity: int,
         rng: RngStream,
-        population: Callable[[], Sequence[ClientId]],
+        population: Callable[[], List[ClientId]],
         owner: Optional[ClientId] = None,
     ) -> None:
         super().__init__(capacity)
         self._rng = rng
         self._population = population
         self._owner = owner
-        self._current: List[ClientId] = []
+        self._setsize = _sample_setsize(capacity)
+        # The owner's index in the population (-1 until it appears) and
+        # how many entries were searched for it so far.
+        self._owner_at = -1
+        self._scanned = 0
 
     def ordered(self) -> Sequence[ClientId]:
-        pool = [p for p in self._population() if p != self._owner]
-        self._current = self._rng.sample_without_replacement(pool, self.capacity)
-        return self._current
+        population = self._population()
+        skip = self._owner_at
+        if skip < 0:
+            skip = self._find_owner(population)
+        return _sample_skipping(
+            self._rng.py, population, skip, self.capacity, self._setsize
+        )
+
+    def _find_owner(self, population: List[ClientId]) -> int:
+        """The owner's index, or ``len(population)`` while it is absent.
+
+        Each call searches only the entries appended since the last one;
+        once found, the index is kept (appends never move it)."""
+        size = len(population)
+        if self._scanned < size:
+            try:
+                self._owner_at = population.index(self._owner, self._scanned)
+                return self._owner_at
+            except ValueError:
+                self._scanned = size
+        return size
 
     def record_upload(self, uploader: ClientId, popularity: int = 1) -> None:
         # Memoryless by design: uploads leave no trace.
         return
 
 
+def _sample_setsize(k: int) -> int:
+    """``random.Random.sample``'s branch threshold for a ``k``-sample.
+
+    Populations up to this size are sampled from a copied pool, larger
+    ones by re-drawing indices already selected.  Computed for the
+    list's capacity: a smaller sample only happens when the population
+    is smaller than the capacity, and then both thresholds pick the
+    pool."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return setsize
+
+
+def _sample_skipping(
+    rng, population: List[ClientId], skip: int, k: int, setsize: int
+) -> List[ClientId]:
+    """``rng.sample(pool, min(k, len(pool)))``, draw for draw, where
+    ``pool`` is ``population`` without the entry at index ``skip``
+    (``skip >= len(population)`` skips nothing).
+
+    A copy of CPython's ``random.Random.sample`` with ``_randbelow``
+    inlined as its ``getrandbits`` rejection loop: it consumes the same
+    words and returns the same list, but only copies ``pool`` on the
+    small-population branch.  ``setsize`` is :func:`_sample_setsize`.
+    ``tests/core/test_neighbour_equivalence.py`` pins it against the stdlib.
+    """
+    getrandbits = rng.getrandbits
+    n = len(population)
+    if skip < n:
+        n -= 1
+    if k > n:
+        k = n
+    result = [None] * k
+    if n <= setsize:
+        pool = population[:skip] + population[skip + 1:]
+        for i in range(k):
+            m = n - i
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result[i] = pool[j]
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        selected: Set[int] = set()
+        for i in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result[i] = population[j + 1] if j >= skip else population[j]
+    return result
+
+
 def make_strategy(
     name: str,
     capacity: int,
     rng: Optional[RngStream] = None,
-    population: Optional[Callable[[], Sequence[ClientId]]] = None,
+    population: Optional[Callable[[], List[ClientId]]] = None,
     owner: Optional[ClientId] = None,
 ) -> NeighbourStrategy:
     """Factory keyed by strategy name (see ``STRATEGY_NAMES``)."""

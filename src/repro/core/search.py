@@ -338,7 +338,11 @@ class SearchSimulator:
     # State helpers
 
     def _population(self) -> List[ClientId]:
-        """Current peers sharing at least one file (for Random lists)."""
+        """Current peers sharing at least one file (for Random lists).
+
+        Append-only: a peer is appended when it first shares a file and
+        is never removed or moved, which Random lists rely on to find
+        their owner's index once."""
         return self._sharer_peers
 
     def _strategy_for(self, peer: ClientId) -> NeighbourStrategy:
@@ -383,9 +387,6 @@ class SearchSimulator:
         """Current sharers of ``file_key`` in upload order (None if none)."""
         return self._sharers_list[file_key]
 
-    def shares(self, peer: ClientId, file_key) -> bool:
-        return file_key in self._shared.get(peer, ())
-
     # ------------------------------------------------------------------
     # Query paths
 
@@ -405,11 +406,12 @@ class SearchSimulator:
         counts toward load) but never answered, even by an online
         neighbour.  Unanswered probes feed dead-neighbour detection."""
         neighbours = list(self._strategy_for(peer).ordered())
-        queried: List[ClientId] = []
-        for neighbour in neighbours:
-            queried.append(neighbour)
-            if load is not None:
-                load.record(neighbour)
+        messages = load.messages if load is not None else None
+        shared = self._shared
+        strikes = self._strikes if self.config.evict_dead else None
+        for at, neighbour in enumerate(neighbours):
+            if messages is not None:
+                messages[neighbour] += 1
             if lost is not None and lost():
                 self._probes_lost += 1
                 self._record_probe_failure(peer, neighbour)
@@ -417,10 +419,11 @@ class SearchSimulator:
             if online is not None and not online(neighbour):
                 self._record_probe_failure(peer, neighbour)
                 continue
-            self._record_probe_answer(peer, neighbour)
-            if self.shares(neighbour, file_key):
-                return neighbour, queried
-        return None, queried
+            if strikes is not None:
+                strikes.pop((peer, neighbour), None)  # an answer clears them
+            if file_key in shared.get(neighbour, ()):
+                return neighbour, neighbours[: at + 1]
+        return None, neighbours
 
     def _record_probe_failure(self, peer: ClientId, neighbour: ClientId) -> None:
         if not self.config.evict_dead:
@@ -433,11 +436,6 @@ class SearchSimulator:
             self._evictions += 1
         else:
             self._strikes[key] = strikes
-
-    def _record_probe_answer(self, peer: ClientId, neighbour: ClientId) -> None:
-        if not self.config.evict_dead:
-            return
-        self._strikes.pop((peer, neighbour), None)
 
     def _query_two_hop(
         self,
@@ -479,18 +477,25 @@ class SearchSimulator:
                         return sharer
             return None
 
+        # Every contact is added to ``seen`` once, so the contact count
+        # is how much ``seen`` grew.
         seen: Set[ClientId] = set(first_hop)
         seen.add(peer)
+        known = len(seen)
+        holders = set(sharers)
+        messages = load.messages if load is not None else None
+        strategy_for = self._strategy_for
         for neighbour in first_hop:
-            for second in self._strategy_for(neighbour).ordered():
+            for second in strategy_for(neighbour).ordered():
                 if second in seen:
                     continue
                 seen.add(second)
-                self._last_two_hop_contacts += 1
-                if load is not None:
-                    load.record(second)
-                if self.shares(second, file_key):
+                if messages is not None:
+                    messages[second] += 1
+                if second in holders:
+                    self._last_two_hop_contacts = len(seen) - known
                     return second
+        self._last_two_hop_contacts = len(seen) - known
         return None
 
     def _member_union(self, first_hop: Sequence[ClientId]) -> Optional[Set]:

@@ -241,6 +241,9 @@ class Runner:
 
     def run(self, name: str, force: Optional[bool] = None, **overrides) -> RunOutcome:
         """Run one experiment (or skip it on a manifest hash match)."""
+        # Registration happens on import, so a fresh process must load
+        # the registry before it can resolve a name.
+        registry.load_all()
         spec = registry.get(name)
         force = self.force if force is None else force
         expected = self.expected_hash(spec, overrides)

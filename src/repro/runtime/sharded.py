@@ -165,11 +165,9 @@ def _run_all_worker(
     """Run one experiment in its own process; return a slim outcome."""
     from repro.obs.log import set_context
     from repro.runtime import RunContext, Runner, Scale
-    from repro.runtime.registry import load_all
     from repro.runtime.runner import RunOutcome
 
     set_context(name)
-    load_all()
     runner = Runner(
         ctx=RunContext(seed=seed, scale=Scale(scale_value)),
         results_dir=results_dir,

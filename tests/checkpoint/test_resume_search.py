@@ -65,6 +65,21 @@ CONFIGS = {
         weighted_requests=True,
         seed=DEFAULT_SEED,
     ),
+    # Random lists carry their draw stream and owner index across the
+    # snapshot; evictions re-rank a Popularity list mid-run.
+    "random-two-hop": SearchConfig(
+        list_size=10,
+        strategy="random",
+        two_hop=True,
+        seed=DEFAULT_SEED,
+    ),
+    "evicting-popularity": SearchConfig(
+        list_size=10,
+        strategy="popularity",
+        availability=0.8,
+        evict_dead=True,
+        seed=DEFAULT_SEED,
+    ),
 }
 
 

@@ -6,6 +6,8 @@ of the metrics report and, with a tracer attached, one structured
 instant event per query.
 """
 
+import pytest
+
 from repro.core.search import QueryRecord, SearchConfig, simulate_search
 from repro.obs import Observer, TraceRecorder
 from tests.conftest import build_static
@@ -87,6 +89,23 @@ class TestLifecycleHistograms:
         assert (
             metrics.histogram("search/latency/fallback_s").count == fallbacks
         )
+
+    @pytest.mark.parametrize("strategy", ["lru", "random"])
+    def test_every_probe_is_one_load_message(
+        self, strategy, small_static_trace
+    ):
+        """Each one-hop neighbour and each second-hop contact is sent one
+        query, so the probe histogram sums to the load tracker's total."""
+        obs = Observer()
+        result = simulate_search(
+            small_static_trace,
+            SearchConfig(list_size=5, strategy=strategy, two_hop=True, seed=SEED),
+            obs=obs,
+        )
+        probes = obs.histograms["search/probes_per_request"].total
+        hops = obs.histograms["search/hops_per_request"].total
+        assert probes > hops > 0  # the second hop contacted someone
+        assert probes == result.load.total_messages
 
     def test_one_hop_only_search_has_no_two_hop_latency(self):
         obs = Observer()

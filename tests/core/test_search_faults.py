@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.search import SearchConfig, simulate_search
+from repro.core.search import SearchConfig, SearchSimulator, simulate_search
 from tests.conftest import build_static
 
 
@@ -62,6 +62,23 @@ class TestEviction:
             ),
         )
         assert result.evictions > 0
+
+    def test_an_answer_clears_the_strikes(self):
+        """Eviction takes ``dead_after`` unanswered probes in a row."""
+        simulator = SearchSimulator(
+            clique(),
+            SearchConfig(
+                list_size=3, availability=0.5, evict_dead=True, dead_after=2
+            ),
+        )
+        strategy = simulator._strategy_for(0)
+        strategy.record_upload(1)
+        for up in (False, True, False):
+            simulator._query_one_hop(0, 0, None, online=lambda _peer: up)
+        assert 1 in strategy.members()
+        simulator._query_one_hop(0, 0, None, online=lambda _peer: False)
+        assert 1 not in strategy.members()
+        assert simulator._evictions == 1
 
     def test_eviction_off_means_none(self):
         result = simulate_search(

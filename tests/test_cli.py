@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import argparse
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +190,22 @@ class TestRunAllCommand:
         rc = main(["run-all", "--results-dir", str(tmp_path), "--only", "nope"])
         assert rc == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [[], ["--workers", "1"]])
+    def test_only_name_in_a_fresh_process(self, tmp_path, workers):
+        """In-process tests run after something already imported the
+        experiments; a fresh interpreter starts with an empty registry."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run-all", "--scale", "tiny",
+             "--results-dir", str(tmp_path), "--only", "fig1", *workers],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert "1 run, 0 skipped, 0 failed" in result.stdout
+        assert (tmp_path / "fig1.manifest.json").exists()
 
 
 class TestAnalyzeCommand:
