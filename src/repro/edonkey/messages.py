@@ -62,11 +62,16 @@ class Keyword(Query):
     """Keyword match, optionally restricted to a meta-data field.
 
     ``field=None`` searches all tokens; ``field="kind"`` matches the content
-    class; ``field="tag"`` matches tags only.
+    class; ``field="tag"`` matches tags only; ``field="name"`` matches
+    words of the name.  Any other field is refused on construction.
     """
 
     term: str
     field: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.field not in (None, "kind", "tag", "name"):
+            raise ValueError(f"unknown query field {self.field!r}")
 
     def matches(self, desc: FileDescription) -> bool:
         term = self.term.lower()
@@ -76,9 +81,7 @@ class Keyword(Query):
             return desc.kind.lower() == term
         if self.field == "tag":
             return term in (t.lower() for t in desc.tags)
-        if self.field == "name":
-            return term in (t.lower() for t in desc.name.replace("-", " ").split())
-        raise ValueError(f"unknown query field {self.field!r}")
+        return term in (t.lower() for t in desc.name.replace("-", " ").split())
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ queries, propagates the server list, and — on old versions only — answers
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.edonkey.messages import (
@@ -21,6 +22,7 @@ from repro.edonkey.messages import (
     FileDescription,
     Keyword,
     PublishFiles,
+    Query,
     QuerySources,
     QueryUsers,
     SearchReply,
@@ -204,51 +206,45 @@ class Server:
         """The first ``limit`` matches in file-id order; ``truncated``
         when more exist (a ``limit`` of 0 or less returns no result and
         reports whether any file matches)."""
-        query = msg.query
-        limit = max(msg.limit, 0)
         descriptions = self._descriptions
-        if isinstance(query, Keyword) and query.field is None:
-            # An id is filed only under its own description's tokens, so
-            # every id in the term's bucket matches.
-            hits = self._sorted_bucket(query.term.lower())
-            return SearchReply(
-                results=[descriptions[file_id] for file_id in hits[:limit]],
-                truncated=len(hits) > limit,
-            )
-        results: List[FileDescription] = []
-        for file_id in self._scan_order(query):
-            desc = descriptions[file_id]
-            if query.matches(desc):
-                if len(results) == limit:
-                    return SearchReply(results=results, truncated=True)
-                results.append(desc)
-        return SearchReply(results=results, truncated=False)
+        walk, residual = self._plan(msg.query)
+        found = map(descriptions.__getitem__, walk)
+        if residual is not None:
+            found = filter(residual.matches, found)
+        # ``islice`` needs a bounded stop; no query matches more than the index.
+        limit = min(max(msg.limit, 0), len(descriptions))
+        results = list(islice(found, limit))
+        return SearchReply(results=results, truncated=next(found, None) is not None)
 
-    def _scan_order(self, query) -> Iterable[str]:
-        """The ids, in order, that ``query`` is tested against.
+    def _plan(self, query: Query) -> Tuple[Iterable[str], Optional[Query]]:
+        """The ids, in order, that may match ``query``, and what their
+        descriptions still have to match (``None``: nothing).
 
-        For an ``And`` with field-less keyword parts that is the
-        intersection of their buckets, walked along the smallest one;
-        any other query scans the whole index.
+        Field-less keywords, bare or among an ``And``'s parts, are
+        answered from their buckets: the smallest is walked and ids
+        missing from the others are skipped.  An id is filed only under
+        its own description's tokens, so every walked id matches those
+        keywords, and only the ``And``'s other parts are tested, in
+        their order.  Any other query scans the whole index and is
+        tested whole.
         """
-        if isinstance(query, And):
-            terms = [
-                part.term.lower()
-                for part in query.parts
-                if isinstance(part, Keyword) and part.field is None
-            ]
-            if terms:
-                terms.sort(key=lambda term: len(self._keywords.get(term, ())))
-                walk = self._sorted_bucket(terms[0])
-                rest = [self._keywords.get(term, ()) for term in terms[1:]]
-                if not rest:
-                    return walk
-                return (
-                    file_id
-                    for file_id in walk
-                    if all(file_id in bucket for bucket in rest)
-                )
-        return sorted(self._descriptions)
+        terms: List[str] = []
+        rest: List[Query] = []
+        for part in query.parts if isinstance(query, And) else (query,):
+            if isinstance(part, Keyword) and part.field is None:
+                terms.append(part.term.lower())
+            else:
+                rest.append(part)
+        if not terms:
+            return sorted(self._descriptions), query
+        keywords = self._keywords
+        terms.sort(key=lambda term: len(keywords.get(term, ())))
+        walk: Iterable[str] = self._sorted_bucket(terms[0])
+        for term in terms[1:]:
+            walk = filter(keywords.get(term, ()).__contains__, walk)
+        if not rest:
+            return walk, None
+        return walk, rest[0] if len(rest) == 1 else And(tuple(rest))
 
     def _sorted_bucket(self, token: str) -> List[str]:
         """The ids filed under ``token``, in order; never memoised for a

@@ -3,15 +3,17 @@ stale, and a re-publish by difference ends where removing the old list
 and adding the new one would.
 
 Generated runs interleave connects (of live sessions too), publishes,
-re-publishes, disconnects and crashes with searches of every shape the
-server treats differently (bare keywords, ``field=`` keywords, ``And``
-with one and with two keywords, ``Or``/``Not``/``SizeRange`` scans) and
-any ``limit`` a client may send.  Re-publishes keep most of the previous
-list, change one field of a kept description, or repeat an id within
-one list.  Every search, source query and browse, and after each step a
-search matching every indexed description, must equal what a model of
-the index kept by this test answers, and ``check_invariants`` must stay
-clean.
+re-publishes, disconnects and crashes.  Re-publishes keep most of the
+previous list, change one field of a kept description, or repeat an id
+within one list.  Each op is followed by a search of a shape the server
+plans differently, at any ``limit`` a client may send: bare keywords,
+``field=`` keywords, ``Or``/``Not``/range scans, the empty ``And``, and
+``And`` with no, one, two or a repeated field-less keyword, whose other
+parts (``field=`` keywords, ranges on size, availability and bit-rate,
+``Or``, ``Not``, a nested ``And``) are tested on the walked ids.  That
+search, a search matching every indexed description, and every source
+query and browse must equal what a model of the index kept by this test
+answers, and ``check_invariants`` must stay clean.
 """
 
 import dataclasses
@@ -21,6 +23,8 @@ from hypothesis import strategies as st
 
 from repro.edonkey.messages import (
     And,
+    AvailabilityRange,
+    BitrateRange,
     BrowseReply,
     BrowseUser,
     ConnectRequest,
@@ -52,6 +56,8 @@ DESCRIPTIONS = st.builds(
     size=st.integers(1, 100),
     kind=st.sampled_from(KINDS),
     tags=TAGS,
+    availability=st.integers(0, 5),
+    bitrate=st.sampled_from([0, 128, 192, 320]),
 )
 #: One field of a description, changed.
 EDITS = st.one_of(
@@ -68,15 +74,36 @@ KEYWORDS = st.builds(Keyword, TERMS)
 FIELD_KEYWORDS = st.builds(Keyword, TERMS, st.sampled_from(["kind", "tag", "name"]))
 BOUNDS = st.none() | st.integers(1, 100)
 SIZES = st.builds(SizeRange, BOUNDS, BOUNDS)
+AVAILABILITIES = st.builds(
+    AvailabilityRange, st.none() | st.integers(0, 5), st.none() | st.integers(0, 5)
+)
+BITRATES = st.builds(
+    BitrateRange, st.none() | st.integers(0, 320), st.none() | st.integers(0, 320)
+)
+ORS = st.builds(lambda a, b: Or((a, b)), KEYWORDS, FIELD_KEYWORDS)
+NOTS = st.builds(Not, KEYWORDS)
 QUERIES = st.one_of(
     KEYWORDS,
     FIELD_KEYWORDS,
     st.builds(lambda k, s: And((k, s)), KEYWORDS, SIZES),
     st.builds(lambda a, b: And((a, b)), KEYWORDS, KEYWORDS),
     st.builds(lambda a, f, b: And((a, f, b)), KEYWORDS, FIELD_KEYWORDS, KEYWORDS),
-    st.builds(lambda a, b: Or((a, b)), KEYWORDS, FIELD_KEYWORDS),
-    st.builds(Not, KEYWORDS),
+    ORS,
+    NOTS,
     SIZES,
+    # How the server splits an ``And`` into walked keywords and tested
+    # parts: no keyword, one keyword alone, a repeated keyword, a nested
+    # ``And``, and ``Or``, ``Not``, availability and bit-rate parts.
+    st.builds(lambda f, s: And((f, s)), FIELD_KEYWORDS, SIZES),
+    st.builds(lambda k: And((k,)), KEYWORDS),
+    st.builds(lambda k, s: And((k, s, k)), KEYWORDS, SIZES),
+    st.builds(lambda t, b: And((Keyword(t), b, Keyword(t.upper()))), TERMS, BITRATES),
+    st.builds(lambda a, b, s: And((a, And((b, s)))), KEYWORDS, KEYWORDS, SIZES),
+    st.builds(lambda o, k: And((o, k)), ORS, KEYWORDS),
+    st.builds(lambda k, n, a: And((k, n, a)), KEYWORDS, NOTS, AVAILABILITIES),
+    st.builds(lambda a, k, b: And((a, k, b)), AVAILABILITIES, KEYWORDS, BITRATES),
+    st.builds(lambda k, b: And((k, b)), KEYWORDS, BITRATES),
+    st.just(And(())),
 )
 
 CONNECT = st.tuples(
@@ -98,11 +125,12 @@ REPUBLISH = st.tuples(
 )
 DISCONNECT = st.tuples(st.just("disconnect"), st.sampled_from(CLIENTS))
 CRASH = st.tuples(st.just("crash"))
-SEARCH = st.tuples(st.just("search"), QUERIES, st.integers(-2, 300))
 #: Each op kind, repeated by its weight: mostly (re-)publishes.
 OPS = st.one_of(
-    *[CONNECT] * 2, *[PUBLISH] * 2, *[REPUBLISH] * 4, DISCONNECT, CRASH, *[SEARCH] * 2
+    *[CONNECT] * 2, *[PUBLISH] * 2, *[REPUBLISH] * 4, DISCONNECT, CRASH
 )
+#: One op, then one search and its ``limit``.
+STEPS = st.tuples(OPS, QUERIES, st.integers(-2, 300) | st.just(1 << 64))
 
 
 class IndexModel:
@@ -169,8 +197,8 @@ def republished(previous, keep, additions, edit, repeat):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ops=st.lists(OPS, max_size=40))
-def test_search_equals_sorted_scan(ops):
+@given(steps=st.lists(STEPS, max_size=40))
+def test_search_equals_sorted_scan(steps):
     server = Server(0)
     model = IndexModel()
 
@@ -181,7 +209,7 @@ def test_search_equals_sorted_scan(ops):
         model.unpublish(client)
         model.published[client] = {}
 
-    for op in ops:
+    for op, probe, probe_limit in steps:
         kind = op[0]
         if kind == "connect":
             connect(op[1], op[2])
@@ -199,21 +227,15 @@ def test_search_equals_sorted_scan(ops):
             server.handle_disconnect(op[1])
             model.unpublish(op[1])
             model.published.pop(op[1], None)
-        elif kind == "crash":
+        else:
             server.crash()
             model = IndexModel()
-        else:
-            query, limit = op[1], op[2]
+        for query, limit in ((probe, probe_limit), (SizeRange(), len(FILE_IDS))):
             reply = server.handle_search(
                 SearchRequest(client_id=0, query=query, limit=limit)
             )
             assert reply == model.search(query, limit)
         assert server.check_invariants() == []
-        limit = len(FILE_IDS)
-        reply = server.handle_search(
-            SearchRequest(client_id=0, query=SizeRange(), limit=limit)
-        )
-        assert reply == model.search(SizeRange(), limit)
         for file_id in FILE_IDS:
             query = QuerySources(client_id=0, file_id=file_id)
             assert server.handle_query_sources(query) == model.query_sources(file_id)
@@ -311,3 +333,64 @@ def test_republish_keeps_the_description_another_source_still_publishes():
     query = QuerySources(client_id=3, file_id="f1")
     assert server.handle_query_sources(query).sources == [1, 2]
     assert server.check_invariants() == []
+
+
+def test_an_and_of_a_keyword_and_a_range_never_tokenises(monkeypatch):
+    """Every id of the walked bucket holds the keyword, so only the size
+    range is tested and no description is tokenised again."""
+    files = [
+        FileDescription(f"f{i:03d}", f"rock song {i}", i + 1) for i in range(500)
+    ]
+    server = _server_with(*files)
+    calls = []
+    tokens = FileDescription.tokens
+
+    def counted(desc):
+        calls.append(desc.file_id)
+        return tokens(desc)
+
+    monkeypatch.setattr(FileDescription, "tokens", counted)
+    for term in ("rock", "ROCK", "song"):
+        query = And((Keyword(term), SizeRange(min_size=1)))
+        reply = server.handle_search(SearchRequest(client_id=1, query=query))
+        assert reply == SearchReply(results=files[:200], truncated=True)
+    assert calls == []
+
+
+def test_every_plan_shape_over_every_pair_of_terms():
+    """On an index where every two words share some files but not all,
+    each ``And`` shape over each pair of terms answers as a sorted scan."""
+    subsets = [
+        [word for bit, word in enumerate(WORDS) if mask >> bit & 1]
+        for mask in range(1, 1 << len(WORDS))
+    ]
+    files = [
+        FileDescription(
+            f"f{i:02d}",
+            " ".join(words),
+            i + 1,
+            kind=KINDS[i % 2],
+            tags=tuple(words[:1]),
+            availability=i % 4,
+            bitrate=(0, 128, 192, 320)[i % 4],
+        )
+        for i, words in enumerate(subsets)
+    ]
+    server = _server_with(*files)
+    model = IndexModel()
+    model.publish(1, files)
+    terms = WORDS + KINDS + ABSENT
+    for a in terms:
+        for b in terms:
+            ka, kb = Keyword(a), Keyword(b.upper())
+            for query in (
+                And((ka, kb)),
+                And((ka, SizeRange(min_size=4), kb)),
+                And((ka, Keyword(b, field="tag"), BitrateRange(min_rate=128))),
+                And((Not(kb), ka, AvailabilityRange(max_avail=2))),
+                And((ka, And((kb, SizeRange(max_size=12))))),
+                And((Or((ka, kb)), Keyword(a, field="kind"))),
+            ):
+                for limit in (0, 3, 200):
+                    request = SearchRequest(client_id=0, query=query, limit=limit)
+                    assert server.handle_search(request) == model.search(query, limit)

@@ -33,10 +33,13 @@ from repro.edonkey.wire import (
 )
 
 _BOUNDS = st.none() | st.integers()
+#: ``Keyword`` refuses a field outside these four, so it is drawn here
+#: rather than from its ``Optional[str]`` annotation.
+_KEYWORDS = st.builds(
+    m.Keyword, st.text(max_size=8), st.sampled_from([None, "kind", "tag", "name"])
+)
 _QUERY_LEAVES = st.one_of(
-    st.builds(
-        m.Keyword, st.text(max_size=8), st.sampled_from([None, "kind", "tag", "name"])
-    ),
+    _KEYWORDS,
     st.builds(m.SizeRange, _BOUNDS, _BOUNDS),
     st.builds(m.AvailabilityRange, _BOUNDS, _BOUNDS),
     st.builds(m.BitrateRange, _BOUNDS, _BOUNDS),
@@ -81,6 +84,8 @@ def _strategy(hint):
 
 
 def _message(cls):
+    if cls is m.Keyword:
+        return _KEYWORDS
     hints = typing.get_type_hints(cls)
     return st.builds(
         cls, **{f.name: _strategy(hints[f.name]) for f in dataclasses.fields(cls)}

@@ -312,6 +312,45 @@ class TestIndexService:
 
         run(scenario())
 
+    def test_unknown_query_field_gets_framed_wire_error(self):
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            obs = Observer()
+            service = IndexService(ServiceConfig(), obs=obs)
+            await service.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", service.port
+            )
+            # An indexed file, so a search would have to test the field.
+            for request in (
+                ConnectRequest(client_id=1, nickname="n", firewalled=False),
+                PublishFiles(client_id=1, files=[desc()]),
+            ):
+                await wire.write_frame(writer, request)
+                await wire.read_frame(reader)
+            query = '{"$type":"Keyword","fields":{"field":"bogus","term":"x"}}'
+            payload = (
+                '{"fields":{"client_id":1,"limit":5,"query":' + query + "},"
+                f'"seq":0,"type":"SearchRequest","v":"{wire.WIRE_SCHEMA}"}}'
+            ).encode("ascii")
+            writer.write(struct.pack(">I", len(payload)) + payload)
+            await writer.drain()
+            frame = await asyncio.wait_for(wire.read_frame(reader), 5)
+            assert frame is not None
+            message, _ = frame
+            assert isinstance(message, ErrorReply)
+            assert "unknown query field 'bogus'" in message.reason
+            assert await reader.read(64) == b""
+            assert obs.counters["service/wire_errors"] == 1
+            writer.close()
+            await _stop(service)
+            assert unhandled == []
+
+        run(scenario())
+
     def test_oversized_reply_is_framed_error_on_open_connection(
         self, monkeypatch
     ):
