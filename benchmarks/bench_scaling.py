@@ -12,8 +12,8 @@ Two measurements, mirroring the contract of
   core count).
 - **import baseline** (always gated, even under ``--no-gate``): a fresh
   interpreter importing the CLI + trace-store + shm + runtime modules
-  must stay numpy-free and under ``RSS_CEILING_MB`` — the lazy-import
-  regression check for the numpy-backed kernels.
+  must stay numpy-free and under ``RSS_CEILING_MB`` — the regression
+  check for those modules' lazy numpy imports.
 
 Sharded search results are checked against the sequential run before any
 timing is reported.  Results land in

@@ -325,6 +325,20 @@ def cmd_search(args: argparse.Namespace) -> int:
     if problem:
         print(problem, file=sys.stderr)
         return 2
+    # Built before the trace, so a bad value fails before generation.
+    configs = [
+        SearchConfig(
+            list_size=list_size,
+            strategy=args.strategy,
+            two_hop=args.two_hop,
+            track_load=False,
+            availability=args.availability,
+            probe_loss_rate=args.loss_rate,
+            evict_dead=args.evict_dead,
+            seed=args.seed,
+        )
+        for list_size in args.list_sizes
+    ]
     if args.trace:
         static = filter_duplicates(load_trace(args.trace)).to_static()
     else:
@@ -339,19 +353,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     obs = _observer(args)
     rows = []
     faulty = args.loss_rate > 0 or args.availability < 1 or args.evict_dead
-    configs = [
-        SearchConfig(
-            list_size=list_size,
-            strategy=args.strategy,
-            two_hop=args.two_hop,
-            track_load=False,
-            availability=args.availability,
-            probe_loss_rate=args.loss_rate,
-            evict_dead=args.evict_dead,
-            seed=args.seed,
-        )
-        for list_size in args.list_sizes
-    ]
     recorder = _start_telemetry(
         args,
         obs,
@@ -601,8 +602,7 @@ def _run_all_parallel(args: argparse.Namespace, runner) -> int:
         if blocked:
             print(
                 "error: sequential-only experiment(s) cannot run with "
-                f"--workers: {', '.join(blocked)} (their engines refuse "
-                "compiled/vectorized input or manage their own "
+                f"--workers: {', '.join(blocked)} (they manage their own "
                 "subprocesses); drop them from --only or drop --workers",
                 file=sys.stderr,
             )

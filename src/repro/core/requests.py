@@ -14,13 +14,12 @@ flag, so the sensitivity of the results to this choice can be measured.
 
 The sequence is drawn on :class:`~repro.trace.compiled.CompiledTrace`:
 per-peer file lists are interned ints (the monotone intern makes the
-sorted int lists correspond elementwise to the sorted string lists), the
-per-event peer draws come in batches from a
-:class:`~repro.core.vectorized.WordStream`, and the replica-weighted
-variant picks peers through a Fenwick tree (O(log n) per event instead of
-an O(n) scan).  Every draw equals the one a per-event ``randrange`` over
-the string-keyed lists would make, so seeded sequences match the digests
-pinned in ``tests/golden/``.
+sorted int lists correspond elementwise to the sorted string lists), each
+event's peer is one ``randrange`` on the stream's own ``random.Random``,
+and the replica-weighted variant picks peers through a Fenwick tree
+(O(log n) per event instead of an O(n) scan).  Every draw equals the one
+a per-event ``randrange`` over the string-keyed lists would make, so
+seeded sequences match the digests pinned in ``tests/golden/``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from repro.core.vectorized import WordStream
 from repro.trace.compiled import CompiledTrace, FileIdx
 from repro.trace.model import ClientId, FileId, StaticTrace
 from repro.util.rng import RngStream
@@ -46,18 +44,13 @@ class UniformRequestStream:
     """Uniform-peer request iterator over a compiled trace.
 
     Picklable mid-sequence: all mutable draw state (the shuffled per-peer
-    lists, the compacting peer list, the RNG and its word stream) lives in
-    instance attributes, so a checkpoint taken between events resumes the
-    sequence exactly where it stopped.  ``peers`` is compacted lazily:
-    exhausted peers are swap-removed.
+    lists, the compacting peer list and the RNG) lives in instance
+    attributes, so a checkpoint taken between events resumes the sequence
+    exactly where it stopped.  ``peers`` is compacted lazily: exhausted
+    peers are swap-removed.
     """
 
-    __slots__ = ("pending", "peers", "rng", "ws", "_buf", "_marks", "_bp")
-
-    #: Speculative draws per batch.  The modulus changes every time a
-    #: peer exhausts (about every mean-cache-size events), invalidating
-    #: the rest of the batch, so a small batch wastes less accept work.
-    BATCH = 32
+    __slots__ = ("pending", "peers", "rng")
 
     def __init__(
         self,
@@ -68,10 +61,6 @@ class UniformRequestStream:
         self.pending = pending
         self.peers = peers
         self.rng = rng
-        self.ws = WordStream(rng.py)
-        self._buf: List[int] = []
-        self._marks: List[int] = []
-        self._bp = 0
 
     def __iter__(self) -> "UniformRequestStream":
         return self
@@ -80,14 +69,7 @@ class UniformRequestStream:
         peers = self.peers
         if not peers:
             raise StopIteration
-        bp = self._bp
-        buf = self._buf
-        if bp >= len(buf):
-            buf, self._marks = self.ws.fixed_batch(len(peers), self.BATCH)
-            self._buf = buf
-            bp = 0
-        idx = buf[bp]
-        self._bp = bp + 1
+        idx = self.rng.py.randrange(len(peers))
         peer = peers[idx]
         files = self.pending[peer]
         file_idx = files.pop()
@@ -95,32 +77,7 @@ class UniformRequestStream:
             peers[idx] = peers[-1]
             peers.pop()
             del self.pending[peer]
-            self._drop_buffer()
         return (peer, file_idx)
-
-    def _drop_buffer(self) -> None:
-        """Abandon unconsumed speculative draws, un-consuming their words.
-
-        The next batch re-derives draws from the rewound words under the
-        new modulus — the word sequence (and therefore every later draw)
-        is unchanged.
-        """
-        if self._bp < len(self._buf):
-            self.ws.rewind_to(self._marks[self._bp - 1])
-        self._buf = []
-        self._marks = []
-        self._bp = 0
-
-    def __getstate__(self):
-        self._drop_buffer()
-        return (self.pending, self.peers, self.rng, self.ws)
-
-    def __setstate__(self, state) -> None:
-        self.pending, self.peers, self.rng, self.ws = state
-        self._buf = []
-        self._marks = []
-        self._bp = 0
-        self.ws.attach(self.rng.py)
 
 
 class WeightedRequestStream:
@@ -136,25 +93,7 @@ class WeightedRequestStream:
     shrink.  Picklable mid-sequence like its uniform sibling.
     """
 
-    __slots__ = (
-        "pending",
-        "peers",
-        "rng",
-        "ws",
-        "n",
-        "sizes",
-        "tree",
-        "total",
-        "top",
-        "_buf",
-        "_marks",
-        "_bp",
-    )
-
-    #: Draws per batch.  Unlike the uniform stream, the modulus sequence
-    #: (total, total-1, ...) is known regardless of which peers exhaust,
-    #: so batches are never invalidated and can be large.
-    BATCH = 1024
+    __slots__ = ("pending", "peers", "rng", "n", "sizes", "tree", "total", "top")
 
     def __init__(
         self,
@@ -165,10 +104,6 @@ class WeightedRequestStream:
         self.pending = pending
         self.peers = peers
         self.rng = rng
-        self.ws = WordStream(rng.py)
-        self._buf: List[int] = []
-        self._marks: List[int] = []
-        self._bp = 0
         n = len(peers)
         self.n = n
         self.sizes = [len(pending[p]) for p in peers]
@@ -199,16 +134,7 @@ class WeightedRequestStream:
             raise StopIteration
         n = self.n
         tree = self.tree
-        bp = self._bp
-        buf = self._buf
-        if bp >= len(buf):
-            buf, self._marks = self.ws.countdown_batch(
-                self.total, min(self.BATCH, self.total)
-            )
-            self._buf = buf
-            bp = 0
-        rem = buf[bp]
-        self._bp = bp + 1
+        rem = self.rng.py.randrange(self.total)
         pos = 0
         bit = self.top
         while bit:
@@ -237,44 +163,6 @@ class WeightedRequestStream:
             del self.pending[peer]
         return (peer, file_idx)
 
-    def __getstate__(self):
-        if self._bp < len(self._buf):
-            # Un-consume the unconsumed tail of the batch: its marks
-            # index the live chunk, which a pickle re-bases.  The resumed
-            # stream re-derives identical draws from the rewound words.
-            self.ws.rewind_to(self._marks[self._bp - 1])
-            self._buf = []
-            self._marks = []
-            self._bp = 0
-        return (
-            self.pending,
-            self.peers,
-            self.rng,
-            self.ws,
-            self.n,
-            self.sizes,
-            self.tree,
-            self.total,
-            self.top,
-        )
-
-    def __setstate__(self, state) -> None:
-        (
-            self.pending,
-            self.peers,
-            self.rng,
-            self.ws,
-            self.n,
-            self.sizes,
-            self.tree,
-            self.total,
-            self.top,
-        ) = state
-        self._buf = []
-        self._marks = []
-        self._bp = 0
-        self.ws.attach(self.rng.py)
-
 
 def iter_requests_compiled(
     compiled: CompiledTrace,
@@ -290,10 +178,8 @@ def iter_requests_compiled(
     Returns a picklable stream object (:class:`UniformRequestStream` or
     :class:`WeightedRequestStream`); the per-peer shuffles happen here, at
     construction, so a stream pickled mid-sequence resumes exactly.  The
-    shuffles draw through ``random.Random`` itself (C-backed
-    ``getrandbits`` wins there) and run *before* the stream's word stream
-    takes its first bulk chunk, so both consume the one true word
-    sequence.
+    shuffles and the per-event draws share ``rng.py``: all shuffles run
+    before the first event is drawn.
     """
     pending: Dict[ClientId, List[FileIdx]] = {}
     offsets = compiled.cache_offsets

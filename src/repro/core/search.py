@@ -35,7 +35,6 @@ from repro.core.neighbours import (
     make_strategy,
 )
 from repro.core.requests import iter_requests_compiled
-from repro.core.vectorized import WordStream
 from repro.obs import COUNT_BOUNDS, LATENCY_BOUNDS_S, NULL_OBSERVER, Observer
 from repro.trace.compiled import CompiledTrace
 from repro.trace.model import ClientId, FileId, StaticTrace
@@ -256,10 +255,9 @@ class SearchSimulator:
     sharded workers do): files are interned ints throughout the hot loop,
     current sharers live in a list indexed by file index, and the request
     stream is consumed as int tuples.  Request draws and fall-back
-    selection come from a :class:`~repro.core.vectorized.WordStream`
-    over this simulator's RNG (bulk words, the same draws as one
-    ``randrange`` per event).  Seeded results are pinned by the digests
-    in ``tests/golden/``.
+    selection are one ``randrange`` per event on the request stream's
+    and this simulator's ``random.Random``.  Seeded results are pinned
+    by the digests in ``tests/golden/``.
 
     ``run(checkpointer=...)`` snapshots the whole simulator every
     ``checkpoint_every`` events; :meth:`resume_from` rebuilds it from the
@@ -286,7 +284,6 @@ class SearchSimulator:
         if self.config.initial_lists is not None:
             self._check_lists_against_trace()
         self.rng = RngStream(self.config.seed, "search")
-        self._ws = WordStream(self.rng.py)
         self._compiled = (
             trace if isinstance(trace, CompiledTrace) else trace.compiled()
         )
@@ -308,10 +305,6 @@ class SearchSimulator:
         # Mid-run state; populated lazily by run() and carried across a
         # checkpoint/resume cycle.
         self._run_state: Optional[_RunState] = None
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._ws.attach(self.rng.py)
 
     def _check_lists_against_trace(self) -> None:
         """Reject warm-start lists referencing peers absent from the trace.
@@ -769,7 +762,7 @@ class SearchSimulator:
                 # uniformly among currently online sharers.
                 started = clock() if profiled else 0.0
                 answerer = online_sharers[
-                    self._ws.randrange(len(online_sharers))
+                    self.rng.py.randrange(len(online_sharers))
                 ]
                 if profiled:
                     fallback_s = clock() - started

@@ -166,10 +166,6 @@ def run_loyalty_sensitivity(
     "extrapolation",
     artefact="Section 4 (extension)",
     description="Sensitivity of clustering metrics to the gap-fill rule",
-    # The gap-fill ablation compares clustering on raw cache maps, the
-    # one engine family that refuses compiled/vectorized input (its
-    # subsampling draws in cache-map iteration order).
-    sequential_only=True,
 )
 def run_extrapolation_ablation(
     scale: Scale = Scale.DEFAULT,

@@ -57,9 +57,9 @@ class ExperimentSpec:
     description: str
     default_scale: Optional[object] = None  # a Scale, or None = Scale.DEFAULT
     aliases: Tuple[str, ...] = field(default_factory=tuple)
-    #: Experiments whose engines refuse compiled/vectorized input or that
-    #: manage their own subprocesses cannot ride the sharded runner;
-    #: ``repro run-all --workers N`` rejects them by name (exit code 2).
+    #: Experiments that manage their own subprocesses (``chaos``) cannot
+    #: ride the sharded runner; ``repro run-all --workers N`` rejects
+    #: them by name (exit code 2).
     sequential_only: bool = False
 
     @property

@@ -11,9 +11,10 @@ contracts, and telemetry on ≡ off.
 
 Also covered: the shared-memory segments backing the fan-out must all be
 unlinked once the pool exits, a streamed crawl must land the same store
-segments as an in-memory one, and the CLI must refuse worker pools it
-cannot run (worker counts below 1, sequential-only experiments) with
-exit code 2.
+segments as an in-memory one, an experiment run in a ``run-all`` worker
+must write the manifest its in-process run writes, and the CLI must
+refuse worker pools it cannot run (worker counts below 1,
+sequential-only experiments) with exit code 2.
 """
 
 import filecmp
@@ -238,3 +239,22 @@ class TestSequentialOnlyGuards:
         )
         assert result.returncode == 2
         assert "chaos" in result.stderr
+
+    def test_run_all_runs_extrapolation_in_a_worker(self, tmp_path):
+        # Worker count must be unobservable in what the run records.
+        manifests = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            _cli(
+                "run-all", "--scale", "tiny", "--only", "extrapolation",
+                "--workers", workers, "--results-dir", str(out),
+            )
+            manifest = json.loads(
+                (out / "extrapolation.manifest.json").read_text()
+            )
+            manifests[workers] = (
+                manifest["config_hash"],
+                manifest["metrics"],
+                manifest["run_metrics"]["counters"],
+            )
+        assert manifests["2"] == manifests["1"]

@@ -112,6 +112,16 @@ class TestSearchCommand:
         assert rc == 0
         assert "hit rate" in capsys.readouterr().out
 
+    def test_bad_config_fails_before_the_trace_is_built(self, monkeypatch):
+        from repro.workload.generator import SyntheticWorkloadGenerator
+
+        def refuse(self):
+            pytest.fail("the trace was generated before the config check")
+
+        monkeypatch.setattr(SyntheticWorkloadGenerator, "generate_static", refuse)
+        with pytest.raises(ValueError, match="list_size"):
+            main(["search", "--list-sizes", "0"])
+
 
 class TestExperimentCommand:
     def test_known_id(self, capsys):
