@@ -11,9 +11,9 @@ Two measurements, mirroring the contract of
   speedup gate is reported as skipped (a process pool cannot beat the
   core count).
 - **import baseline** (always gated, even under ``--no-gate``): a fresh
-  interpreter importing the CLI + trace-store + shm + runtime modules
-  must stay numpy-free and under ``RSS_CEILING_MB`` — the regression
-  check for those modules' lazy numpy imports.
+  interpreter importing the CLI + trace-store + runtime modules must
+  stay numpy-free and under ``RSS_CEILING_MB`` — the regression check
+  for those modules' lazy numpy imports.
 
 Sharded search results are checked against the sequential run before any
 timing is reported.  Results land in
@@ -54,7 +54,6 @@ LIST_SIZES = (2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48)
 BASELINE_MODULES = (
     "repro.cli",
     "repro.trace.store",
-    "repro.trace.shm",
     "repro.runtime",
     "repro.edonkey.wire",
     "repro.edonkey.transport",

@@ -12,10 +12,10 @@ group over time; like the popularity analyses they run over a day source
 :mod:`repro.analysis.popularity`).
 
 The pair-counting entry points accept either a plain cache map or a
-:class:`~repro.trace.compiled.CompiledTrace`; the compiled form routes
-through its sparse overlap kernel, and cache-map inputs use C-level
-``Counter`` accumulation over ``combinations``.  Both produce the same
-dict (pinned by the digests in ``tests/golden/``).
+:class:`~repro.trace.compiled.CompiledTrace`.  Both forms count pairs by
+C-level ``Counter`` accumulation over ``combinations`` of each file's
+sorted sharers — the compiled form over its interned inverted index —
+and produce the same dict (pinned by the digests in ``tests/golden/``).
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ def pair_overlaps(
     50M pairs); ``rng`` is required when the cap is set.
 
     ``caches`` may be a :class:`~repro.trace.compiled.CompiledTrace`
-    (fastest — sparse matrix product / C-level counting) or a plain cache
-    map.  Subsampling consumes the RNG in the cache map's own iteration
-    order, so the cap requires a cache map, not a compiled trace.
+    (fastest — its inverted index is prebuilt) or a plain cache map.
+    Subsampling consumes the RNG in the cache map's own iteration order,
+    so the cap requires a cache map, not a compiled trace.
     """
     if isinstance(caches, CompiledTrace):
         if max_sources_per_file is not None:

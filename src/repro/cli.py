@@ -1373,8 +1373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evict-dead", action="store_true",
                    help="evict neighbours whose probes keep failing")
     p.add_argument("--workers", type=_worker_count, default=1, metavar="N",
-                   help="simulate list sizes in N worker processes over "
-                   "shared-memory trace columns (results are identical "
+                   help="simulate list sizes in N worker processes, each "
+                   "handed the compiled trace once (results are identical "
                    "for any N)")
     _add_obs_flags(p)
     p.set_defaults(func=cmd_search)

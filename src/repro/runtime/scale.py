@@ -8,7 +8,7 @@ Experiments come in four scales:
 - ``Scale.DEFAULT`` — a couple thousand clients; used by the benchmarks;
 - ``Scale.LARGE``   — the stress preset;
 - ``Scale.HUGE``    — paper scale (≥100k clients, the order of the
-  crawled eDonkey population); the size the shared-memory search
+  crawled eDonkey population); the size the multi-process search
   fan-out and the store-backed streaming crawl are built for.
 
 The preset keeps scale ratios (files per client, categories vs. sharers)

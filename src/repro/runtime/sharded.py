@@ -15,18 +15,21 @@ here, both built on the same two invariants:
 The fan-outs:
 
 ``sharded_search``
-    One worker per list size.  The coordinator compiles the trace once,
-    exports its columns through :mod:`repro.trace.shm` (zero copies,
-    pickle-cheap handle), and each worker attaches and runs its own
-    seeded :class:`~repro.core.search.SearchSimulator` — each sequential
-    run already re-seeds ``RngStream(seed, "search")``, so per-run
-    isolation is free.
+    One task per list size.  The coordinator compiles the trace once
+    and the pool initializer hands it to each worker once: a forked
+    worker inherits it without a copy, a spawned one unpickles it once.
+    Each task then runs its own seeded
+    :class:`~repro.core.search.SearchSimulator` on that trace — each
+    sequential run already re-seeds ``RngStream(seed, "search")``, so
+    per-run isolation is free.
 
 ``run_experiments_parallel``
     One worker per experiment for ``repro run-all``.  Each worker runs
     :meth:`Runner.run` in its own process (manifests and CSVs are
     per-experiment files, so there is no write contention) and returns
     the outcome minus the in-memory result object.
+
+Neither pool starts more workers than it has tasks.
 
 The crawl has no fan-out: each simulated day is one nickname sweep of a
 fixed size followed by one browse pass, and only the browse pass could
@@ -35,25 +38,36 @@ be split, so a sharded crawl measured slower than the sequential one.
 
 from __future__ import annotations
 
-import concurrent.futures
+from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
 
 from repro.obs import NULL_OBSERVER, Observer, TraceRecorder
 from repro.obs.telemetry import TelemetrySpec
+from repro.trace.compiled import CompiledTrace
 
 __all__ = ["run_experiments_parallel", "sharded_search"]
 
 
-def _pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
-    return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+def _pool(workers: int, tasks: int, **kwargs) -> ProcessPoolExecutor:
+    # Under fork, the executor starts every worker at the first submit,
+    # so a worker beyond the task count would only fork and idle.
+    return ProcessPoolExecutor(max_workers=max(1, min(workers, tasks)), **kwargs)
 
 
 # ----------------------------------------------------------------------
 # Sharded search
 
+#: The compiled trace of this worker process, set once by :func:`_adopt`.
+_TRACE = None
+
+
+def _adopt(compiled) -> None:
+    """Pool initializer: keep the coordinator's trace for every task."""
+    global _TRACE
+    _TRACE = compiled
+
 
 def _search_worker(
-    handle,
     config,
     span_name: str,
     want_obs: bool,
@@ -61,7 +75,7 @@ def _search_worker(
     want_trace: bool = False,
     telemetry: Optional[TelemetrySpec] = None,
 ):
-    """Attach the shared columns and run one seeded simulation."""
+    """Run one seeded simulation on the adopted trace."""
     from repro.core.search import SearchSimulator
     from repro.obs.log import set_context
     from repro.obs.telemetry import FlightRecorder
@@ -84,9 +98,8 @@ def _search_worker(
         ).start()
     outcome = "completed"
     try:
-        with handle.attach() as compiled:
-            with obs.span(span_name):
-                result = SearchSimulator(compiled, config, obs=obs).run()
+        with obs.span(span_name):
+            result = SearchSimulator(_TRACE, config, obs=obs).run()
     except BaseException:
         outcome = "failed"
         raise
@@ -104,7 +117,7 @@ def sharded_search(
     span_names: Optional[Sequence[str]] = None,
     telemetry: Optional[TelemetrySpec] = None,
 ):
-    """Run one :class:`SearchConfig` per worker over shared trace columns.
+    """Run one :class:`SearchConfig` per task over one compiled trace.
 
     Returns the :class:`SimulationResult` list in ``configs`` order.
     Worker observers are folded back into ``obs`` in that same order, so
@@ -114,33 +127,26 @@ def sharded_search(
     the merge lays them out as per-worker process tracks; with a
     ``telemetry`` spec each worker flight-records into the shared JSONL.
     """
-    from repro.trace.shm import export_compiled
-
     if span_names is None:
         span_names = [f"search[{i}]" for i in range(len(configs))]
     want_trace = obs.tracer is not None
-    compiled = static.compiled() if not hasattr(static, "cache_offsets") else static
-    export = export_compiled(compiled)
-    try:
-        with _pool(workers) as pool:
-            futures = [
-                pool.submit(
-                    _search_worker,
-                    export.handle,
-                    config,
-                    name,
-                    obs.enabled,
-                    index,
-                    want_trace,
-                    telemetry,
-                )
-                for index, (config, name) in enumerate(
-                    zip(configs, span_names)
-                )
-            ]
-            pairs = [future.result() for future in futures]
-    finally:
-        export.close()
+    compiled = static if isinstance(static, CompiledTrace) else static.compiled()
+    with _pool(
+        workers, len(configs), initializer=_adopt, initargs=(compiled,)
+    ) as pool:
+        futures = [
+            pool.submit(
+                _search_worker,
+                config,
+                name,
+                obs.enabled,
+                index,
+                want_trace,
+                telemetry,
+            )
+            for index, (config, name) in enumerate(zip(configs, span_names))
+        ]
+        pairs = [future.result() for future in futures]
     results = []
     for result, worker_obs in pairs:
         results.append(result)
@@ -202,7 +208,7 @@ def run_experiments_parallel(
     of completion order, so progress output stays deterministic.
     """
     outcomes = []
-    with _pool(workers) as pool:
+    with _pool(workers, len(names)) as pool:
         futures = [
             pool.submit(
                 _run_all_worker,

@@ -20,13 +20,15 @@ hot loops can consume directly:
   layout), with a per-client ``frozenset`` of ints for O(1) membership.
 - **Inverted index**: per-file sharer arrays (client rows, ascending)
   and the static replica count of every file, precomputed.
-- **Overlap kernels**: pairwise cache-overlap computation through
-  scipy's sparse matrix product when scipy is available, through
-  C-level ``Counter`` accumulation otherwise — both produce exactly the
-  dict the pure-Python pair loop would.
+- **Overlap kernel**: pairwise cache-overlap computation through
+  C-level ``Counter`` accumulation over each file's sharer pairs —
+  exactly the dict the pure-Python pair loop would produce.
 
 Translation back to the public string ids happens at the boundary via
 :meth:`CompiledTrace.file_id` / :meth:`CompiledTrace.to_file_ids`.
+
+A compiled trace is built one way, :meth:`CompiledTrace.from_static`,
+and pickles as a whole: that is how a spawned search worker receives it.
 
 Invalidation: a compiled trace is a snapshot.  ``StaticTrace.compiled()``
 memoizes it on the instance; every StaticTrace-producing operation
@@ -54,32 +56,10 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.trace.model import ClientId, FileId, pair_key
+from repro.trace.model import ClientId, FileId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.trace.model import StaticTrace
-
-_sparse = None
-_sparse_checked = False
-
-
-def _get_sparse():
-    """Import ``scipy.sparse`` on first use, not at module import.
-
-    scipy is optional (the combinations kernel covers its absence) and
-    heavy (~30 MB RSS), so importing it eagerly would tax every consumer
-    of the trace layer — including store-backed analyses whose whole
-    point is a small footprint — whether or not the CSR kernel ever runs.
-    """
-    global _sparse, _sparse_checked
-    if not _sparse_checked:
-        _sparse_checked = True
-        try:
-            from scipy import sparse as _sparse_mod
-        except ImportError:  # pragma: no cover - only without scipy
-            _sparse_mod = None
-        _sparse = _sparse_mod
-    return _sparse
 
 FileIdx = int
 
@@ -98,7 +78,6 @@ class CompiledTrace:
         "sharer_offsets",
         "sharer_rows",
         "static_counts",
-        "_csr",
     )
 
     def __init__(
@@ -131,7 +110,6 @@ class CompiledTrace:
         self.cache_files = files
         self.cache_sets: Tuple[FrozenSet[FileIdx], ...] = tuple(sets)
         self._build_inverted_index()
-        self._csr = None
 
     def _build_inverted_index(self) -> None:
         # Inverted index: count, prefix-sum, fill — client rows ascending
@@ -181,121 +159,6 @@ class CompiledTrace:
             for cid in client_ids
         ]
         return cls(file_ids, client_ids, columns)
-
-    @classmethod
-    def from_columns(
-        cls,
-        file_ids: Sequence[FileId],
-        client_ids: Sequence[ClientId],
-        cache_files,
-        cache_offsets,
-        file_index: Optional[Dict[FileId, FileIdx]] = None,
-    ) -> "CompiledTrace":
-        """Adopt prebuilt CSR columns instead of re-interning.
-
-        This is the out-of-core path: :meth:`TraceStore.compiled_day
-        <repro.trace.store.TraceStore.compiled_day>` hands the mmapped
-        segment columns straight in (``memoryview`` slices work — every
-        consumer, including the scipy kernel, reads them through the
-        buffer protocol), so the columns themselves are zero-copy.  Only
-        the per-row membership sets and the inverted index are derived,
-        in one pass over the replicas.  ``cache_files`` must be sorted
-        ascending per client and ``cache_offsets`` must be a CSR offsets
-        column (``offsets[0] == 0``, ``offsets[-1] == len(cache_files)``).
-        ``file_index`` (when given) is adopted without copying — callers
-        interning many days against one table share it.
-        """
-        self = cls.__new__(cls)
-        self.file_ids = tuple(file_ids)
-        self.file_index = (
-            file_index
-            if file_index is not None
-            else {fid: i for i, fid in enumerate(self.file_ids)}
-        )
-        self.client_ids = tuple(client_ids)
-        self.client_row = {cid: r for r, cid in enumerate(self.client_ids)}
-        if len(self.client_row) != len(self.client_ids):
-            raise ValueError("duplicate client ids")
-        n = len(self.client_ids)
-        if len(cache_offsets) != n + 1:
-            raise ValueError(
-                f"offsets column has {len(cache_offsets)} entries for "
-                f"{n} clients (need n+1)"
-            )
-        if cache_offsets[0] != 0 or cache_offsets[n] != len(cache_files):
-            raise ValueError("CSR offsets do not span the files column")
-        self.cache_files = cache_files
-        self.cache_offsets = cache_offsets
-        self.cache_sets = tuple(
-            frozenset(cache_files[cache_offsets[r] : cache_offsets[r + 1]])
-            for r in range(n)
-        )
-        self._build_inverted_index()
-        self._csr = None
-        return self
-
-    @classmethod
-    def from_shared_columns(
-        cls,
-        *,
-        file_ids: Sequence[FileId],
-        client_ids: Sequence[ClientId],
-        cache_files,
-        cache_offsets,
-        sharer_rows,
-        sharer_offsets,
-        static_counts,
-    ) -> "CompiledTrace":
-        """Adopt a full column set, inverted index included.
-
-        This is the shared-memory attach path (:mod:`repro.trace.shm`):
-        a worker process maps the exporting process's segment and hands
-        every int column in as a ``memoryview`` slice, so nothing that
-        :meth:`from_columns` would recompute per process — in particular
-        the inverted index, the expensive part — is rebuilt.  Only the
-        pointer-based Python structures that cannot live in flat memory
-        are derived here: the per-row membership ``frozenset``s and the
-        string intern dict.
-
-        The columns are trusted (they came out of :meth:`__init__` or
-        :meth:`from_columns` in the exporting process); only the cheap
-        CSR span invariants are re-checked.
-        """
-        self = cls.__new__(cls)
-        self.file_ids = (
-            file_ids if isinstance(file_ids, tuple) else tuple(file_ids)
-        )
-        self.file_index = {fid: i for i, fid in enumerate(self.file_ids)}
-        self.client_ids = (
-            client_ids if isinstance(client_ids, tuple) else tuple(client_ids)
-        )
-        self.client_row = {cid: r for r, cid in enumerate(self.client_ids)}
-        if len(self.client_row) != len(self.client_ids):
-            raise ValueError("duplicate client ids")
-        n = len(self.client_ids)
-        m = len(self.file_ids)
-        if len(cache_offsets) != n + 1:
-            raise ValueError(
-                f"offsets column has {len(cache_offsets)} entries for "
-                f"{n} clients (need n+1)"
-            )
-        if cache_offsets[0] != 0 or cache_offsets[n] != len(cache_files):
-            raise ValueError("CSR offsets do not span the files column")
-        if len(sharer_offsets) != m + 1 or len(static_counts) != m:
-            raise ValueError("inverted index columns do not match num_files")
-        if sharer_offsets[m] != len(sharer_rows):
-            raise ValueError("sharer offsets do not span the rows column")
-        self.cache_files = cache_files
-        self.cache_offsets = cache_offsets
-        self.cache_sets = tuple(
-            frozenset(cache_files[cache_offsets[r] : cache_offsets[r + 1]])
-            for r in range(n)
-        )
-        self.sharer_rows = sharer_rows
-        self.sharer_offsets = sharer_offsets
-        self.static_counts = static_counts
-        self._csr = None
-        return self
 
     # ------------------------------------------------------------------
     # Sizes
@@ -397,54 +260,16 @@ class CompiledTrace:
         sb = self.cache_sets[self.client_row[b]]
         return len(sa & sb)
 
-    def _csr_matrix(self):
-        """The 0/1 client-by-file sparse matrix (scipy path), cached."""
-        if self._csr is None:
-            import numpy as np
-
-            data = np.ones(len(self.cache_files), dtype=np.int32)
-            self._csr = _get_sparse().csr_matrix(
-                (
-                    data,
-                    np.frombuffer(self.cache_files, dtype=np.int32),
-                    np.frombuffer(self.cache_offsets, dtype=np.int64),
-                ),
-                shape=(self.num_clients, max(1, self.num_files)),
-            )
-        return self._csr
-
     def pair_overlaps(
         self, file_mask: Optional[Sequence[bool]] = None
     ) -> Dict[Tuple[ClientId, ClientId], int]:
         """Common-file counts for every client pair with >= 1 common file.
 
         Exactly what the pure-Python inverted-index pair loop computes,
-        via scipy's sparse matrix product when available (the Gram matrix
-        of the 0/1 client-by-file matrix *is* the pairwise overlap) and
-        via C-level ``Counter`` accumulation over ``combinations``
-        otherwise.  ``file_mask[idx]`` restricts the computation to the
-        files where it is true.
+        via C-level ``Counter`` accumulation over ``combinations`` of
+        each file's sorted sharers.  ``file_mask[idx]`` restricts the
+        computation to the files where it is true.
         """
-        if _get_sparse() is not None and self.num_files:
-            return self._pair_overlaps_csr(file_mask)
-        return self._pair_overlaps_counter(file_mask)
-
-    def _pair_overlaps_csr(self, file_mask):
-        import numpy as np
-
-        matrix = self._csr_matrix()
-        if file_mask is not None:
-            matrix = matrix[:, np.asarray(file_mask, dtype=bool)]
-        gram = (matrix @ matrix.T).tocoo()
-        rows, cols, vals = gram.row, gram.col, gram.data
-        upper = rows < cols
-        ids = self.client_ids
-        out: Dict[Tuple[ClientId, ClientId], int] = {}
-        for r, c, v in zip(rows[upper], cols[upper], vals[upper]):
-            out[pair_key(ids[r], ids[c])] = int(v)
-        return out
-
-    def _pair_overlaps_counter(self, file_mask):
         ids = self.client_ids
         overlaps: Counter = Counter()
         for idx in range(self.num_files):

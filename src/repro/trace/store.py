@@ -64,7 +64,6 @@ from typing import (
     Union,
 )
 
-from repro.trace.compiled import CompiledTrace
 from repro.trace.model import ClientId, ClientMeta, FileId, FileMeta, Snapshot, Trace
 from repro.util.atomic import atomic_replace, atomic_write_text
 
@@ -515,7 +514,6 @@ class TraceStore:
         self.path = os.fspath(path)
         self.manifest = _load_manifest(self.path)
         self._file_ids: Optional[Tuple[FileId, ...]] = None
-        self._file_index: Optional[Dict[FileId, int]] = None
         self._client_ids: Optional[Tuple[ClientId, ...]] = None
         self._file_metas: Optional[Dict[FileId, FileMeta]] = None
         self._client_metas: Optional[Dict[ClientId, ClientMeta]] = None
@@ -564,12 +562,6 @@ class TraceStore:
             )
             self._file_ids = tuple(json.loads(line)["id"] for line in lines)
         return self._file_ids
-
-    @property
-    def file_index(self) -> Dict[FileId, int]:
-        if self._file_index is None:
-            self._file_index = {fid: i for i, fid in enumerate(self.file_ids)}
-        return self._file_index
 
     @property
     def file_metas(self) -> Dict[FileId, FileMeta]:
@@ -664,21 +656,6 @@ class TraceStore:
         fids = self.file_ids
         with self._day(day) as seg:
             return Counter({fids[i]: n for i, n in seg.replica_counts().items()})
-
-    def compiled_day(self, day: int) -> CompiledTrace:
-        """The day as a :class:`CompiledTrace` over the store's *global*
-        intern table — near-zero-copy: the segment's mmapped CSR columns
-        are used as-is, only the per-row sets and the inverted index are
-        derived (one pass over the day's replicas)."""
-        seg = self.segment(day)
-        ids = self.client_ids
-        return CompiledTrace.from_columns(
-            self.file_ids,
-            [ids[r] for r in seg.rows],
-            seg.files,
-            seg.offsets,
-            file_index=self.file_index,
-        )
 
     def day_trace(self, day: int) -> Trace:
         """One day as an in-memory :class:`Trace` (metadata restricted to

@@ -71,8 +71,7 @@ def test_import_does_not_pull_numpy():
 
     Draining a uniform and a weighted request stream and running a
     one-hop and a two-hop search on a hand-built trace must leave numpy
-    unimported, mirroring the ``_get_sparse()`` contract in the trace
-    layer.
+    unimported.
     """
     script = (
         "import sys\n"

@@ -9,12 +9,13 @@ and latency histograms are the only sanctioned differences.  The same
 sharded search carries the per-worker telemetry and trace-lane
 contracts, and telemetry on ≡ off.
 
-Also covered: the shared-memory segments backing the fan-out must all be
-unlinked once the pool exits, a streamed crawl must land the same store
-segments as an in-memory one, an experiment run in a ``run-all`` worker
-must write the manifest its in-process run writes, and the CLI must
-refuse worker pools it cannot run (worker counts below 1,
-sequential-only experiments) with exit code 2.
+Also covered: workers that receive the trace by pickle (``spawn``,
+``forkserver``) must give the forked workers' results, neither pool may
+start more workers than it has tasks, a streamed crawl must land the
+same store segments as an in-memory one, an experiment run in a
+``run-all`` worker must write the manifest its in-process run writes,
+and the CLI must refuse worker pools it cannot run (worker counts below
+1, sequential-only experiments) with exit code 2.
 """
 
 import filecmp
@@ -25,16 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.trace.shm import SEGMENT_PREFIX
+from repro.runtime import sharded
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-SHM_DIR = Path("/dev/shm")
-
-
-def _our_segments():
-    if not SHM_DIR.is_dir():  # pragma: no cover - non-tmpfs platforms
-        return set()
-    return {p.name for p in SHM_DIR.glob(f"{SEGMENT_PREFIX}*")}
 
 
 def _cli(*argv, check=True):
@@ -88,8 +82,7 @@ def _assert_metrics_equivalent(baseline_path, candidate_path):
 class TestSearchInvariance:
     def test_worker_count_unobservable(self, tmp_path):
         """One seeded SMALL search, workers 1/2/4: identical stdout and
-        metrics, and no shared-memory segment survives the pool."""
-        before = _our_segments()
+        metrics."""
         outputs = {}
         for workers in (1, 2, 4):
             metrics = tmp_path / f"metrics-{workers}.json"
@@ -113,7 +106,73 @@ class TestSearchInvariance:
         _assert_metrics_equivalent(
             tmp_path / "metrics-1.json", tmp_path / "metrics-4.json"
         )
-        assert _our_segments() == before, "leaked /dev/shm segments"
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pickled_trace_matches_sequential(self, method, tmp_path):
+        """Under spawn and forkserver each worker unpickles the trace
+        from the pool initializer; its rates must equal the sequential
+        run's.  The script runs from a file: a spawned child re-imports
+        the parent's main module, which stdin cannot provide."""
+        script = tmp_path / "start_method.py"
+        script.write_text(
+            "import multiprocessing\n"
+            "from repro.core.search import SearchConfig, simulate_search\n"
+            "from repro.runtime import SHARED_TRACE_CACHE, Scale\n"
+            "from repro.runtime.sharded import sharded_search\n"
+            "\n"
+            "if __name__ == '__main__':\n"
+            f"    multiprocessing.set_start_method({method!r}, force=True)\n"
+            "    static = SHARED_TRACE_CACHE.static(Scale.SMALL, 7)\n"
+            "    configs = [SearchConfig(list_size=n, seed=7)\n"
+            "               for n in (5, 10, 20, 40)]\n"
+            "    sequential = [simulate_search(static, c).rates for c in configs]\n"
+            "    sharded = [r.rates for r in sharded_search(static, configs, 2)]\n"
+            "    assert sharded == sequential, (sharded, sequential)\n"
+            "    print(multiprocessing.get_start_method(), len(sharded))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            cwd=str(REPO_ROOT),
+            env={"PYTHONPATH": str(REPO_ROOT / "src")},
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [method, "4"]
+
+
+class TestPoolSize:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """The pool sizes the fan-outs ask for; the pools stay real."""
+        sizes = []
+        executor = sharded.ProcessPoolExecutor
+
+        def recording(max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            return executor(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(sharded, "ProcessPoolExecutor", recording)
+        return sizes
+
+    def test_search_pool_capped_at_config_count(self, sizes, small_static_trace):
+        from repro.core.search import SearchConfig, simulate_search
+
+        config = SearchConfig(list_size=5, seed=7)
+        [result] = sharded.sharded_search(small_static_trace, [config], workers=8)
+        assert sizes == [1]
+        assert result.rates == simulate_search(small_static_trace, config).rates
+
+    def test_run_all_pool_capped_at_experiment_count(self, sizes, tmp_path):
+        from repro.runtime import Scale
+
+        [outcome] = sharded.run_experiments_parallel(
+            ["fig18"], seed=7, scale=Scale.TINY,
+            results_dir=str(tmp_path), workers=8,
+        )
+        assert sizes == [1]
+        assert outcome.error is None
 
 
 class TestCrawlInvariance:

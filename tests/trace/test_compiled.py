@@ -1,11 +1,13 @@
 """Tests for the compiled trace substrate: intern tables, columnar
 caches, the inverted index and the overlap kernels."""
 
+import pickle
 from collections import Counter
 
 import pytest
 
 from repro.analysis.semantic import pair_overlaps
+from repro.core.requests import iter_requests_compiled
 from repro.trace.compiled import CompiledTrace, FileInterner
 from repro.trace.model import StaticTrace
 from repro.util.rng import RngStream
@@ -125,13 +127,6 @@ class TestOverlapKernels:
         assert_case("pair-overlaps/pair-trace/filtered/compiled")
         assert_case("pair-overlaps/pair-trace/filtered/cache-map")
 
-    def test_both_kernels_agree(self, compiled):
-        mask = [True] * compiled.num_files
-        assert compiled._pair_overlaps_counter(None) == compiled.pair_overlaps()
-        assert compiled._pair_overlaps_counter(mask) == compiled.pair_overlaps(
-            mask
-        )
-
     def test_subsampling_requires_cache_map(self, compiled):
         with pytest.raises(ValueError, match="cache map"):
             pair_overlaps(
@@ -143,6 +138,60 @@ class TestOverlapKernels:
         assert compiled.num_clients == 0
         assert compiled.num_files == 0
         assert compiled.pair_overlaps() == {}
+
+
+class TestPickle:
+    """A spawned search worker receives its trace by pickle, so a round
+    trip must give back the same columns and the same seeded draws."""
+
+    COLUMNS = (
+        "file_ids",
+        "client_ids",
+        "cache_offsets",
+        "cache_files",
+        "cache_sets",
+        "sharer_offsets",
+        "sharer_rows",
+        "static_counts",
+    )
+
+    @staticmethod
+    def _round_trip(compiled):
+        return pickle.loads(pickle.dumps(compiled))
+
+    def test_columns_and_queries_identical(self, small_static_trace):
+        compiled = small_static_trace.compiled()
+        clone = self._round_trip(compiled)
+        for name in self.COLUMNS:
+            assert getattr(clone, name) == getattr(compiled, name), name
+        assert clone.file_index == compiled.file_index
+        assert clone.client_row == compiled.client_row
+        assert clone.replica_counts() == compiled.replica_counts()
+        assert clone.pair_overlaps() == compiled.pair_overlaps()
+
+    def test_seeded_draws_identical(self, small_static_trace):
+        compiled = small_static_trace.compiled()
+        clone = self._round_trip(compiled)
+
+        def draws(trace, weighted):
+            return list(
+                iter_requests_compiled(
+                    trace, RngStream(3, "pickle"), weighted_by_cache=weighted
+                )
+            )
+
+        for weighted in (False, True):
+            assert draws(clone, weighted) == draws(compiled, weighted), weighted
+
+    def test_empty_trace_round_trips(self):
+        compiled = StaticTrace(caches={}).compiled()
+        clone = self._round_trip(compiled)
+        for name in self.COLUMNS:
+            assert getattr(clone, name) == getattr(compiled, name), name
+        assert clone.num_clients == 0
+        assert clone.num_files == 0
+        assert clone.replica_counts() == {}
+        assert list(iter_requests_compiled(clone, RngStream(3, "pickle"))) == []
 
 
 class TestMemoization:

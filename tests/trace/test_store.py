@@ -63,16 +63,6 @@ class TestRoundTrip:
                 assert store.snapshots_on(day) == trace.snapshots_on(day)
                 assert store.replica_counts(day) == trace.replica_counts(day)
 
-    def test_compiled_day_matches_trace(self, tmp_path):
-        trace = sample_trace()
-        with trace_to_store(trace, tmp_path / "store") as store:
-            for day in trace.days():
-                compiled = store.compiled_day(day)
-                assert dict(compiled.replica_counts()) == dict(
-                    trace.replica_counts(day)
-                )
-                assert set(compiled.client_ids) == set(trace.observed_clients(day))
-
     def test_file_converter_round_trip(self, tmp_path):
         trace = sample_trace()
         src = tmp_path / "t.jsonl.gz"
