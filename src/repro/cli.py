@@ -52,16 +52,16 @@ def _scale(name: str) -> Scale:
         ) from None
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
-        workers = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}"
         ) from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {workers}")
-    return workers
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -1365,14 +1365,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["lru", "history", "random", "popularity"],
                    default="lru")
     p.add_argument("--two-hop", action="store_true")
-    p.add_argument("--list-sizes", type=int, nargs="+", default=[5, 10, 20])
+    p.add_argument("--list-sizes", type=_positive_int, nargs="+",
+                   default=[5, 10, 20])
     p.add_argument("--availability", type=float, default=1.0,
                    help="probability a probed neighbour is online")
     p.add_argument("--loss-rate", type=float, default=0.0,
                    help="probability a neighbour probe is lost (one-hop only)")
     p.add_argument("--evict-dead", action="store_true",
                    help="evict neighbours whose probes keep failing")
-    p.add_argument("--workers", type=_worker_count, default=1, metavar="N",
+    p.add_argument("--workers", type=_positive_int, default=1, metavar="N",
                    help="simulate list sizes in N worker processes, each "
                    "handed the compiled trace once (results are identical "
                    "for any N)")
@@ -1429,7 +1430,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers",
-        type=_worker_count,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="run experiments in N worker processes; an explicit --only "
@@ -1526,8 +1527,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("crawl", help="protocol-level crawl simulation")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clients", type=int, default=120)
-    p.add_argument("--days", type=int, default=5)
+    p.add_argument("--clients", type=_positive_int, default=120)
+    p.add_argument("--days", type=_positive_int, default=5)
     p.add_argument("--output", "-o", help="save the crawled trace here")
     p.add_argument("--loss-rate", type=float, default=0.0,
                    help="probability any message is silently dropped")

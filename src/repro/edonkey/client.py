@@ -123,7 +123,7 @@ class Client:
         return [
             shared.description
             for shared in self.cache.values()
-            if shared.is_shareable
+            if True in shared.blocks_present
         ]
 
     def shared_file_ids(self) -> Set[str]:

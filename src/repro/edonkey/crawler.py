@@ -212,44 +212,50 @@ class Crawler:
             )
         )
         server_ids = sorted(self.known_servers)
+        to_server = self.network.to_server
+        retry = self.config.retry
+        stats = self.stats
+        reachable = self.reachable_users
         for pattern in patterns:
+            # One message serves every server and retry: handlers only
+            # read it, and each hop still gets a reply of its own.
+            message = QueryUsers(pattern)
             for server_id in server_ids:
-                reply = self._query_users(server_id, pattern)
-                self.stats.nickname_queries += 1
-                if reply is None:
-                    continue
-                if not reply.supported:
+                reply = to_server(server_id, message)
+                if reply is None and retry is not None:
+                    reply = self._retry_query(server_id, message)
+                stats.nickname_queries += 1
+                if reply is None or not reply.supported:
                     continue
                 for client_id, nickname, firewalled in reply.users:
                     if firewalled:
-                        self.stats.firewalled_skipped += 1
+                        stats.firewalled_skipped += 1
                         continue
-                    if client_id not in self.reachable_users:
-                        self.reachable_users[client_id] = nickname
+                    if client_id not in reachable:
+                        reachable[client_id] = nickname
                         new_users += 1
-        self.stats.users_discovered = len(self.reachable_users)
-        self.stats.servers_without_query_users = sum(
+        stats.users_discovered = len(reachable)
+        stats.servers_without_query_users = sum(
             1
             for sid in self.known_servers
             if not self.network.servers[sid].config.supports_query_users
         )
         return new_users
 
-    def _query_users(self, server_id: int, pattern: str):
-        """One nickname query, retried (with backoff) when the reply is
-        lost on a faulty network.  Unsupported/empty replies are answers,
-        not failures — only ``None`` (drop, timeout, dead server) retries."""
-        reply = self.network.to_server(server_id, QueryUsers(pattern=pattern))
+    def _retry_query(self, server_id: int, message: QueryUsers):
+        """Resend an unanswered nickname query (with backoff) until it is
+        answered or the retry policy runs out.  Unsupported/empty replies
+        are answers, not failures — only ``None`` (drop, timeout, dead
+        server) retries."""
         policy = self.config.retry
-        if policy is None:
-            return reply
+        reply = None
         attempt = 0
         while reply is None and attempt < policy.max_retries:
             attempt += 1
             self.stats.query_retries += 1
             self.stats.backoff_seconds += policy.delay(attempt)
             self.network.faults.stats.retries += 1
-            reply = self.network.to_server(server_id, QueryUsers(pattern=pattern))
+            reply = self.network.to_server(server_id, message)
         return reply
 
     # ------------------------------------------------------------------

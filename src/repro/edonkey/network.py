@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.context import RunContext
@@ -103,6 +103,9 @@ class Network:
         self.stats = MessageStats()
         self.day = generator.config.start_day
         self._caches: Dict[int, Set[int]] = {}  # client -> file indices
+        # client -> the keys of its cache, in order, as the network last
+        # left them; a cache still equal to these churns by difference
+        self._synced: Dict[int, Tuple[str, ...]] = {}
         # file index -> its description, one object for every client
         # sharing the file, so re-publishes compare descriptions by identity
         self._descriptions: Dict[int, FileDescription] = {}
@@ -137,17 +140,18 @@ class Network:
         ``None`` — from the sender's side a dead server and a lost
         message are indistinguishable, which is exactly what the retry
         machinery has to cope with."""
-        self.stats.count(message)
+        sent = self.stats.sent  # MessageStats.count, inline: once per hop
+        name = type(message).__name__
+        sent[name] = sent.get(name, 0) + 1
         if self.obs.enabled:
             self.obs.count("network/server_hops")
-            self.obs.instant(type(message).__name__, cat="hop")
-        server = self.servers.get(server_id)
-        if server is None:
+            self.obs.instant(name, cat="hop")
+        handler = self._server_handlers.get(server_id)
+        if handler is None:
             return None
         if server_id in self.down_servers:
             self.faults.stats.server_down_messages += 1
             return None
-        handler = self._server_handlers[server_id]
         return self.faults.filtered_dispatch(message, handler.handle)
 
     def to_client(self, client_id: int, message):
@@ -218,9 +222,10 @@ class Network:
                 if client_id in self.offline:
                     continue
                 cache = self._caches.setdefault(client_id, set())
+                before = set(cache)
                 rng = self._churn_rng.child(f"day[{self.day}]/c[{client_id}]")
                 self.generator.churn_cache(profile, cache, self.day, rng)
-                self._sync_client_cache(client, cache)
+                self._apply_churn(client, before, cache)
                 if client.server_id is not None:
                     client.publish(self)
 
@@ -318,6 +323,28 @@ class Network:
                     if server is not None:
                         server.handle_disconnect(client_id)
 
+    def _apply_churn(
+        self, client: Client, before: Set[int], after: Set[int]
+    ) -> None:
+        """Take ``client``'s cache from the index set ``before`` to
+        ``after`` by difference.
+
+        The evicted ids are unshared and the added ones shared in
+        ascending index order, so the cache ends as
+        :meth:`_sync_client_cache` leaves it: kept entries stay where
+        they are and new ones follow in that order.  A cache that is not
+        exactly as the network left it (a download added a file) is
+        synced in full instead."""
+        if tuple(client.cache) != self._synced.get(client.client_id):
+            self._sync_client_cache(client, after)
+            return
+        files = self.generator.files
+        for index in before - after:
+            client.unshare(files[index].file_id)
+        for index in sorted(after - before):
+            client.share(self._description(index))
+        self._synced[client.client_id] = tuple(client.cache)
+
     def _sync_client_cache(self, client: Client, indices: Set[int]) -> None:
         # Sorted iteration: ``indices`` is a set, and set iteration order
         # can legally change across a pickle round-trip (the rebuilt hash
@@ -326,10 +353,7 @@ class Network:
         # order, so resume-equivalence needs a canonical order here.
         descriptions = {}
         for index in sorted(indices):
-            desc = self._descriptions.get(index)
-            if desc is None:
-                desc = _to_description(self.generator.file_meta(index))
-                self._descriptions[index] = desc
+            desc = self._description(index)
             descriptions[desc.file_id] = desc
         # Drop files no longer shared, add new ones as complete.
         for file_id in list(client.cache):
@@ -338,6 +362,15 @@ class Network:
         for file_id, desc in descriptions.items():
             if file_id not in client.cache:
                 client.share(desc)
+        self._synced[client.client_id] = tuple(client.cache)
+
+    def _description(self, index: int) -> FileDescription:
+        """The one description object of file ``index``."""
+        desc = self._descriptions.get(index)
+        if desc is None:
+            desc = _to_description(self.generator.file_meta(index))
+            self._descriptions[index] = desc
+        return desc
 
     def check_invariants(self) -> List[str]:
         """Cross-layer consistency checks; returns problems (empty = ok).

@@ -295,14 +295,14 @@ class Server:
 
     def handle_query_users(self, msg: QueryUsers) -> UsersReply:
         if not self.config.supports_query_users:
-            return UsersReply(users=[], supported=False)
+            return UsersReply([], False)
         pattern = msg.pattern.lower()
         # Patterns of length >= 3 go through the trigram index (the sweep
         # sends 26^3 of them); shorter patterns fall back to a full scan.
         if len(pattern) >= 3:
             bucket = self._nick_trigrams.get(pattern[:3])
             if not bucket:  # most of a sweep's patterns
-                return UsersReply(users=[], supported=True)
+                return UsersReply([], True)
             candidates = sorted(bucket)
         else:
             candidates = sorted(self._sessions)

@@ -108,6 +108,8 @@ class SyntheticWorkloadGenerator:
         self._global_sampler: Optional[ZipfSampler] = None
         self._mainstream_sampler: Optional[ZipfSampler] = None
         self._born_order: np.ndarray = np.empty(0)  # file indices by birth day
+        # (day, its shock tables) of the last day _shock_tables was asked
+        self._day_tables: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Universe construction
@@ -357,7 +359,16 @@ class SyntheticWorkloadGenerator:
         return None
 
     def _shock_tables(self, day: int):
-        """Per-day trend probability and cumulative shock weights."""
+        """Per-day trend probability and cumulative shock weights.
+
+        Kept for the last day asked: a network day churns every sharer,
+        and a live simulation draws many requests, on one day's tables."""
+        memo = self._day_tables
+        if memo is None or memo[0] != day:
+            memo = self._day_tables = (day, self._compute_shock_tables(day))
+        return memo[1]
+
+    def _compute_shock_tables(self, day: int):
         if not self.shocks:
             return 0.0, None
         attractions = np.array([s.attraction(day) for s in self.shocks])

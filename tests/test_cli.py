@@ -119,8 +119,8 @@ class TestSearchCommand:
             pytest.fail("the trace was generated before the config check")
 
         monkeypatch.setattr(SyntheticWorkloadGenerator, "generate_static", refuse)
-        with pytest.raises(ValueError, match="list_size"):
-            main(["search", "--list-sizes", "0"])
+        with pytest.raises(ValueError, match="availability"):
+            main(["search", "--availability", "1.5"])
 
 
 class TestExperimentCommand:
@@ -252,6 +252,33 @@ class TestCrawlCommand:
         assert "degradation report" in captured
         assert "delivery rate" in captured
         assert "server crashes: 1" in captured
+
+
+class TestNonPositiveSizes:
+    """Sizes below one are argument errors (exit 2), not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crawl", "--clients", "0"],
+            ["crawl", "--days", "0"],
+            ["crawl", "--days", "-3"],
+            ["search", "--list-sizes", "5", "0"],
+        ],
+        ids=["clients", "days", "negative-days", "list-sizes"],
+    )
+    def test_rejected_in_a_fresh_process(self, argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert f"{argv[1]}: must be >= 1" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestSearchFaultFlags:
