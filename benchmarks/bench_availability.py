@@ -10,10 +10,11 @@ probability, it does not collapse.
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale
 from repro.experiments.extension_experiments import run_availability_sweep
+from repro.runtime import RunContext
 
 
 def test_availability_sweep(benchmark):
-    result = run_once(benchmark, run_availability_sweep, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_availability_sweep, RunContext(scale=Scale.DEFAULT))
     record(result)
     # Monotone degradation...
     assert (

@@ -30,6 +30,7 @@ import pytest
 
 from repro.experiments import Scale
 from repro.experiments.chaos_experiment import run_chaos
+from repro.runtime import RunContext
 
 #: An infrastructure bench, not a paper result: the ``paper-results``
 #: CI job deselects it with ``-m "not infra"``.
@@ -74,7 +75,7 @@ def test_chaos_resilience(benchmark, tmp_path):
     result = run_once(
         benchmark,
         run_chaos,
-        scale=Scale.TINY,
+        RunContext(scale=Scale.TINY),
         trials=2,
         kills=2,
         num_clients=40,
@@ -129,13 +130,11 @@ def main(argv=None) -> int:
 
     obs = Observer()
     result = run_chaos(
-        scale=Scale.TINY,
-        seed=args.seed,
+        RunContext(scale=Scale.TINY, seed=args.seed, obs=obs),
         trials=args.trials,
         kills=args.kills,
         num_clients=args.clients,
         days=args.days,
-        obs=obs,
     )
     # The campaign verdicts ride along as gauges so the metrics file is
     # self-contained: diffing it checks both the observer's counters and

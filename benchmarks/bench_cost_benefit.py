@@ -8,10 +8,11 @@ order of magnitude in hits per message.
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale
 from repro.experiments.cost_benefit import run_cost_benefit
+from repro.runtime import RunContext
 
 
 def test_cost_benefit(benchmark):
-    result = run_once(benchmark, run_cost_benefit, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_cost_benefit, RunContext(scale=Scale.DEFAULT))
     record(result)
     # Semantic search is an order of magnitude more message-efficient
     # than flooding at both list sizes.

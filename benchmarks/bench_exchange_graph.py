@@ -9,10 +9,11 @@ DEFAULT scale and asserts the same structural signatures (scaled).
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale
 from repro.experiments.extension_experiments import run_exchange_graph
+from repro.runtime import RunContext
 
 
 def test_exchange_graph(benchmark):
-    result = run_once(benchmark, run_exchange_graph, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_exchange_graph, RunContext(scale=Scale.DEFAULT))
     record(result)
     # Reciprocity in the band the server logs report (~20%, +-15 points).
     assert 0.05 < result.metric("reciprocity") < 0.5

@@ -10,10 +10,11 @@ the clustering findings.
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale
 from repro.experiments.extension_experiments import run_extrapolation_ablation
+from repro.runtime import RunContext
 
 
 def test_extrapolation_ablation(benchmark):
-    result = run_once(benchmark, run_extrapolation_ablation, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_extrapolation_ablation, RunContext(scale=Scale.DEFAULT))
     record(result)
     p_values = [
         result.metric("intersection_p1"),

@@ -9,6 +9,7 @@ rate decline smoothly — never collapse — as fault intensity rises.
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale
 from repro.experiments.fault_experiments import run_fault_degradation
+from repro.runtime import RunContext
 
 LOSS_RATES = (0.0, 0.01, 0.05, 0.20)
 
@@ -17,7 +18,7 @@ def test_fault_degradation(benchmark):
     result = run_once(
         benchmark,
         run_fault_degradation,
-        scale=Scale.SMALL,
+        RunContext(scale=Scale.SMALL),
         loss_rates=LOSS_RATES,
         num_clients=100,
         days=5,

@@ -7,10 +7,11 @@ every analysis day.
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_figure03
+from repro.runtime import RunContext
 
 
 def test_figure03(benchmark):
-    result = run_once(benchmark, run_figure03, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_figure03, RunContext(scale=Scale.DEFAULT))
     record(result)
     assert result.metric("min_daily_files") > 1000
     assert result.metric("min_daily_non_empty_caches") > 30

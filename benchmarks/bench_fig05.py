@@ -9,10 +9,11 @@ well.
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_figure05
 from repro.util.zipf import fit_zipf_slope
+from repro.runtime import RunContext
 
 
 def test_figure05(benchmark):
-    result = run_once(benchmark, run_figure05, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_figure05, RunContext(scale=Scale.DEFAULT))
     record(result)
     assert result.metric("days_plotted") >= 4
     assert 0.2 < result.metric("mean_zipf_slope") < 1.5

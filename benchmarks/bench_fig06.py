@@ -7,10 +7,11 @@ network specializes in large files.
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_figure06
+from repro.runtime import RunContext
 
 
 def test_figure06(benchmark):
-    result = run_once(benchmark, run_figure06, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_figure06, RunContext(scale=Scale.DEFAULT))
     record(result)
     assert 0.25 < result.metric("p1_under_1mb") < 0.55
     assert result.metric("p5_over_600mb") > 0.2

@@ -7,10 +7,11 @@ the files.
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_figure07
+from repro.runtime import RunContext
 
 
 def test_figure07(benchmark):
-    result = run_once(benchmark, run_figure07, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_figure07, RunContext(scale=Scale.DEFAULT))
     record(result)
     assert 0.6 < result.metric("free_rider_fraction") < 0.85
     assert 0.6 < result.metric("sharers_under_100_files") < 0.95

@@ -8,10 +8,11 @@ must remain a small fraction and show the rise-then-decay shape.
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_figure08
+from repro.runtime import RunContext
 
 
 def test_figure08(benchmark):
-    result = run_once(benchmark, run_figure08, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_figure08, RunContext(scale=Scale.DEFAULT))
     record(result)
     assert result.metric("max_spread_fraction_any_file") < 0.15
     shaped = 0

@@ -8,10 +8,11 @@ ordering: lower popularity class => more home-concentrated.
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_figure11
+from repro.runtime import RunContext
 
 
 def test_figure11(benchmark):
-    result = run_once(benchmark, run_figure11, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_figure11, RunContext(scale=Scale.DEFAULT))
     record(result)
     rare = result.metric("median_home_pct_p0.1")
     popular = result.metrics.get("median_home_pct_p1.2")

@@ -7,10 +7,11 @@ cluster more than popular ones.
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_figure13
+from repro.runtime import RunContext
 
 
 def test_figure13(benchmark):
-    result = run_once(benchmark, run_figure13, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_figure13, RunContext(scale=Scale.DEFAULT))
     record(result)
     assert result.metric("all_p_at_5") > result.metric("all_p_at_1")
     assert result.metric("all_p_at_5") > 60.0

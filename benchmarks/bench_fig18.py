@@ -7,10 +7,11 @@ band and the strategy ordering.
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_figure18
+from repro.runtime import RunContext
 
 
 def test_figure18(benchmark):
-    result = run_once(benchmark, run_figure18, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_figure18, RunContext(scale=Scale.DEFAULT))
     record(result)
     lru20 = result.metric("lru@20")
     assert 0.30 < lru20 < 0.65

@@ -10,10 +10,11 @@ the rise at the 15% cut and non-collapse at 30%.
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_figure20
+from repro.runtime import RunContext
 
 
 def test_figure20(benchmark):
-    result = run_once(benchmark, run_figure20, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_figure20, RunContext(scale=Scale.DEFAULT))
     record(result)
     base = result.series_named("all files")
     minus15 = result.series_named("without 15% popular")

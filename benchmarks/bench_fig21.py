@@ -8,10 +8,11 @@ the randomization).
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_figure21
+from repro.runtime import RunContext
 
 
 def test_figure21(benchmark):
-    result = run_once(benchmark, run_figure21, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_figure21, RunContext(scale=Scale.DEFAULT))
     record(result)
     assert 0.25 < result.metric("hit_rate_original") < 0.60
     assert result.metric("hit_rate_fully_randomized") < 0.5 * result.metric(

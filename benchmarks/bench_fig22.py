@@ -7,10 +7,11 @@ mean only halves - load flattens much faster than capacity is lost.
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_figure22
+from repro.runtime import RunContext
 
 
 def test_figure22(benchmark):
-    result = run_once(benchmark, run_figure22, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_figure22, RunContext(scale=Scale.DEFAULT))
     record(result)
     # skew: the heaviest peer carries far more than the mean
     assert result.metric("max_load_all") > 5 * result.metric("mean_load_all")

@@ -7,10 +7,11 @@ relation survives removing the most generous uploaders.
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_figure23
+from repro.runtime import RunContext
 
 
 def test_figure23(benchmark):
-    result = run_once(benchmark, run_figure23, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_figure23, RunContext(scale=Scale.DEFAULT))
     record(result)
     assert result.metric("two_hop@20") > result.metric("one_hop@20") + 0.05
     assert result.metric("two_hop@20") > 0.45

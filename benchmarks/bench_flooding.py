@@ -13,10 +13,11 @@ from repro.experiments.baseline_experiments import (
     run_flooding_estimate,
     run_mechanism_comparison,
 )
+from repro.runtime import RunContext
 
 
 def test_flooding_estimate(benchmark):
-    result = run_once(benchmark, run_flooding_estimate, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_flooding_estimate, RunContext(scale=Scale.DEFAULT))
     record(result)
     assert result.metric("max_spread") < 0.15
     assert result.metric("analytic_contacts") > 5
@@ -25,7 +26,7 @@ def test_flooding_estimate(benchmark):
 
 
 def test_mechanism_comparison(benchmark):
-    result = run_once(benchmark, run_mechanism_comparison, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_mechanism_comparison, RunContext(scale=Scale.DEFAULT))
     record(result)
     assert result.metric("semantic_hit_rate") > 0.3
     # flooding finds files but at a much higher per-query message cost

@@ -9,13 +9,14 @@ server-avoidance rate — the share of lookups the first tier never sees.
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale
 from repro.experiments.live_semantic import run_live_semantic
+from repro.runtime import RunContext
 
 
 def test_live_semantic_client(benchmark):
     result = run_once(
         benchmark,
         run_live_semantic,
-        scale=Scale.SMALL,
+        RunContext(scale=Scale.SMALL),
         days=10,
         num_clients=200,
     )

@@ -10,10 +10,11 @@ with the paper's reactive LRU lists at the same view size.
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale
 from repro.experiments.overlay_experiments import run_gossip_overlay
+from repro.runtime import RunContext
 
 
 def test_gossip_overlay(benchmark):
-    result = run_once(benchmark, run_gossip_overlay, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_gossip_overlay, RunContext(scale=Scale.DEFAULT))
     record(result)
     # The bottom tier stays connected; the top tier converges to most of
     # the true k-NN graph within the round budget...
@@ -31,7 +32,7 @@ def test_gossip_overlay(benchmark):
 def test_overlay_vs_reactive(benchmark):
     from repro.experiments.overlay_experiments import run_overlay_vs_reactive
 
-    result = run_once(benchmark, run_overlay_vs_reactive, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_overlay_vs_reactive, RunContext(scale=Scale.DEFAULT))
     record(result)
     # Converged proactive views dominate the cold reactive baseline...
     assert result.metric("fixed_overlay") > result.metric("lru_cold")

@@ -11,10 +11,11 @@ ablation, and reports classic content-cache hit rates for comparison.
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale
 from repro.experiments.peercache_experiments import run_peercache
+from repro.runtime import RunContext
 
 
 def test_peercache(benchmark):
-    result = run_once(benchmark, run_peercache, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_peercache, RunContext(scale=Scale.DEFAULT))
     record(result)
     # A substantial share of requests are servable inside the home AS...
     assert result.metric("index_hit_rate") > 0.2

@@ -9,10 +9,11 @@ share) responds monotonically and does not balance on a knife-edge.
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale
 from repro.experiments.extension_experiments import run_loyalty_sensitivity
+from repro.runtime import RunContext
 
 
 def test_loyalty_sensitivity(benchmark):
-    result = run_once(benchmark, run_loyalty_sensitivity, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_loyalty_sensitivity, RunContext(scale=Scale.DEFAULT))
     record(result)
     shares = [
         result.metric("share_at_0_5"),

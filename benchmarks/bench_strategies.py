@@ -10,10 +10,11 @@ files with <= 3 replicas.
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale
 from repro.experiments.extension_experiments import run_strategy_comparison
+from repro.runtime import RunContext
 
 
 def test_strategy_comparison(benchmark):
-    result = run_once(benchmark, run_strategy_comparison, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_strategy_comparison, RunContext(scale=Scale.DEFAULT))
     record(result)
     # Popularity weighting leads on rare requests...
     assert result.metric("popularity_rare") >= result.metric("lru_rare")

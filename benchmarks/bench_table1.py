@@ -9,10 +9,11 @@ fractions and the full > filtered > extrapolated ordering must hold.
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_table1
+from repro.runtime import RunContext
 
 
 def test_table1(benchmark):
-    result = run_once(benchmark, run_table1, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_table1, RunContext(scale=Scale.DEFAULT))
     record(result)
     assert 0.65 < result.metric("full_free_rider_fraction") < 0.85
     assert (

@@ -7,10 +7,11 @@ Paper: AS3320 (Deutsche Telekom) 21% global / 75% national, AS3215
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_table2
+from repro.runtime import RunContext
 
 
 def test_table2(benchmark):
-    result = run_once(benchmark, run_table2, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_table2, RunContext(scale=Scale.DEFAULT))
     record(result)
     assert abs(result.metric("as3320_global") - 0.21) < 0.04
     assert abs(result.metric("as3215_global") - 0.15) < 0.04

@@ -7,10 +7,11 @@ opposite directions and roughly cancel when combined.
 
 from benchmarks.conftest import record, run_once
 from repro.experiments import Scale, run_table3
+from repro.runtime import RunContext
 
 
 def test_table3(benchmark):
-    result = run_once(benchmark, run_table3, scale=Scale.DEFAULT)
+    result = run_once(benchmark, run_table3, RunContext(scale=Scale.DEFAULT))
     record(result)
     base5 = result.metric("base@5")
     assert 0.15 < base5 < 0.45

@@ -22,8 +22,9 @@ The library contains:
 
 Quickstart::
 
-    from repro.experiments import Scale, run_figure18
-    print(run_figure18(scale=Scale.SMALL).render())
+    from repro.experiments import run_figure18
+    from repro.runtime import RunContext, Scale
+    print(run_figure18(RunContext(scale=Scale.SMALL)).render())
 """
 
 __version__ = "1.0.0"

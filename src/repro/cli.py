@@ -64,6 +64,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
@@ -107,7 +119,7 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--telemetry-interval",
-        type=float,
+        type=_positive_float,
         default=1.0,
         metavar="SECS",
         help="seconds between telemetry snapshots (default: 1.0)",
@@ -414,33 +426,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------------
 # experiment
-
-
-def _experiment_ids() -> dict:
-    """Registry-derived ``{cli name: runner function name}`` mapping.
-
-    Kept as a function (and mirrored in the module-level
-    ``EXPERIMENT_IDS`` below) for the historical import surface; the
-    registry itself is the source of truth.
-    """
-    from repro.runtime.registry import load_all
-
-    ids = {}
-    for spec in load_all():
-        for name in (spec.name, *spec.aliases):
-            ids[name] = spec.runner_name
-    return ids
-
-
-def __getattr__(name: str):
-    # ``EXPERIMENT_IDS`` materializes the whole experiment registry (and
-    # transitively numpy); computing it on first access keeps a bare
-    # ``import repro.cli`` — the help and store-tool paths — lean.
-    if name == "EXPERIMENT_IDS":
-        value = _experiment_ids()
-        globals()["EXPERIMENT_IDS"] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _render_experiment_list() -> str:
@@ -1394,7 +1379,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_flags(p)
     # Experiments default to the paper seed, not the generic CLI seed 0
-    # (the registry runners' historical default).
+    # (``RunContext()``'s default).
     p.set_defaults(func=cmd_experiment, seed=DEFAULT_SEED)
 
     p = subparsers.add_parser(
@@ -1451,7 +1436,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--interval",
-        type=float,
+        type=_positive_float,
         default=1.0,
         metavar="SECS",
         help="refresh interval with --follow (default: 1.0)",

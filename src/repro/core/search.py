@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set,
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.checkpoint import Checkpointer
-    from repro.runtime.context import RunContext
 
 from repro.core.metrics import HitRateAccumulator, LoadTracker
 from repro.core.neighbours import (
@@ -271,13 +270,7 @@ class SearchSimulator:
         trace: StaticTrace,
         config: Optional[SearchConfig] = None,
         obs: Optional[Observer] = None,
-        ctx: Optional["RunContext"] = None,
     ) -> None:
-        if ctx is not None:
-            if config is None:
-                config = SearchConfig(seed=ctx.seed)
-            if obs is None:
-                obs = ctx.obs
         self.trace = trace
         self.config = config or SearchConfig()
         self.obs = obs if obs is not None else NULL_OBSERVER
@@ -828,10 +821,9 @@ def simulate_search(
     trace: StaticTrace,
     config: Optional[SearchConfig] = None,
     obs: Optional[Observer] = None,
-    ctx: Optional["RunContext"] = None,
 ) -> SimulationResult:
     """One-call helper: build a simulator and run it."""
-    return SearchSimulator(trace, config, obs=obs, ctx=ctx).run()
+    return SearchSimulator(trace, config, obs=obs).run()
 
 
 # ----------------------------------------------------------------------

@@ -137,10 +137,9 @@ class Client:
     def connect(self, transport, server_id: int) -> bool:
         """Connect to a server, publish the cache, learn the server list.
 
-        ``transport`` is anything exposing the
-        :class:`~repro.edonkey.transport.Transport` trio — the simulated
-        :class:`~repro.edonkey.network.Network` itself, or a
-        :class:`~repro.edonkey.transport.SimTransport` adapter over it.
+        ``transport`` is anything exposing the ``to_server`` /
+        ``to_client`` / ``callback_to_client`` trio of the simulated
+        :class:`~repro.edonkey.network.Network`.
         """
         reply = transport.to_server(
             server_id,

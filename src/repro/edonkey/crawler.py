@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.checkpoint import Checkpointer
-    from repro.runtime.context import RunContext
 
 from repro.edonkey.messages import BrowseRequest, QueryUsers, ServerListRequest
 from repro.edonkey.network import Network
@@ -134,15 +133,9 @@ class Crawler:
         config: Optional[CrawlerConfig] = None,
         seed: Optional[int] = None,
         obs: Optional[Observer] = None,
-        ctx: Optional["RunContext"] = None,
         store_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
         stream: bool = False,
     ) -> None:
-        if ctx is not None:
-            if seed is None:
-                seed = ctx.seed
-            if obs is None:
-                obs = ctx.obs
         if seed is None:
             seed = 0
         self.network = network

@@ -9,12 +9,8 @@ substrate and the statistical generator share one content model).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.context import RunContext
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.edonkey.client import Client, ClientConfig
 from repro.faults import FaultConfig, FaultInjector, FaultSchedule
@@ -464,27 +460,12 @@ def build_network(
     config: Optional[NetworkConfig] = None,
     seed: Optional[int] = None,
     obs: Optional[Observer] = None,
-    ctx: Optional["RunContext"] = None,
 ) -> Network:
     """Construct a fully connected network: servers, clients (with caches
-    published) and server-list gossip, ready for a crawler run.
-
-    ``ctx`` supplies seed, observer and ambient fault config for anything
-    not given explicitly; the legacy ``seed``/``obs`` parameters win when
-    both are present.  The context's fault config applies only when the
-    network config does not carry an enabled one of its own (experiments
-    sweeping fault intensity keep full control).
-    """
-    if ctx is not None:
-        if seed is None:
-            seed = ctx.seed
-        if obs is None:
-            obs = ctx.obs
+    published) and server-list gossip, ready for a crawler run."""
     if seed is None:
         seed = 0
     config = config or NetworkConfig()
-    if ctx is not None and ctx.faults.enabled and not config.faults.enabled:
-        config = dataclasses.replace(config, faults=ctx.faults)
     generator = SyntheticWorkloadGenerator(config=config.workload, seed=seed)
     generator.build()
     network = Network(generator, config, obs=obs)

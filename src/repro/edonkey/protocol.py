@@ -4,9 +4,9 @@ The message plane is split into three layers (DESIGN.md §15):
 
 - the **codec** (:mod:`repro.edonkey.wire`) turns message dataclasses
   into framed bytes and back;
-- the **transport** (:mod:`repro.edonkey.transport`) moves messages —
-  in-process via the simulated :class:`~repro.edonkey.network.Network`,
-  or over TCP via asyncio streams;
+- the **transport** moves messages — in-process through the simulated
+  :class:`~repro.edonkey.network.Network`, or over TCP through
+  :class:`~repro.edonkey.transport.TcpTransport`;
 - the **handler** (this module) maps a request to the ``handle_*``
   method of its target and returns the reply, knowing nothing about
   either of the other two.

@@ -1,22 +1,16 @@
-"""The transport seam of the message plane.
+"""The live transport of the message plane.
 
-A :class:`Transport` is the routing surface a client consumes: the same
-``to_server`` / ``to_client`` / ``callback_to_client`` trio the
-simulated :class:`~repro.edonkey.network.Network` has always exposed —
-which is why :class:`~repro.edonkey.client.Client` works against any
-implementation unchanged.  Two implementations live here:
-
-- :class:`SimTransport` — a thin adapter over an in-memory ``Network``.
-  It adds no logic and draws no randomness, so a seeded simulation run
-  through it is byte-identical to one that passes the network directly
-  (pinned by ``tests/service/test_transport.py``).
-- :class:`TcpTransport` — the asyncio-streams client side of service
-  mode, speaking ``repro.wire/1`` frames to a live ``repro serve``
-  process.  Its surface is the async mirror of the trio: requests are
-  sequence-tagged so several can be in flight on one connection, and a
-  reply suppressed by the server's fault injector surfaces as ``None``
-  after the timeout — exactly how the simulated network reports a
-  dropped or timed-out message.
+In a simulation, messages move through the in-memory
+:class:`~repro.edonkey.network.Network`, whose ``to_server`` /
+``to_client`` / ``callback_to_client`` trio is what
+:class:`~repro.edonkey.client.Client` calls.  :class:`TcpTransport` is
+the asyncio-streams client side of service mode, speaking
+``repro.wire/1`` frames to a live ``repro serve`` process.  Its surface
+is the async mirror of that trio: requests are sequence-tagged so
+several can be in flight on one connection, and a reply suppressed by
+the server's fault injector surfaces as ``None`` after the timeout —
+exactly how the simulated network reports a dropped or timed-out
+message.
 
 Client-to-client messages have no live path: in service mode only the
 index server is reachable, and browsing is server-mediated via
@@ -37,47 +31,7 @@ class TransportError(RuntimeError):
     """A transport-level failure: cannot connect, closed, or unroutable."""
 
 
-class Transport:
-    """Minimal message-routing surface consumed by clients."""
-
-    def to_server(self, server_id: int, message):
-        """Deliver to a server; returns the reply or ``None``."""
-        raise NotImplementedError
-
-    def to_client(self, client_id: int, message):
-        """Deliver to a client over a direct connection."""
-        raise NotImplementedError
-
-    def callback_to_client(self, client_id: int, message):
-        """Deliver via the server-forced callback path."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any underlying connection (no-op by default)."""
-
-
-class SimTransport(Transport):
-    """Adapter over the in-memory simulated network.
-
-    Pure delegation: every call forwards to the wrapped network's
-    method of the same name, so traffic accounting, fault injection and
-    RNG draws are exactly those of a direct-network run.
-    """
-
-    def __init__(self, network) -> None:
-        self.network = network
-
-    def to_server(self, server_id: int, message):
-        return self.network.to_server(server_id, message)
-
-    def to_client(self, client_id: int, message):
-        return self.network.to_client(client_id, message)
-
-    def callback_to_client(self, client_id: int, message):
-        return self.network.callback_to_client(client_id, message)
-
-
-class TcpTransport(Transport):
+class TcpTransport:
     """Asyncio-streams transport speaking framed ``repro.wire/1``.
 
     Open with :meth:`open`, issue requests with :meth:`request` (or the
@@ -181,7 +135,7 @@ class TcpTransport(Transport):
         finally:
             self._pending.pop(seq, None)
 
-    # Async mirror of the Transport trio -------------------------------
+    # Async mirror of the Network trio ---------------------------------
 
     async def to_server(self, server_id: int, message):
         """The single live endpoint answers regardless of ``server_id``."""

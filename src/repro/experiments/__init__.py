@@ -2,8 +2,9 @@
 
 Each ``run_*`` function is registered with the runtime layer's experiment
 registry (:mod:`repro.runtime.registry`) via the ``@experiment``
-decorator, accepts an optional :class:`~repro.runtime.RunContext` (built
-from its loose ``scale``/``seed`` arguments when absent), and returns an
+decorator, takes a :class:`~repro.runtime.RunContext` as its first,
+required argument (``run_figure18(RunContext(scale=Scale.SMALL))``;
+``RunContext()`` is seed 20060418 at DEFAULT scale), and returns an
 :class:`~repro.experiments.result.ExperimentResult` that renders to text
 and carries the headline metrics the benchmarks assert on.
 
@@ -28,8 +29,8 @@ for _info in pkgutil.iter_modules(__path__):
     importlib.import_module(f"{_SELF}.{_info.name}")
 del _SELF, _info
 
-# Re-export every registered runner under its historical name
-# (``from repro.experiments import run_figure18`` keeps working).
+# Re-export every registered runner under its function name
+# (``from repro.experiments import run_figure18``).
 from repro.runtime import registry as _registry
 
 _RUNNERS = {

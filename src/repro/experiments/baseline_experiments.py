@@ -7,11 +7,10 @@ from repro.analysis.popularity import max_spread_fraction
 from repro.baselines.flooding import expected_contacts, measure_flooding
 from repro.baselines.random_walk import measure_random_walk
 from repro.baselines.server_search import ServerLookup
-from typing import Optional
 
 from repro.core.search import SearchConfig, simulate_search
 from repro.experiments.result import ExperimentResult
-from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment
+from repro.runtime import RunContext, experiment
 from repro.util.tables import format_table
 
 
@@ -20,15 +19,10 @@ from repro.util.tables import format_table
     artefact="Section 3",
     description="Flooding/random-walk cost vs the analytic 1/spread estimate",
 )
-def run_flooding_estimate(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_flooding_estimate(ctx: RunContext) -> ExperimentResult:
     """Section 3's flooding estimate: with the most popular file spread on a
     fraction p of peers, ~1/p random contacts are needed; measured flooding
     over a random overlay should agree in order of magnitude."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     seed = ctx.seed
     temporal = ctx.filtered_trace()
     spread = max_spread_fraction(temporal)
@@ -68,14 +62,11 @@ def run_flooding_estimate(
     description="Semantic neighbours vs flooding, random walk and a server",
 )
 def run_mechanism_comparison(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     list_size: int = 20,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Head-to-head: semantic neighbours vs flooding vs random walk vs
     central server, on the same static workload."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     seed = ctx.seed
     static = ctx.static_trace()
 

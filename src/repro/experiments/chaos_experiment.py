@@ -16,12 +16,10 @@ lands in the run manifest via ``ExperimentResult.lineage``.
 from __future__ import annotations
 
 import tempfile
-from typing import Optional
 
 from repro.checkpoint import ChaosRunner, ChaosSpec
 from repro.experiments.result import ExperimentResult
-from repro.obs import NULL_OBSERVER, Observer
-from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment
+from repro.runtime import RunContext, Scale, experiment
 
 
 @experiment(
@@ -35,18 +33,14 @@ from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment
     sequential_only=True,
 )
 def run_chaos(
-    scale: Scale = Scale.TINY,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     trials: int = 2,
     kills: int = 2,
     num_clients: int = 40,
     days: int = 5,
-    obs: Observer = NULL_OBSERVER,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """A chaos campaign at deliberately small scale (it forks real CLI
     subprocesses — one reference plus kills+1 runs per trial)."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed, obs=obs)
     seed, obs = ctx.seed, ctx.obs
 
     spec = ChaosSpec(clients=num_clients, days=days, seed=seed, kills=kills)

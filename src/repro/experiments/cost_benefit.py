@@ -10,13 +10,13 @@ workload.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.baselines.flooding import measure_flooding
 from repro.baselines.random_walk import measure_random_walk
 from repro.core.search import SearchConfig, simulate_search
 from repro.experiments.result import ExperimentResult
-from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment
+from repro.runtime import RunContext, experiment
 from repro.util.tables import format_table
 
 
@@ -41,14 +41,11 @@ def _semantic_row(trace, list_size: int, two_hop: bool, seed: int) -> Tuple[floa
     description="Hit rate vs message cost, every mechanism on one workload",
 )
 def run_cost_benefit(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     list_sizes: Sequence[int] = (5, 20),
     num_baseline_queries: int = 300,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Hit rate vs message cost for every search mechanism."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     seed = ctx.seed
     trace = ctx.static_trace()
 

@@ -12,11 +12,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.core.search import SearchConfig, simulate_search
 from repro.experiments.result import ExperimentResult
-from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment
+from repro.runtime import RunContext, experiment
 from repro.util.cdf import Series
 from repro.util.tables import format_table
 
@@ -29,11 +29,9 @@ STRATEGIES = ("lru", "history", "popularity", "random")
     description="All four neighbour strategies, overall and on rare requests",
 )
 def run_strategy_comparison(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     list_size: int = 20,
     rare_max_replicas: int = 3,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Hit rates of every strategy, overall and on rare *requests*.
 
@@ -42,7 +40,6 @@ def run_strategy_comparison(
     interest is list pollution: requests for popular files fill the list
     with peers that are useless for the next rare query.
     """
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     seed = ctx.seed
     trace = ctx.static_trace()
 
@@ -90,11 +87,9 @@ def run_strategy_comparison(
     description="Robustness sweep over the interest-loyalty parameter",
 )
 def run_loyalty_sensitivity(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     loyalties: Sequence[float] = (0.5, 0.7, 0.9),
     list_size: int = 10,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Robustness sweep over ``interest_loyalty``, the one parameter the
     whole reproduction hinges on.
@@ -110,7 +105,6 @@ def run_loyalty_sensitivity(
     from repro.util.rng import RngStream
     from repro.workload.generator import SyntheticWorkloadGenerator
 
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     seed = ctx.seed
     rows = []
     metrics: Dict[str, float] = {}
@@ -167,11 +161,7 @@ def run_loyalty_sensitivity(
     artefact="Section 4 (extension)",
     description="Sensitivity of clustering metrics to the gap-fill rule",
 )
-def run_extrapolation_ablation(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_extrapolation_ablation(ctx: RunContext) -> ExperimentResult:
     """Sensitivity of the clustering metrics to the extrapolation rule.
 
     DESIGN.md commits to the paper's pessimistic intersection fill; this
@@ -186,7 +176,6 @@ def run_extrapolation_ablation(
     from repro.analysis.semantic import clustering_correlation
     from repro.trace.extrapolation import FILL_MODES, ExtrapolationConfig, extrapolate
 
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     filtered = ctx.filtered_trace()
     rows = []
     metrics: Dict[str, float] = {}
@@ -228,16 +217,13 @@ def run_extrapolation_ablation(
     description="Exchange-graph structure: reciprocity, skew, communities",
 )
 def run_exchange_graph(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     list_size: int = 20,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """The exchange graph of a full search run (Section 6's server-log
     observations: reciprocity, generous-uploader skew, dense communities)."""
     from repro.analysis.exchange_graph import summarize_exchanges
 
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     seed = ctx.seed
     trace = ctx.static_trace()
     result = simulate_search(
@@ -282,14 +268,11 @@ def run_exchange_graph(
     description="LRU hit rate as peer availability degrades",
 )
 def run_availability_sweep(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     list_size: int = 20,
     availabilities: Sequence[float] = (1.0, 0.9, 0.7, 0.5, 0.3),
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """LRU hit rate as peer availability degrades."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     seed = ctx.seed
     trace = ctx.static_trace()
     series = Series(name=f"LRU-{list_size} hit rate vs availability (%)")

@@ -28,8 +28,8 @@ from repro.edonkey.crawler import Crawler, CrawlerConfig
 from repro.edonkey.network import NetworkConfig, build_network
 from repro.experiments.result import ExperimentResult
 from repro.faults import FaultConfig, FaultSchedule, FaultWindow, RetryPolicy
-from repro.obs import NULL_OBSERVER, Observer
-from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment, workload_config
+from repro.obs import Observer
+from repro.runtime import RunContext, Scale, experiment, workload_config
 from repro.util.cdf import Series
 
 DEFAULT_LOSS_RATES = (0.0, 0.01, 0.05, 0.20)
@@ -80,14 +80,11 @@ def _crawl_once(
     default_scale=Scale.SMALL,
 )
 def run_fault_degradation(
-    scale: Scale = Scale.SMALL,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
     num_clients: int = 60,
     days: int = 4,
     list_size: int = 10,
-    obs: Observer = NULL_OBSERVER,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Degradation sweep: fault intensity vs trace/search fidelity.
 
@@ -96,7 +93,6 @@ def run_fault_degradation(
     hostile scenario, not message loss alone.  The ``loss_rates[0] == 0``
     run doubles as the fault-free baseline.
     """
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed, obs=obs)
     scale, seed, obs = ctx.scale, ctx.seed, ctx.obs
     if not loss_rates or loss_rates[0] != 0.0:
         loss_rates = (0.0, *loss_rates)
@@ -194,12 +190,9 @@ def storm_schedule(days: int) -> FaultSchedule:
     default_scale=Scale.SMALL,
 )
 def run_fault_schedule(
-    scale: Scale = Scale.SMALL,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     num_clients: int = 60,
     days: int = 8,
-    obs: Observer = NULL_OBSERVER,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Fault-free baseline vs the same crawl under :func:`storm_schedule`.
 
@@ -207,7 +200,6 @@ def run_fault_schedule(
     runs), here the fault intensity varies *within* one run, so the
     per-day snapshot counts show the storm arriving and passing.
     """
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed, obs=obs)
     scale, seed, obs = ctx.scale, ctx.seed, ctx.obs
     if days < 4:
         raise ValueError(f"days must be >= 4 for a meaningful storm, got {days}")

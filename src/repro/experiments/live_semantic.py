@@ -9,15 +9,15 @@ day, as the lists warm up.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.edonkey.network import NetworkConfig
+from repro.edonkey.network import NetworkConfig, build_network
 from repro.edonkey.semantic_client import (
     LiveSemanticConfig,
     LiveSemanticSimulation,
 )
 from repro.experiments.result import ExperimentResult
-from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment
+from repro.runtime import RunContext, Scale, experiment
 
 
 @experiment(
@@ -27,21 +27,18 @@ from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment
     default_scale=Scale.SMALL,
 )
 def run_live_semantic(
-    scale: Scale = Scale.SMALL,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     days: int = 10,
     strategy: str = "lru",
     list_size: int = 10,
     num_clients: int = 200,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Live semantic-client run on a protocol-level network.
 
-    ``scale`` only sets the workload *shape* parameters; the network size
+    ``ctx.scale`` only sets the workload *shape* parameters; the network size
     is controlled by ``num_clients`` because every peer here is a full
     protocol client (much heavier than the statistical simulation).
     """
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     seed = ctx.seed
     base = ctx.workload()
     workload = dataclasses.replace(
@@ -51,13 +48,15 @@ def run_live_semantic(
         days=max(days + 2, 8),
         mainstream_pool_size=min(num_clients, max(num_clients * 16, 1000)),
     )
-    network = ctx.build_network(
+    network = build_network(
         NetworkConfig(
             workload=workload,
             semantic_clients=True,
             semantic_strategy=strategy,
             semantic_list_size=list_size,
         ),
+        seed=seed,
+        obs=ctx.obs,
     )
     simulation = LiveSemanticSimulation(
         network,

@@ -15,11 +15,11 @@ rate) — the practical cost of the proactive approach.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.search import SearchConfig, simulate_search
 from repro.experiments.result import ExperimentResult
-from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment
+from repro.runtime import RunContext, experiment
 from repro.overlay.cyclon import CyclonConfig
 from repro.overlay.simulator import OverlayConfig, SemanticOverlaySimulator
 from repro.overlay.vicinity import VicinityConfig
@@ -31,11 +31,9 @@ from repro.overlay.vicinity import VicinityConfig
     description="Converged gossip views vs reactive LRU on one workload",
 )
 def run_overlay_vs_reactive(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     view_size: int = 10,
     rounds: int = 15,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Plug converged gossip views into the *trace-driven* simulator.
 
@@ -46,7 +44,6 @@ def run_overlay_vs_reactive(
     - ``lru warm``   — LRU lists warm-started from the overlay views and
       then learning as usual (the hybrid a real client would deploy).
     """
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     seed = ctx.seed
     trace = ctx.static_trace()
     simulator = SemanticOverlaySimulator(
@@ -102,14 +99,11 @@ def run_overlay_vs_reactive(
     description="Epidemic semantic overlay: convergence and final hit rate",
 )
 def run_gossip_overlay(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     view_size: int = 10,
     rounds: int = 25,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Build the epidemic overlay and compare against reactive LRU."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     seed = ctx.seed
     trace = ctx.static_trace()
 

@@ -12,11 +12,11 @@ Three runs on the same workload shape:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cache.peercache import PeerCacheConfig, simulate_peercache
 from repro.experiments.result import ExperimentResult
-from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment, workload_config
+from repro.runtime import RunContext, Scale, experiment, workload_config
 from repro.util.tables import format_table
 from repro.workload.generator import SyntheticWorkloadGenerator
 
@@ -43,13 +43,10 @@ def _build_static(scale: Scale, seed: int, geo_affinity: float):
     description="AS-level PeerCache locality, with/without geo clustering",
 )
 def run_peercache(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     capacity_gb: int = 50,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """PeerCache locality with and without geographic clustering."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     scale, seed = ctx.scale, ctx.seed
     clustered = _build_static(scale, seed, geo_affinity=0.7)
     unclustered = _build_static(scale, seed, geo_affinity=0.0)

@@ -3,7 +3,7 @@ Table 3)."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.randomization import randomization_schedule
 from repro.core.search import (
@@ -13,7 +13,7 @@ from repro.core.search import (
     simulate_search,
 )
 from repro.experiments.result import ExperimentResult
-from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment
+from repro.runtime import DEFAULT_SEED, RunContext, experiment
 from repro.trace.model import StaticTrace
 from repro.util.cdf import Series
 from repro.util.rng import RngStream
@@ -62,14 +62,11 @@ def _sweep(
     description="Hit rate vs semantic neighbours: LRU / History / Random",
 )
 def run_figure18(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     list_sizes: Sequence[int] = DEFAULT_LIST_SIZES,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Figure 18: hit rate vs number of semantic neighbours, for the LRU,
     History and Random strategies."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace, seed = ctx.static_trace(), ctx.seed
     lru = _sweep(trace, "LRU", list_sizes, "lru", seed=seed)
     history = _sweep(trace, "History", list_sizes, "history", seed=seed)
@@ -96,14 +93,11 @@ def run_figure18(
     description="LRU hit rate without the 5-15% most generous uploaders",
 )
 def run_figure19(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     list_sizes: Sequence[int] = DEFAULT_LIST_SIZES,
     fractions: Sequence[float] = (0.05, 0.10, 0.15),
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Figure 19: LRU hit rate after removing the most generous uploaders."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace, seed = ctx.static_trace(), ctx.seed
     series = [_sweep(trace, "all uploaders", list_sizes, "lru", seed=seed)]
     for fraction in fractions:
@@ -137,14 +131,11 @@ def run_figure19(
     description="LRU hit rate without the 5-30% most popular files",
 )
 def run_figure20(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     list_sizes: Sequence[int] = (5, 10, 20, 100, 200),
     fractions: Sequence[float] = (0.05, 0.15, 0.30),
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Figure 20: LRU hit rate after removing the most popular files."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace, seed = ctx.static_trace(), ctx.seed
     series = [_sweep(trace, "all files", list_sizes, "lru", seed=seed)]
     request_counts = {"all files": float(trace.total_replicas())}
@@ -177,13 +168,10 @@ def run_figure20(
     description="Combined influence of generous uploaders and popular files",
 )
 def run_table3(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     list_sizes: Sequence[int] = (5, 10, 20),
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Table 3: combined influence of generous uploaders and popular files."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace, seed = ctx.static_trace(), ctx.seed
 
     variants = [
@@ -240,14 +228,11 @@ def run_table3(
     description="Hit rate vs number of swappings on a randomized trace",
 )
 def run_figure21(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     list_size: int = 10,
     num_checkpoints: int = 6,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Figure 21: LRU-10 hit rate as the trace is progressively randomized."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace, seed = ctx.static_trace(), ctx.seed
     total = swap_iterations(trace.total_replicas())
     checkpoints = [0] + [
@@ -281,14 +266,11 @@ def run_figure21(
     description="Distribution of query load among peers (LRU-5)",
 )
 def run_figure22(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     list_size: int = 5,
     fractions: Sequence[float] = (0.0, 0.05, 0.10, 0.15),
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Figure 22: per-client query load (LRU-5), removing top uploaders."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace, seed = ctx.static_trace(), ctx.seed
     series: List[Series] = []
     metrics: Dict[str, float] = {}
@@ -328,15 +310,12 @@ def run_figure22(
     description="Two-hop semantic search vs one hop",
 )
 def run_figure23(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     list_sizes: Sequence[int] = (5, 10, 20, 50, 100),
     uploader_fractions: Sequence[float] = (0.05, 0.15),
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Figure 23: two-hop semantic search, with and without the most
     generous uploaders."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace, seed = ctx.static_trace(), ctx.seed
     one_hop = _sweep(trace, "1 hop", list_sizes, "lru", two_hop=False, seed=seed)
     two_hop = _sweep(trace, "2 hops", list_sizes, "lru", two_hop=True, seed=seed)

@@ -12,7 +12,7 @@ from repro.analysis.semantic import (
 )
 from repro.core.randomization import randomize_trace
 from repro.experiments.result import ExperimentResult
-from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment
+from repro.runtime import RunContext, experiment
 from repro.util.cdf import Series
 from repro.util.rng import RngStream
 
@@ -26,17 +26,12 @@ def _day_caches(trace, day):
     artefact="Figure 13",
     description="P(another common file | n in common), by popularity band",
 )
-def run_figure13(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_figure13(ctx: RunContext) -> ExperimentResult:
     """Figure 13: probability of another common file, given n in common.
 
     Three curves: all shared files of the first analysis day, plus audio
     files in a rare and in a popular replication band (full trace).
     """
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     extrapolated = ctx.extrapolated_trace()
     days = extrapolated.days()
     if not days:
@@ -87,14 +82,11 @@ def run_figure13(
     description="Clustering correlation: real trace vs randomized trace",
 )
 def run_figure14(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     popularity_levels: Sequence[int] = (3, 5),
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Figure 14: clustering correlation, real trace vs randomized trace,
     for all files and for two low popularity levels."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     static = ctx.filtered_trace().to_static()
     rng = RngStream(ctx.seed, "figure14-randomize")
     randomized = randomize_trace(static, rng)
@@ -139,18 +131,15 @@ def run_figure14(
     aliases=("fig16", "fig17"),
 )
 def run_figure15_17(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     low_levels: Sequence[int] = (1, 2, 3, 5, 10),
     high_levels: Optional[Sequence[int]] = None,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Figures 15-17: evolution of pairwise cache overlap over time.
 
     Low initial-overlap groups (Figure 15) decay smoothly; high-overlap
     groups (Figures 16-17) plateau — interest-based proximity persists.
     """
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     seed = ctx.seed
     trace = ctx.extrapolated_trace()
     days = trace.days()

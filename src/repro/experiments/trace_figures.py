@@ -3,7 +3,7 @@ Figures 1-12."""
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.contribution import (
     generosity_concentration,
@@ -23,7 +23,7 @@ from repro.analysis.popularity import (
     rank_replication,
 )
 from repro.experiments.result import ExperimentResult
-from repro.runtime import DEFAULT_SEED, RunContext, Scale, experiment
+from repro.runtime import RunContext, experiment
 from repro.trace.stats import (
     daily_counts,
     discovery_curve,
@@ -39,14 +39,9 @@ from repro.util.zipf import fit_zipf_slope
     artefact="Table 1",
     description="General characteristics of the full/filtered/extrapolated traces",
 )
-def run_table1(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_table1(ctx: RunContext) -> ExperimentResult:
     """Table 1: general characteristics of the full / filtered /
     extrapolated traces."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     full = ctx.temporal_trace()
     filtered = ctx.filtered_trace()
     extrapolated = ctx.extrapolated_trace()
@@ -104,13 +99,8 @@ def run_table1(
     artefact="Figure 1",
     description="Clients and shared files scanned per day",
 )
-def run_figure01(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_figure01(ctx: RunContext) -> ExperimentResult:
     """Figure 1: clients and files scanned per day."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace = ctx.temporal_trace()
     clients, files, _ = daily_counts(trace)
     first_clients = clients.ys[0]
@@ -133,13 +123,8 @@ def run_figure01(
     artefact="Figure 2",
     description="New and total files discovered per day",
 )
-def run_figure02(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_figure02(ctx: RunContext) -> ExperimentResult:
     """Figure 2: new and total files discovered per day."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace = ctx.temporal_trace()
     new_files, total_files = discovery_curve(trace)
     rate = new_files_per_client_per_day(trace)
@@ -163,13 +148,8 @@ def run_figure02(
     artefact="Figure 3",
     description="Files and non-empty caches per day (extrapolated trace)",
 )
-def run_figure03(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_figure03(ctx: RunContext) -> ExperimentResult:
     """Figure 3: files and non-empty caches per day after extrapolation."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace = ctx.extrapolated_trace()
     _, files, non_empty = daily_counts(trace)
     return ExperimentResult(
@@ -189,13 +169,8 @@ def run_figure03(
     artefact="Figure 4",
     description="Distribution of clients per country",
 )
-def run_figure04(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_figure04(ctx: RunContext) -> ExperimentResult:
     """Figure 4: distribution of clients per country."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace = ctx.temporal_trace()
     rows = country_histogram(trace)
     table = format_table(
@@ -224,13 +199,10 @@ def run_figure04(
     description="File replication vs rank (log-log) across several days",
 )
 def run_figure05(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
+    ctx: RunContext,
     num_days: int = 5,
-    ctx: Optional[RunContext] = None,
 ) -> ExperimentResult:
     """Figure 5: file replication against rank for several days."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace = ctx.extrapolated_trace()
     days = trace.days()
     if not days:
@@ -257,13 +229,8 @@ def run_figure05(
     artefact="Figure 6",
     description="CDF of file sizes by popularity threshold",
 )
-def run_figure06(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_figure06(ctx: RunContext) -> ExperimentResult:
     """Figure 6: cumulative distribution of file sizes by popularity."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace = ctx.filtered_trace().to_static()
     series = size_cdf_by_popularity(trace, (1, 5, 10))
     metrics = {}
@@ -292,11 +259,7 @@ def run_figure06(
     artefact="Figure 7",
     description="Files and disk space shared per client",
 )
-def run_figure07(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_figure07(ctx: RunContext) -> ExperimentResult:
     """Figure 7: files and disk space shared per client.
 
     Contribution is measured per client as the mean *observed* cache (the
@@ -305,7 +268,6 @@ def run_figure07(
     Generosity concentration, which the search ablations use, stays on the
     static view (the paper's "top 15% offer 75% of the files").
     """
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     temporal = ctx.filtered_trace()
     trace = temporal.to_static()
     cdfs = temporal_contribution_cdfs(temporal)
@@ -341,13 +303,8 @@ def run_figure07(
     artefact="Figure 8",
     description="Spread of the 6 most popular files over time",
 )
-def run_figure08(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_figure08(ctx: RunContext) -> ExperimentResult:
     """Figure 8: spread of the 6 most popular files over time."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace = ctx.filtered_trace()
     series = file_spread(trace, top_k=6)
     peaks = [max(s.ys) if s.ys else 0.0 for s in series]
@@ -376,14 +333,9 @@ def run_figure08(
     description="Rank evolution of early-day and mid-trace top-5 files",
     aliases=("fig10",),
 )
-def run_figure09_10(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_figure09_10(ctx: RunContext) -> ExperimentResult:
     """Figures 9 and 10: rank evolution of early-day and mid-trace top-5
     files."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace = ctx.filtered_trace()
     days = trace.days()
     if len(days) < 3:
@@ -419,13 +371,8 @@ def run_figure09_10(
     artefact="Table 2",
     description="Top-5 autonomous systems by hosted clients",
 )
-def run_table2(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_table2(ctx: RunContext) -> ExperimentResult:
     """Table 2: the top-5 autonomous systems."""
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace = ctx.temporal_trace()
     rows = top_as_table(trace, 5)
     table = format_table(
@@ -474,11 +421,7 @@ def _locality_metrics(series_list) -> dict:
     artefact="Figure 11",
     description="CDF of sources in the home country, by popularity class",
 )
-def run_figure11(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_figure11(ctx: RunContext) -> ExperimentResult:
     """Figure 11: sources in the main country, by average popularity.
 
     The paper's average-popularity classes (1, 5, 10, 20, 50, 100) are
@@ -487,7 +430,6 @@ def run_figure11(
     classes are rescaled to (0.1, 0.3, 0.6, 1.2) — the last one isolates
     the genuinely popular files just as the paper's high classes do.
     """
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace = ctx.filtered_trace()
     series = home_locality_cdf(
         trace, level="country", popularity_thresholds=(0.1, 0.3, 0.6, 1.2)
@@ -507,16 +449,11 @@ def run_figure11(
     artefact="Figure 12",
     description="CDF of sources in the home AS, by popularity class",
 )
-def run_figure12(
-    scale: Scale = Scale.DEFAULT,
-    seed: int = DEFAULT_SEED,
-    ctx: Optional[RunContext] = None,
-) -> ExperimentResult:
+def run_figure12(ctx: RunContext) -> ExperimentResult:
     """Figure 12: sources in the main AS, by average popularity.
 
     Popularity classes rescaled as in :func:`run_figure11`.
     """
-    ctx = RunContext.ensure(ctx, scale=scale, seed=seed)
     trace = ctx.filtered_trace()
     series = home_locality_cdf(
         trace, level="as", popularity_thresholds=(0.1, 0.3, 0.6, 1.2)

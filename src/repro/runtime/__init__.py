@@ -10,7 +10,7 @@ benchmark and CLI command used to hand-wire:
 - :mod:`repro.runtime.registry` — the declarative experiment registry
   populated by the :func:`experiment` decorator;
 - :mod:`repro.runtime.context`  — :class:`RunContext`, bundling seed,
-  scale, observer, fault config and the trace cache;
+  scale, observer and the trace cache;
 - :mod:`repro.runtime.runner`   — :class:`Runner`, which executes any
   registered experiment through a context and maintains per-experiment
   run manifests (``repro.manifest/1``) with skip-on-hash-match caching.
@@ -25,8 +25,6 @@ from repro.runtime.registry import (
     UnknownExperimentError,
     all_experiments,
     experiment,
-    experiment_names,
-    get_experiment,
     load_all,
 )
 from repro.runtime.scale import DEFAULT_SEED, Scale, workload_config
@@ -54,8 +52,6 @@ __all__ = [
     "UnknownExperimentError",
     "all_experiments",
     "experiment",
-    "experiment_names",
-    "get_experiment",
     "load_all",
     "validate_manifest",
     "workload_config",

@@ -1,19 +1,18 @@
-"""The run context: one value owning a run's cross-cutting concerns.
+"""The run context: one value naming a run.
 
-Before this layer existed, every experiment and CLI command hand-wired the
-same plumbing: a root seed, an :class:`~repro.obs.Observer`, a
-:class:`~repro.faults.FaultConfig` and the shared workload cache.  A
-:class:`RunContext` bundles all of them, so a component needs exactly one
-parameter to participate in a reproducible, observable, fault-injectable
-run — and the :class:`~repro.runtime.runner.Runner` can execute any
-registered experiment through it.
+A :class:`RunContext` bundles the seed, scale, observer and trace cache
+of one run.  Every registered ``run_*`` experiment takes one as its only
+identity parameter, and the :class:`~repro.runtime.runner.Runner` executes
+any registered experiment through it.  Components below the experiments
+(``build_network``, ``Crawler``, ``SearchSimulator``) take plain
+``seed``/``obs`` arguments instead.
 
 Ownership rules (see DESIGN.md §9):
 
-- the context *owns identity* (seed, scale) — components derive their RNG
-  streams from ``ctx.rng(label)`` and never reseed;
-- the context *carries* the observer and fault config but does not mutate
-  them; instrumentation stays RNG-neutral;
+- the context *owns identity* (seed, scale) — a runner hands its
+  ``ctx.seed`` to the components it builds and never reseeds;
+- the context *carries* the observer but does not mutate it;
+  instrumentation stays RNG-neutral;
 - the trace cache defaults to the process-wide shared one
   (:data:`~repro.runtime.cache.SHARED_TRACE_CACHE`); pass a private
   :class:`~repro.runtime.cache.TraceCache` for isolation.
@@ -23,13 +22,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.faults import FaultConfig
 from repro.obs import NULL_OBSERVER, Observer
 from repro.runtime.cache import SHARED_TRACE_CACHE, TraceCache
 from repro.runtime.scale import DEFAULT_SEED, Scale, workload_config
-from repro.util.rng import RngStream
 
 
 def _shared_cache() -> TraceCache:
@@ -38,57 +34,16 @@ def _shared_cache() -> TraceCache:
 
 @dataclass
 class RunContext:
-    """Seed, scale, observer, fault model and trace cache for one run."""
+    """Seed, scale, observer and trace cache for one run."""
 
     seed: int = DEFAULT_SEED
     scale: Scale = Scale.DEFAULT
     obs: Observer = NULL_OBSERVER
-    faults: FaultConfig = field(default_factory=FaultConfig)
     traces: TraceCache = field(default_factory=_shared_cache)
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-
-    @classmethod
-    def ensure(
-        cls,
-        ctx: Optional["RunContext"],
-        *,
-        seed: Optional[int] = None,
-        scale: Optional[Scale] = None,
-        obs: Optional[Observer] = None,
-        faults: Optional[FaultConfig] = None,
-    ) -> "RunContext":
-        """``ctx`` if given, else a context built from the loose parameters.
-
-        This is the back-compat shim pattern used by every public
-        ``run_*`` signature: an explicit context wins outright; otherwise
-        the legacy ``seed``/``scale``/``obs`` arguments are promoted into
-        a fresh one.
-        """
-        if ctx is not None:
-            return ctx
-        kwargs = {}
-        if seed is not None:
-            kwargs["seed"] = seed
-        if scale is not None:
-            kwargs["scale"] = scale
-        if obs is not None:
-            kwargs["obs"] = obs
-        if faults is not None:
-            kwargs["faults"] = faults
-        return cls(**kwargs)
 
     def derive(self, **changes) -> "RunContext":
         """A copy with ``changes`` applied (seed, scale, obs, ...)."""
         return dataclasses.replace(self, **changes)
-
-    # ------------------------------------------------------------------
-    # Randomness
-
-    def rng(self, label: str) -> RngStream:
-        """A deterministic named substream of this run's root seed."""
-        return RngStream(self.seed, label)
 
     # ------------------------------------------------------------------
     # Workload / trace access (delegates to the bounded cache)
@@ -108,33 +63,3 @@ class RunContext:
 
     def static_trace(self):
         return self.traces.static(self.scale, self.seed)
-
-    def compiled_trace(self):
-        """The compiled (interned, columnar) form of the static trace."""
-        return self.traces.compiled(self.scale, self.seed)
-
-    # ------------------------------------------------------------------
-    # Component factories
-
-    def build_network(self, config=None):
-        """A simulated network seeded/observed/faulted by this context.
-
-        The context's fault config applies unless the network config
-        already carries an enabled one of its own (an experiment sweeping
-        fault intensities overrides the ambient model).
-        """
-        from repro.edonkey.network import build_network
-
-        return build_network(config, ctx=self)
-
-    def crawler(self, network, config=None):
-        """A crawler over ``network`` seeded/observed by this context."""
-        from repro.edonkey.crawler import Crawler
-
-        return Crawler(network, config, ctx=self)
-
-    def simulate_search(self, trace, config=None):
-        """Run the semantic-search simulation under this context."""
-        from repro.core.search import simulate_search
-
-        return simulate_search(trace, config, ctx=self)

@@ -10,9 +10,12 @@ one-line description and its preferred scale::
         artefact="Figure 18",
         description="Hit rate vs semantic neighbours: LRU / History / Random",
     )
-    def run_figure18(..., ctx=None) -> ExperimentResult: ...
+    def run_figure18(ctx: RunContext, ...) -> ExperimentResult: ...
 
-The registry replaces the hand-maintained id table the CLI used to carry:
+A runner's only identity parameter is its required ``ctx``; its
+preferred scale lives in ``default_scale=`` alone, which
+:meth:`ExperimentSpec.run` applies when it builds the context itself.
+
 ``repro experiment <name>`` and ``repro run-all`` both dispatch through
 :func:`get`, and ``repro experiment --list`` renders the registry.
 
@@ -169,12 +172,6 @@ def load_all() -> List[ExperimentSpec]:
     import repro.experiments  # noqa: F401  (imports register the specs)
 
     return all_experiments()
-
-
-# Import-friendly aliases (``registry.get`` reads fine qualified; these
-# read fine when imported into another namespace).
-get_experiment = get
-experiment_names = names
 
 
 def _natural_key(name: str):

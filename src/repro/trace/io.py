@@ -13,6 +13,7 @@ preserving equality (two snapshots of the same client still match).
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import hashlib
 import io
@@ -28,6 +29,9 @@ FORMAT_VERSION = 1
 GZIP_MAGIC = b"\x1f\x8b"
 
 PathLike = Union[str, "os.PathLike[str]"]
+
+#: One parsed trace record: the header dict, or a model object.
+Record = Union[dict, FileMeta, ClientMeta, Snapshot]
 
 
 def _open_read(path: PathLike) -> IO[str]:
@@ -135,17 +139,13 @@ def load_trace(path: PathLike) -> Trace:
     a record boundary (plain or gzip) can no longer load silently as a
     smaller trace.
     """
-    with _open_read(path) as fh:
-        try:
-            return _read_records(iter(fh))
-        except EOFError as exc:
-            # gzip raises EOFError when the compressed stream is cut off.
-            raise ValueError(f"truncated gzip trace {path}: {exc}") from exc
+    with contextlib.closing(_file_records(path)) as records:
+        return _build_trace(records)
 
 
 def loads_trace(text: str) -> Trace:
     """Parse a trace from a JSONL string (inverse of :func:`dumps_trace`)."""
-    return _read_records(iter(text.splitlines()))
+    return _build_trace(_iter_records(text.splitlines()))
 
 
 def _parse_header(record: dict) -> dict:
@@ -176,8 +176,11 @@ def _check_counts(header: dict, files: int, clients: int, snapshots: int) -> Non
             )
 
 
-def _read_records(lines: Iterator[str]) -> Trace:
-    trace = Trace()
+def _iter_records(lines: Iterable[str]) -> Iterator[Record]:
+    """Parse trace JSONL: the header dict first, then one model object
+    (:class:`FileMeta`, :class:`ClientMeta` or :class:`Snapshot`) per
+    record.  Raises ``ValueError`` on a missing, late or duplicate header
+    and on an unknown record type."""
     header = None
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -189,44 +192,61 @@ def _read_records(lines: Iterator[str]) -> Trace:
             if header is not None:
                 raise ValueError(f"duplicate header record (line {lineno})")
             header = _parse_header(record)
+            yield header
             continue
         if header is None:
             raise ValueError(
                 f"{rtype!r} record before the header (line {lineno})"
             )
         if rtype == "file":
-            trace.add_file(
-                FileMeta(
-                    file_id=record["id"],
-                    size=record["size"],
-                    kind=record.get("kind", "unknown"),
-                    category=record.get("category", -1),
-                    name=record.get("name", ""),
-                )
+            yield FileMeta(
+                file_id=record["id"],
+                size=record["size"],
+                kind=record.get("kind", "unknown"),
+                category=record.get("category", -1),
+                name=record.get("name", ""),
             )
         elif rtype == "client":
-            trace.add_client(
-                ClientMeta(
-                    client_id=record["id"],
-                    uid=record["uid"],
-                    ip=record["ip"],
-                    country=record["country"],
-                    asn=record["asn"],
-                    nickname=record.get("nickname", ""),
-                )
+            yield ClientMeta(
+                client_id=record["id"],
+                uid=record["uid"],
+                ip=record["ip"],
+                country=record["country"],
+                asn=record["asn"],
+                nickname=record.get("nickname", ""),
             )
         elif rtype == "snapshot":
-            trace.add_snapshot(
-                Snapshot(
-                    day=record["day"],
-                    client_id=record["client"],
-                    file_ids=frozenset(record["files"]),
-                )
+            yield Snapshot(
+                day=record["day"],
+                client_id=record["client"],
+                file_ids=frozenset(record["files"]),
             )
         else:
             raise ValueError(f"unknown record type {rtype!r}")
     if header is None:
         raise ValueError("trace stream has no header record")
+
+
+def _file_records(path: PathLike) -> Iterator[Record]:
+    """:func:`_iter_records` over a saved trace file."""
+    with _open_read(path) as fh:
+        try:
+            yield from _iter_records(fh)
+        except EOFError as exc:
+            # gzip raises EOFError when the compressed stream is cut off.
+            raise ValueError(f"truncated gzip trace {path}: {exc}") from exc
+
+
+def _build_trace(records: Iterator[Record]) -> Trace:
+    header = next(records)
+    trace = Trace()
+    for record in records:
+        if isinstance(record, FileMeta):
+            trace.add_file(record)
+        elif isinstance(record, ClientMeta):
+            trace.add_client(record)
+        else:
+            trace.add_snapshot(record)
     _check_counts(header, len(trace.files), len(trace.clients), trace.num_snapshots)
     return trace
 
@@ -340,7 +360,6 @@ def convert_trace_file_to_store(path: PathLike, store_path: PathLike):
     writer = TraceStoreWriter.create(store_path)
     files: Dict[str, FileMeta] = {}
     clients: Dict[int, ClientMeta] = {}
-    header = None
     day_caches: Dict[int, frozenset] = {}
     current_day = None
     done_days: Set[int] = set()
@@ -356,70 +375,31 @@ def convert_trace_file_to_store(path: PathLike, store_path: PathLike):
         day_caches.clear()
         current_day = None
 
-    with _open_read(path) as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                rtype = record.get("type")
-                if rtype == "header":
-                    if header is not None:
-                        raise ValueError(f"duplicate header record (line {lineno})")
-                    header = _parse_header(record)
-                    continue
-                if header is None:
-                    raise ValueError(
-                        f"{rtype!r} record before the header (line {lineno})"
-                    )
-                if rtype == "file":
-                    meta = FileMeta(
-                        file_id=record["id"],
-                        size=record["size"],
-                        kind=record.get("kind", "unknown"),
-                        category=record.get("category", -1),
-                        name=record.get("name", ""),
-                    )
-                    files[meta.file_id] = meta
-                    counts["files"] += 1
-                elif rtype == "client":
-                    meta = ClientMeta(
-                        client_id=record["id"],
-                        uid=record["uid"],
-                        ip=record["ip"],
-                        country=record["country"],
-                        asn=record["asn"],
-                        nickname=record.get("nickname", ""),
-                    )
-                    clients[meta.client_id] = meta
-                    counts["clients"] += 1
-                elif rtype == "snapshot":
-                    day = record["day"]
-                    if day in done_days:
-                        streaming = False
-                        break
-                    if current_day is None:
-                        # Sorted metadata interning needs every id known
-                        # before the first segment is cut.
-                        writer.register_files(files.values())
-                        writer.register_clients(clients.values())
-                        current_day = day
-                    elif day != current_day:
-                        flush_day()
-                        current_day = day
-                    day_caches[record["client"]] = frozenset(record["files"])
-                    counts["snapshots"] += 1
-                else:
-                    raise ValueError(f"unknown record type {rtype!r}")
-            if streaming:
-                if not done_days and current_day is None:
-                    # No snapshots at all: still record the metadata.
+    with contextlib.closing(_file_records(path)) as records:
+        header = next(records)
+        for record in records:
+            if isinstance(record, FileMeta):
+                files[record.file_id] = record
+                counts["files"] += 1
+            elif isinstance(record, ClientMeta):
+                clients[record.client_id] = record
+                counts["clients"] += 1
+            else:
+                day = record.day
+                if day in done_days:
+                    streaming = False
+                    break
+                if current_day is None:
+                    # Sorted metadata interning needs every id known
+                    # before the first segment is cut.
                     writer.register_files(files.values())
                     writer.register_clients(clients.values())
-                flush_day()
-        except EOFError as exc:
-            raise ValueError(f"truncated gzip trace {path}: {exc}") from exc
+                    current_day = day
+                elif day != current_day:
+                    flush_day()
+                    current_day = day
+                day_caches[record.client_id] = record.file_ids
+                counts["snapshots"] += 1
 
     if not streaming:
         # Records were not day-grouped: redo the conversion from a full
@@ -428,8 +408,11 @@ def convert_trace_file_to_store(path: PathLike, store_path: PathLike):
 
         shutil.rmtree(os.fspath(store_path))
         return trace_to_store(load_trace(path), store_path)
-    if header is None:
-        raise ValueError("trace stream has no header record")
+    if not done_days and current_day is None:
+        # No snapshots at all: still record the metadata.
+        writer.register_files(files.values())
+        writer.register_clients(clients.values())
+    flush_day()
     _check_counts(header, counts["files"], counts["clients"], counts["snapshots"])
     writer.close()
     return open_store(store_path)

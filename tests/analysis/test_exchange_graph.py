@@ -117,10 +117,10 @@ class TestSummary:
 
 class TestExperiment:
     def test_run_exchange_graph(self):
-        from repro.runtime.scale import Scale
+        from repro.runtime import RunContext, Scale
         from repro.experiments.extension_experiments import run_exchange_graph
 
-        result = run_exchange_graph(scale=Scale.SMALL)
+        result = run_exchange_graph(RunContext(scale=Scale.SMALL))
         assert result.metric("nodes") > 10
         assert 0.0 < result.metric("reciprocity") < 1.0
         assert result.metric("largest_core") >= 3

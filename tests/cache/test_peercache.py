@@ -172,10 +172,10 @@ class TestSimulation:
 
 class TestExperiment:
     def test_run_peercache_small(self):
-        from repro.runtime.scale import Scale
+        from repro.runtime import RunContext, Scale
         from repro.experiments.peercache_experiments import run_peercache
 
-        result = run_peercache(scale=Scale.SMALL)
+        result = run_peercache(RunContext(scale=Scale.SMALL))
         assert result.metric("geo_clustering_gain") > 0.0
         assert (
             result.metric("index_hit_rate")

@@ -105,25 +105,25 @@ class TestRareTracking:
 
 class TestExtensionExperiments:
     def test_strategy_comparison_small(self):
-        from repro.runtime.scale import Scale
+        from repro.runtime import RunContext, Scale
         from repro.experiments.extension_experiments import (
             run_strategy_comparison,
         )
 
-        result = run_strategy_comparison(scale=Scale.SMALL)
+        result = run_strategy_comparison(RunContext(scale=Scale.SMALL))
         assert result.metric("random_rare") < result.metric("lru_rare")
         assert result.metric("popularity_rare") > 0.0
         for strategy in ("lru", "history", "popularity", "random"):
             assert 0.0 <= result.metric(f"{strategy}_overall") <= 1.0
 
     def test_availability_sweep_small(self):
-        from repro.runtime.scale import Scale
+        from repro.runtime import RunContext, Scale
         from repro.experiments.extension_experiments import (
             run_availability_sweep,
         )
 
         result = run_availability_sweep(
-            scale=Scale.SMALL, availabilities=(1.0, 0.5)
+            RunContext(scale=Scale.SMALL), availabilities=(1.0, 0.5)
         )
         assert result.metric("hit@1") >= result.metric("hit@0.5")
         assert 0.0 <= result.metric("unresolvable@0.5") <= 1.0
@@ -131,13 +131,13 @@ class TestExtensionExperiments:
 
 class TestLoyaltySensitivity:
     def test_small_scale_monotone(self):
-        from repro.runtime.scale import Scale
+        from repro.runtime import RunContext, Scale
         from repro.experiments.extension_experiments import (
             run_loyalty_sensitivity,
         )
 
         result = run_loyalty_sensitivity(
-            scale=Scale.SMALL, loyalties=(0.3, 0.9)
+            RunContext(scale=Scale.SMALL), loyalties=(0.3, 0.9)
         )
         assert result.metric("hit_at_0_9") > result.metric("hit_at_0_3")
         assert result.metric("share_at_0_9") > result.metric("share_at_0_3")

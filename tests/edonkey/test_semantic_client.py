@@ -148,11 +148,11 @@ class TestLiveSimulation:
             NetworkConfig(semantic_list_size=0)
 
     def test_experiment_wrapper(self):
-        from repro.runtime.scale import Scale
+        from repro.runtime import RunContext, Scale
         from repro.experiments.live_semantic import run_live_semantic
 
         result = run_live_semantic(
-            scale=Scale.SMALL, days=4, num_clients=60, seed=2
+            RunContext(scale=Scale.SMALL, seed=2), days=4, num_clients=60
         )
         assert result.metric("lookups") > 0
         assert 0.0 <= result.metric("overall_server_avoidance") <= 1.0

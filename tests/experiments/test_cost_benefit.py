@@ -1,13 +1,14 @@
 """Tests for the cost-benefit experiment."""
 
 from repro.experiments import Scale
+from repro.runtime import RunContext
 from repro.experiments.cost_benefit import run_cost_benefit
 
 
 class TestCostBenefit:
     def test_runs_and_orders(self):
         result = run_cost_benefit(
-            scale=Scale.SMALL, list_sizes=(5,), num_baseline_queries=60
+            RunContext(scale=Scale.SMALL), list_sizes=(5,), num_baseline_queries=60
         )
         # two-hop never cheaper than one-hop in messages
         assert result.metric("lru5_2hop_msgs") >= result.metric("lru5_1hop_msgs")
@@ -18,7 +19,7 @@ class TestCostBenefit:
 
     def test_semantic_more_efficient_than_flooding(self):
         result = run_cost_benefit(
-            scale=Scale.SMALL, list_sizes=(5,), num_baseline_queries=60
+            RunContext(scale=Scale.SMALL), list_sizes=(5,), num_baseline_queries=60
         )
         semantic = result.metric("lru5_1hop_hit") / result.metric("lru5_1hop_msgs")
         flooding = result.metric("flooding_hit") / result.metric("flooding_msgs")
@@ -26,7 +27,7 @@ class TestCostBenefit:
 
     def test_table_mentions_all_mechanisms(self):
         result = run_cost_benefit(
-            scale=Scale.SMALL, list_sizes=(5,), num_baseline_queries=40
+            RunContext(scale=Scale.SMALL), list_sizes=(5,), num_baseline_queries=40
         )
         for label in ("semantic", "flooding", "random walk", "central server"):
             assert label in result.table_text

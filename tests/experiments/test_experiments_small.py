@@ -11,9 +11,11 @@ import pytest
 
 from repro import experiments as E
 from repro.experiments import Scale
+from repro.runtime import RunContext
 from repro.runtime.cache import SHARED_TRACE_CACHE
 
 SCALE = Scale.SMALL
+CTX = RunContext(scale=SCALE)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -27,7 +29,7 @@ def warm_cache():
 
 class TestTable1:
     def test_pipeline_shrinks_monotonically(self):
-        result = E.run_table1(scale=SCALE)
+        result = E.run_table1(CTX)
         assert (
             result.metric("full_clients")
             >= result.metric("filtered_clients")
@@ -35,33 +37,33 @@ class TestTable1:
         )
 
     def test_free_riding_dominates(self):
-        result = E.run_table1(scale=SCALE)
+        result = E.run_table1(CTX)
         assert 0.6 < result.metric("full_free_rider_fraction") < 0.9
 
 
 class TestFigure1:
     def test_crawler_decline(self):
-        result = E.run_figure01(scale=SCALE)
+        result = E.run_figure01(CTX)
         assert result.metric("decline_ratio") < 0.9
 
 
 class TestFigure2:
     def test_discovery_continues(self):
-        result = E.run_figure02(scale=SCALE)
+        result = E.run_figure02(CTX)
         assert result.metric("new_files_last_day") > 0
         assert result.metric("total_files") > 0
 
 
 class TestFigure3:
     def test_extrapolated_days_populated(self):
-        result = E.run_figure03(scale=SCALE)
+        result = E.run_figure03(CTX)
         assert result.metric("min_daily_files") > 0
         assert result.metric("min_daily_non_empty_caches") > 0
 
 
 class TestFigure4:
     def test_country_mix(self):
-        result = E.run_figure04(scale=SCALE)
+        result = E.run_figure04(CTX)
         assert result.metric("share_FR") == pytest.approx(0.29, abs=0.08)
         assert result.metric("share_DE") == pytest.approx(0.28, abs=0.08)
         assert result.metric("share_FR") > result.metric("share_US")
@@ -69,21 +71,21 @@ class TestFigure4:
 
 class TestFigure5:
     def test_zipf_like(self):
-        result = E.run_figure05(scale=SCALE)
+        result = E.run_figure05(CTX)
         assert result.metric("mean_zipf_slope") > 0.2
         assert result.metric("days_plotted") >= 3
 
 
 class TestFigure6:
     def test_popular_files_are_large(self):
-        result = E.run_figure06(scale=SCALE)
+        result = E.run_figure06(CTX)
         assert result.metric("p1_under_1mb") > 0.2
         assert result.metric("p5_over_600mb") > result.metric("p1_over_600mb")
 
 
 class TestFigure7:
     def test_contribution_shape(self):
-        result = E.run_figure07(scale=SCALE)
+        result = E.run_figure07(CTX)
         assert result.metric("free_rider_fraction") > 0.6
         assert result.metric("sharers_under_100_files") > 0.5
         assert result.metric("top15pct_share_of_files") > 0.4
@@ -91,21 +93,21 @@ class TestFigure7:
 
 class TestFigure8:
     def test_spread_small_and_shaped(self):
-        result = E.run_figure08(scale=SCALE)
+        result = E.run_figure08(CTX)
         assert result.metric("max_spread_fraction_any_file") < 0.3
         assert result.metric("max_spread_pct") > 0
 
 
 class TestFigure910:
     def test_runs(self):
-        result = E.run_figure09_10(scale=SCALE)
+        result = E.run_figure09_10(CTX)
         assert result.metric("early_top5_mean_final_rank") >= 1
         assert len(result.series) == 10
 
 
 class TestTable2:
     def test_as_concentration(self):
-        result = E.run_table2(scale=SCALE)
+        result = E.run_table2(CTX)
         assert result.metric("top5_concentration") > 0.4
         assert result.metric("as3320_global") == pytest.approx(0.21, abs=0.08)
 
@@ -113,7 +115,7 @@ class TestTable2:
 class TestFigures1112:
     def test_rare_files_more_home_concentrated(self):
         for runner in (E.run_figure11, E.run_figure12):
-            result = runner(scale=SCALE)
+            result = runner(CTX)
             rare = result.metrics.get("median_home_pct_p0.1")
             popular = result.metrics.get("median_home_pct_p1.2") or result.metrics.get(
                 "median_home_pct_p0.6"
@@ -125,14 +127,14 @@ class TestFigures1112:
 
 class TestFigure13:
     def test_correlation_rises_with_overlap(self):
-        result = E.run_figure13(scale=SCALE)
+        result = E.run_figure13(CTX)
         assert result.metric("all_p_at_5") > result.metric("all_p_at_1")
         assert result.metric("all_p_at_1") > 10.0
 
 
 class TestFigure14:
     def test_randomization_destroys_rare_clustering(self):
-        result = E.run_figure14(scale=SCALE)
+        result = E.run_figure14(CTX)
         # For low-popularity files the real trace clusters far more than
         # the generosity/popularity-preserving randomization.
         assert result.metric("pop3_trace_p1") > result.metric("pop3_random_p1")
@@ -146,7 +148,7 @@ class TestFigure14:
 
 class TestFigure1517:
     def test_high_overlap_persists_longer(self):
-        result = E.run_figure15_17(scale=SCALE)
+        result = E.run_figure15_17(CTX)
         high = result.metrics.get("high_overlap_mean_retention")
         low = result.metrics.get("low_overlap_mean_retention")
         if high is None or low is None:
@@ -156,14 +158,14 @@ class TestFigure1517:
 
 class TestFigure18:
     def test_semantic_beats_random(self):
-        result = E.run_figure18(scale=SCALE, list_sizes=(5, 20))
+        result = E.run_figure18(CTX, list_sizes=(5, 20))
         lru = result.series_named("LRU")
         rnd = result.series_named("Random")
         assert lru.y_at(5) > rnd.y_at(5) * 1.5
         assert lru.y_at(20) > lru.y_at(5)
 
     def test_history_competitive_with_lru(self):
-        result = E.run_figure18(scale=SCALE, list_sizes=(5, 20))
+        result = E.run_figure18(CTX, list_sizes=(5, 20))
         history = result.series_named("History")
         lru = result.series_named("LRU")
         assert history.y_at(20) > 0.8 * lru.y_at(20)
@@ -171,7 +173,7 @@ class TestFigure18:
 
 class TestFigure19:
     def test_removing_uploaders_lowers_hits_but_not_to_zero(self):
-        result = E.run_figure19(scale=SCALE, list_sizes=(5, 20))
+        result = E.run_figure19(CTX, list_sizes=(5, 20))
         assert result.metric("minus15@20") < result.metric("all@20")
         assert result.metric("minus15@20") > 0.05
 
@@ -179,7 +181,7 @@ class TestFigure19:
 class TestFigure20:
     def test_removing_popular_files_raises_short_list_hits(self):
         result = E.run_figure20(
-            scale=SCALE, list_sizes=(5, 20), fractions=(0.05, 0.15)
+            CTX, list_sizes=(5, 20), fractions=(0.05, 0.15)
         )
         base = result.series_named("all files")
         ablated = result.series_named("without 15% popular")
@@ -188,7 +190,7 @@ class TestFigure20:
 
 class TestTable3:
     def test_opposite_effects(self):
-        result = E.run_table3(scale=SCALE, list_sizes=(5, 20))
+        result = E.run_table3(CTX, list_sizes=(5, 20))
         base = result.metric("base@5")
         assert result.metric("no_top_15_uploaders@5") < base
         assert result.metric("no_15_popular_files@5") > base
@@ -196,7 +198,7 @@ class TestTable3:
 
 class TestFigure21:
     def test_randomization_lowers_hit_rate(self):
-        result = E.run_figure21(scale=SCALE, num_checkpoints=3)
+        result = E.run_figure21(CTX, num_checkpoints=3)
         assert (
             result.metric("hit_rate_fully_randomized")
             < result.metric("hit_rate_original")
@@ -204,14 +206,14 @@ class TestFigure21:
         assert result.metric("semantic_share") > 0.05
 
     def test_monotone_trend(self):
-        result = E.run_figure21(scale=SCALE, num_checkpoints=3)
+        result = E.run_figure21(CTX, num_checkpoints=3)
         series = result.series[0]
         assert series.ys[-1] < series.ys[0]
 
 
 class TestFigure22:
     def test_removing_uploaders_flattens_load(self):
-        result = E.run_figure22(scale=SCALE, fractions=(0.0, 0.10))
+        result = E.run_figure22(CTX, fractions=(0.0, 0.10))
         max_drop = result.metric("max_load_all") / max(
             result.metric("max_load_minus10"), 1.0
         )
@@ -221,7 +223,7 @@ class TestFigure22:
         assert max_drop > mean_drop
 
     def test_load_series_sorted(self):
-        result = E.run_figure22(scale=SCALE, fractions=(0.0,))
+        result = E.run_figure22(CTX, fractions=(0.0,))
         ys = result.series[0].ys
         assert ys == sorted(ys, reverse=True)
 
@@ -229,7 +231,7 @@ class TestFigure22:
 class TestFigure23:
     def test_two_hop_beats_one_hop(self):
         result = E.run_figure23(
-            scale=SCALE, list_sizes=(5, 20), uploader_fractions=(0.05,)
+            CTX, list_sizes=(5, 20), uploader_fractions=(0.05,)
         )
         assert result.metric("two_hop@20") > result.metric("one_hop@20")
         assert result.metric("two_hop@5") > 0.1
@@ -237,7 +239,7 @@ class TestFigure23:
 
 class TestBaselines:
     def test_flooding_estimate(self):
-        result = E.run_flooding_estimate(scale=SCALE)
+        result = E.run_flooding_estimate(CTX)
         assert result.metric("max_spread") < 0.3
         assert result.metric("analytic_contacts") > 1
         assert result.metric("flooding_hit_rate") > 0.8
@@ -249,5 +251,5 @@ class TestBaselines:
             E.run_figure04,
             E.run_figure18,
         ):
-            text = runner(scale=SCALE).render()
+            text = runner(CTX).render()
             assert "===" in text

@@ -78,10 +78,10 @@ class TestRun:
 
 class TestExperiment:
     def test_run_gossip_overlay_small(self):
-        from repro.runtime.scale import Scale
+        from repro.runtime import RunContext, Scale
         from repro.experiments.overlay_experiments import run_gossip_overlay
 
-        result = run_gossip_overlay(scale=Scale.SMALL, rounds=12)
+        result = run_gossip_overlay(RunContext(scale=Scale.SMALL), rounds=12)
         assert result.metric("connected") == 1.0
         assert (
             result.metric("overlay_hit_rate")
@@ -124,11 +124,11 @@ class TestOverlayVsReactive:
         assert list(strategy.ordered()) == [1, 2, 3]
 
     def test_experiment_ordering(self):
-        from repro.runtime.scale import Scale
+        from repro.runtime import RunContext, Scale
         from repro.experiments.overlay_experiments import (
             run_overlay_vs_reactive,
         )
 
-        result = run_overlay_vs_reactive(scale=Scale.SMALL, rounds=8)
+        result = run_overlay_vs_reactive(RunContext(scale=Scale.SMALL), rounds=8)
         assert result.metric("fixed_overlay") > result.metric("lru_cold")
         assert result.metric("lru_warm") >= result.metric("lru_cold")

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.faults import FaultConfig
-from repro.obs import NULL_OBSERVER, Observer
+from repro.obs import NULL_OBSERVER
 from repro.runtime import (
     DEFAULT_SEED,
     RunContext,
@@ -13,25 +12,12 @@ from repro.runtime import (
 )
 
 
-class TestEnsure:
-    def test_explicit_context_wins_outright(self):
-        ctx = RunContext(seed=5, scale=Scale.SMALL)
-        resolved = RunContext.ensure(ctx, seed=99, scale=Scale.LARGE)
-        assert resolved is ctx
-
-    def test_loose_parameters_promoted(self):
-        obs = Observer()
-        resolved = RunContext.ensure(None, seed=7, scale=Scale.TINY, obs=obs)
-        assert resolved.seed == 7
-        assert resolved.scale is Scale.TINY
-        assert resolved.obs is obs
-
+class TestRunContext:
     def test_defaults_without_anything(self):
-        resolved = RunContext.ensure(None)
-        assert resolved.seed == DEFAULT_SEED
-        assert resolved.scale is Scale.DEFAULT
-        assert resolved.obs is NULL_OBSERVER
-        assert not resolved.faults.enabled
+        ctx = RunContext()
+        assert ctx.seed == DEFAULT_SEED
+        assert ctx.scale is Scale.DEFAULT
+        assert ctx.obs is NULL_OBSERVER
 
     def test_derive_changes_one_field(self):
         ctx = RunContext(seed=5)
@@ -39,11 +25,6 @@ class TestEnsure:
         assert derived.seed == 5
         assert derived.scale is Scale.SMALL
         assert ctx.scale is Scale.DEFAULT  # original untouched
-
-    def test_rng_streams_are_deterministic_and_labelled(self):
-        ctx = RunContext(seed=5)
-        assert ctx.rng("a").py.random() == ctx.rng("a").py.random()
-        assert ctx.rng("a").py.random() != ctx.rng("b").py.random()
 
 
 class TestContextTraces:
@@ -64,9 +45,9 @@ class TestContextTraces:
     def test_compiled_trace_is_cached(self):
         private = TraceCache(maxsize=4)
         ctx = RunContext(seed=3, scale=Scale.SMALL, traces=private)
-        compiled = ctx.compiled_trace()
+        compiled = private.compiled(Scale.SMALL, 3)
         assert ("compiled", Scale.SMALL, 3) in private
-        assert compiled is ctx.compiled_trace()  # hit skips recompilation
+        assert compiled is private.compiled(Scale.SMALL, 3)  # hit skips recompilation
         assert compiled is ctx.static_trace().compiled()  # shared object
 
 
@@ -109,52 +90,3 @@ class TestTraceCache:
         cache.filtered(Scale.TINY, 1)  # builds from temporal, evicts static
         assert ("static", Scale.SMALL, 3) not in cache
         assert len(cache) == 2
-
-
-class TestComponentFactories:
-    def test_build_network_uses_context_seed_and_faults(self):
-        import dataclasses
-
-        from repro.runtime.scale import workload_config
-
-        workload = dataclasses.replace(
-            workload_config(Scale.TINY),
-            num_clients=20,
-            num_files=200,
-            days=2,
-            mainstream_pool_size=40,
-        )
-        from repro.edonkey.network import NetworkConfig
-
-        faults = FaultConfig(loss_rate=0.5)
-        ctx = RunContext(seed=9, scale=Scale.TINY, faults=faults)
-        network = ctx.build_network(NetworkConfig(workload=workload))
-        assert network.faults.enabled  # ambient fault config applied
-
-    def test_explicit_network_faults_override_context(self):
-        import dataclasses
-
-        from repro.edonkey.network import NetworkConfig
-        from repro.runtime.scale import workload_config
-
-        workload = dataclasses.replace(
-            workload_config(Scale.TINY),
-            num_clients=20,
-            num_files=200,
-            days=2,
-            mainstream_pool_size=40,
-        )
-        explicit = FaultConfig(loss_rate=0.25)
-        ctx = RunContext(seed=9, faults=FaultConfig(loss_rate=0.9))
-        network = ctx.build_network(
-            NetworkConfig(workload=workload, faults=explicit)
-        )
-        assert network.config.faults.loss_rate == 0.25
-
-    def test_simulate_search_inherits_seed(self):
-        ctx = RunContext(seed=3, scale=Scale.SMALL)
-        via_ctx = ctx.simulate_search(ctx.static_trace())
-        from repro.core.search import SearchConfig, simulate_search
-
-        direct = simulate_search(ctx.static_trace(), SearchConfig(seed=3))
-        assert via_ctx.hit_rate == direct.hit_rate

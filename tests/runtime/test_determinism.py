@@ -1,66 +1,14 @@
 """Determinism regression: the runtime layer must not move a single byte.
 
-The refactor contract for the runtime layer is that routing seed, scale
-and observer through a :class:`RunContext` is *plumbing only*: a seeded
-crawl, a seeded search run and a seeded experiment must produce output
-byte-identical to the legacy keyword-argument path.
+The :class:`~repro.runtime.Runner` executes an experiment under an
+enabled Observer; instrumentation is RNG-neutral, so its result must be
+byte-identical to calling the runner directly with the same context.
 """
 
-import dataclasses
-
-from repro.core.search import SearchConfig, simulate_search
-from repro.edonkey.crawler import Crawler, CrawlerConfig
-from repro.edonkey.network import NetworkConfig, build_network
-from repro.runtime import RunContext, Scale, workload_config
-from repro.trace.io import dumps_trace
-
-
-def _crawl_workload():
-    return dataclasses.replace(
-        workload_config(Scale.TINY),
-        num_clients=40,
-        num_files=400,
-        days=2,
-        mainstream_pool_size=40,
-    )
-
-
-def _trace_bytes(trace) -> bytes:
-    return dumps_trace(trace).encode()
+from repro.runtime import RunContext, Scale
 
 
 class TestSeededByteIdentity:
-    def test_crawl_identical_through_context(self):
-        config = NetworkConfig(workload=_crawl_workload())
-        legacy_net = build_network(config, seed=1)
-        legacy = Crawler(legacy_net, CrawlerConfig(days=2), seed=1).crawl()
-
-        ctx = RunContext(seed=1, scale=Scale.TINY)
-        ctx_net = ctx.build_network(config)
-        via_ctx = ctx.crawler(ctx_net, CrawlerConfig(days=2)).crawl()
-
-        assert _trace_bytes(via_ctx) == _trace_bytes(legacy)
-
-    def test_search_identical_through_context(self):
-        ctx = RunContext(seed=3, scale=Scale.TINY)
-        trace = ctx.static_trace()
-
-        legacy = simulate_search(trace, SearchConfig(seed=3))
-        via_ctx = ctx.simulate_search(trace)
-
-        assert via_ctx.hit_rate == legacy.hit_rate
-        assert via_ctx.rates == legacy.rates
-
-    def test_experiment_identical_through_context(self):
-        from repro.experiments.search_figures import run_figure18
-
-        legacy = run_figure18(scale=Scale.TINY, seed=42, list_sizes=(5, 20))
-        via_ctx = run_figure18(
-            ctx=RunContext(seed=42, scale=Scale.TINY), list_sizes=(5, 20)
-        )
-        assert via_ctx.render().encode() == legacy.render().encode()
-        assert via_ctx.metrics == legacy.metrics
-
     def test_runner_observer_does_not_perturb_results(self, tmp_path):
         """The Runner attaches an enabled Observer; outputs must not move."""
         from repro.runtime import Runner
@@ -71,6 +19,8 @@ class TestSeededByteIdentity:
         ).run("fig18", list_sizes=(5, 20))
         from repro.experiments.search_figures import run_figure18
 
-        legacy = run_figure18(scale=Scale.TINY, seed=42, list_sizes=(5, 20))
-        assert direct.result.render() == legacy.render()
-        assert direct.manifest.metrics == legacy.metrics
+        plain = run_figure18(
+            RunContext(seed=42, scale=Scale.TINY), list_sizes=(5, 20)
+        )
+        assert direct.result.render() == plain.render()
+        assert direct.manifest.metrics == plain.metrics

@@ -94,6 +94,17 @@ class TestCompleteness:
         }
         assert public_runners == set(registered)
 
+    def test_runners_take_only_a_context(self):
+        """A runner's identity is its required ``ctx``: no loose
+        ``scale``/``seed``/``obs`` beside it."""
+        import inspect
+
+        for spec in registry.load_all():
+            params = inspect.signature(spec.runner).parameters
+            assert "ctx" in params, spec.runner_name
+            assert params["ctx"].default is inspect.Parameter.empty, spec.runner_name
+            assert not {"scale", "seed", "obs"} & set(params), spec.runner_name
+
     def test_aliases_do_not_collide_with_names(self):
         registry.load_all()
         specs = registry.all_experiments()

@@ -1,73 +1,17 @@
-"""Tests for the transport seam: SimTransport equivalence, TcpTransport."""
+"""Tests for the live transport, TcpTransport."""
 
 import asyncio
 
 import pytest
 
-from repro.edonkey.client import Client
 from repro.edonkey.messages import (
     Ack,
     ConnectRequest,
-    FileDescription,
-    Keyword,
     QueryUsers,
 )
-from repro.edonkey.network import Network, NetworkConfig
-from repro.edonkey.server import Server
-from repro.edonkey.transport import SimTransport, TcpTransport, TransportError
+from repro.edonkey.transport import TcpTransport, TransportError
 from repro.edonkey.wire import read_frame, write_frame
 from repro.service import IndexService, ServiceConfig
-from repro.workload.config import WorkloadConfig
-from repro.workload.generator import SyntheticWorkloadGenerator
-
-
-def desc(file_id="f1", name="some file", size=1000):
-    return FileDescription(file_id=file_id, name=name, size=size)
-
-
-def make_network(*clients):
-    config = NetworkConfig(workload=WorkloadConfig().small())
-    generator = SyntheticWorkloadGenerator(config=config.workload, seed=0)
-    generator.build()
-    network = Network(generator, config)
-    network.add_server(Server(0))
-    for client in clients:
-        network.add_client(client)
-    return network
-
-
-class TestSimTransport:
-    def test_equivalent_to_direct_network(self):
-        """A client driven through SimTransport produces exactly the
-        replies a direct-network client gets: the adapter adds nothing."""
-        sharer_a = Client(1, nickname="sharer-a")
-        sharer_b = Client(2, nickname="sharer-b")
-        network_direct = make_network(sharer_a, sharer_b)
-        sharer_a.share(desc())
-        assert sharer_a.connect(network_direct, 0)
-        assert sharer_b.connect(network_direct, 0)
-        direct_results = sharer_b.search(network_direct, Keyword("some"))
-        direct_sources = sharer_b.find_sources(network_direct, "f1")
-        assert direct_results and direct_sources  # non-vacuous comparison
-
-        sharer_c = Client(1, nickname="sharer-a")
-        sharer_d = Client(2, nickname="sharer-b")
-        transport = SimTransport(make_network(sharer_c, sharer_d))
-        sharer_c.share(desc())
-        assert sharer_c.connect(transport, 0)
-        assert sharer_d.connect(transport, 0)
-        assert sharer_d.search(transport, Keyword("some")) == direct_results
-        assert sharer_d.find_sources(transport, "f1") == direct_sources
-
-    def test_delegates_message_stats(self):
-        client = Client(1, nickname="peer")
-        network = make_network(client)
-        transport = SimTransport(network)
-        client.connect(transport, 0)
-        assert network.stats.sent.get("ConnectRequest") == 1
-
-    def test_close_is_noop(self):
-        SimTransport(make_network()).close()
 
 
 def run(coro):

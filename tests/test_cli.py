@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENT_IDS, _scale, build_parser, main
+from repro.cli import _scale, build_parser, main
 from repro.runtime.scale import Scale
 
 
@@ -137,18 +137,22 @@ class TestExperimentCommand:
 
     def test_id_table_is_complete(self):
         import repro.experiments as experiments
-
-        for runner_name in set(EXPERIMENT_IDS.values()):
-            assert hasattr(experiments, runner_name)
-
-    def test_id_table_matches_registry(self):
         from repro.runtime.registry import load_all
 
-        expected = {}
         for spec in load_all():
-            for name in (spec.name, *spec.aliases):
-                expected[name] = spec.runner_name
-        assert EXPERIMENT_IDS == expected
+            assert getattr(experiments, spec.runner_name) is spec.runner
+
+    def test_id_table_matches_registry(self, capsys):
+        from repro.runtime.registry import load_all
+
+        assert main(["experiment", "--list"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        listed = {row.split("  ")[0] for row in rows if row.strip()}
+        expected = {
+            spec.name + (f" ({', '.join(spec.aliases)})" if spec.aliases else "")
+            for spec in load_all()
+        }
+        assert listed == expected
 
     def test_list_prints_registry(self, capsys):
         rc = main(["experiment", "--list"])
@@ -279,6 +283,30 @@ class TestNonPositiveSizes:
         assert result.returncode == 2, result.stderr
         assert f"{argv[1]}: must be >= 1" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+class TestNonPositiveIntervals:
+    """Intervals of zero or less are argument errors (exit 2), raised
+    before any work: no trace is built and no file is read."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_search_telemetry_interval(self, value, tmp_path, capsys):
+        telemetry = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--scale", "tiny", "--list-sizes", "5",
+                  "--telemetry-out", str(telemetry),
+                  "--telemetry-interval", value])
+        assert excinfo.value.code == 2
+        assert "--telemetry-interval: must be > 0" in capsys.readouterr().err
+        assert not telemetry.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_tail_interval(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tail", "--follow", "--interval", value,
+                  str(tmp_path / "missing.jsonl")])
+        assert excinfo.value.code == 2
+        assert "--interval: must be > 0" in capsys.readouterr().err
 
 
 class TestSearchFaultFlags:

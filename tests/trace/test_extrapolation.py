@@ -147,11 +147,11 @@ class TestFillModes:
             assert prev.cache(0, day) <= union.cache(0, day)
 
     def test_experiment_runs(self):
-        from repro.runtime.scale import Scale
+        from repro.runtime import RunContext, Scale
         from repro.experiments.extension_experiments import (
             run_extrapolation_ablation,
         )
 
-        result = run_extrapolation_ablation(scale=Scale.SMALL)
+        result = run_extrapolation_ablation(RunContext(scale=Scale.SMALL))
         assert result.metric("intersection_p1") > 0
         assert result.metric("union_p1") > 0
