@@ -4,8 +4,8 @@ Runs the standard crawl + search workload twice — once bare, once with
 an enabled :class:`~repro.obs.FlightRecorder` snapshotting to a JSONL
 file at a short interval — and gates on the wall-clock ratio.  The
 flight recorder runs on its own daemon thread and only *reads* observer
-state, so its cost should be bounded by the sampler wakeups plus the
-fsync'd appends; ``MAX_RATIO`` is the budget.
+state, so its cost should be bounded by its wakeups plus the fsync'd
+appends; ``MAX_RATIO`` is the budget.
 
 Both runs are timed with the median of ``REPEATS`` repetitions to damp
 scheduler noise; the committed baseline
@@ -40,7 +40,12 @@ if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
 from benchmarks.bench_profile import profile_workload  # noqa: E402
-from repro.obs import FlightRecorder, Observer, read_telemetry  # noqa: E402
+from repro.obs import (  # noqa: E402
+    Observer,
+    TelemetrySpec,
+    read_telemetry,
+    record_telemetry,
+)
 
 #: An infrastructure bench, not a paper result: the ``paper-results``
 #: CI job deselects it with ``-m "not infra"``.
@@ -71,15 +76,9 @@ def _run_once(telemetry_path=None) -> float:
     if telemetry_path is None:
         profile_workload(clients=CLIENTS, days=DAYS)
     else:
-        obs = Observer()
-        recorder = FlightRecorder(
-            telemetry_path, obs=obs, interval_s=INTERVAL_S, source="bench"
-        )
-        recorder.start()
-        try:
+        spec = TelemetrySpec(telemetry_path, interval_s=INTERVAL_S)
+        with record_telemetry(spec, Observer(), source="bench"):
             profile_workload(clients=CLIENTS, days=DAYS)
-        finally:
-            recorder.close()
     return time.perf_counter() - start
 
 

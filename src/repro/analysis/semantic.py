@@ -47,28 +47,15 @@ Caches = Union[CacheMap, CompiledTrace]
 def pair_overlaps(
     caches: Caches,
     file_filter: Optional[FileFilter] = None,
-    max_sources_per_file: Optional[int] = None,
-    rng: Optional[RngStream] = None,
 ) -> Dict[Tuple[ClientId, ClientId], int]:
     """Number of common (qualifying) files for every overlapping pair.
 
     Built from the file-to-sharers inverted index, so only pairs with at
-    least one common file appear.  ``max_sources_per_file`` caps the
-    per-file pair fan-out by subsampling sharers of very popular files
-    (needed on large traces where a 10k-source file alone would contribute
-    50M pairs); ``rng`` is required when the cap is set.
-
-    ``caches`` may be a :class:`~repro.trace.compiled.CompiledTrace`
-    (fastest — its inverted index is prebuilt) or a plain cache map.
-    Subsampling consumes the RNG in the cache map's own iteration order,
-    so the cap requires a cache map, not a compiled trace.
+    least one common file appear.  ``caches`` may be a
+    :class:`~repro.trace.compiled.CompiledTrace` (fastest — its inverted
+    index is prebuilt) or a plain cache map.
     """
     if isinstance(caches, CompiledTrace):
-        if max_sources_per_file is not None:
-            raise ValueError(
-                "max_sources_per_file draws in cache-map iteration order; "
-                "pass the cache map itself, not a CompiledTrace"
-            )
         mask = None
         if file_filter is not None:
             mask = [file_filter(fid) for fid in caches.file_ids]
@@ -84,10 +71,6 @@ def pair_overlaps(
     # pair come out in canonical (low, high) order.
     overlaps: Counter = Counter()
     for sharers in sharers_of.values():
-        if max_sources_per_file is not None and len(sharers) > max_sources_per_file:
-            if rng is None:
-                raise ValueError("subsampling requires an rng")
-            sharers = rng.sample_without_replacement(sharers, max_sources_per_file)
         if len(sharers) > 1:
             overlaps.update(combinations(sorted(sharers), 2))
     return dict(overlaps)
@@ -99,8 +82,6 @@ def clustering_correlation(
     max_common: int = 200,
     min_pairs: int = 5,
     name: str = "clustering",
-    max_sources_per_file: Optional[int] = None,
-    rng: Optional[RngStream] = None,
 ) -> Series:
     """P(>= n+1 common files | >= n common files), per n (Figure 13).
 
@@ -110,12 +91,7 @@ def clustering_correlation(
     ``caches`` may be a cache map or a compiled trace (see
     :func:`pair_overlaps`).
     """
-    overlaps = pair_overlaps(
-        caches,
-        file_filter=file_filter,
-        max_sources_per_file=max_sources_per_file,
-        rng=rng,
-    )
+    overlaps = pair_overlaps(caches, file_filter=file_filter)
     histogram: Counter = Counter(overlaps.values())
     if not histogram:
         return Series(name=name)

@@ -28,8 +28,11 @@ import argparse
 import os
 import signal
 import sys
+from contextlib import contextmanager
+from threading import TIMEOUT_MAX
 from typing import List, Optional
 
+from repro.obs.telemetry import TelemetrySpec, record_telemetry
 from repro.runtime import DEFAULT_SEED, Scale, workload_config
 
 
@@ -64,7 +67,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _interval(text: str) -> float:
+    """Seconds between wakeups: positive, and no longer than a thread
+    wait or sleep accepts."""
     try:
         value = float(text)
     except ValueError:
@@ -73,6 +78,10 @@ def _positive_float(text: str) -> float:
         ) from None
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if value > TIMEOUT_MAX:
+        raise argparse.ArgumentTypeError(
+            f"must be <= {TIMEOUT_MAX:g} (threading.TIMEOUT_MAX), got {text}"
+        )
     return value
 
 
@@ -119,7 +128,7 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--telemetry-interval",
-        type=_positive_float,
+        type=_interval,
         default=1.0,
         metavar="SECS",
         help="seconds between telemetry snapshots (default: 1.0)",
@@ -135,10 +144,8 @@ def _observer(args: argparse.Namespace):
     """
     from repro.obs import NULL_OBSERVER, Observer, TraceRecorder
 
-    trace_out = getattr(args, "trace_out", None)
-    telemetry_out = getattr(args, "telemetry_out", None)
-    if args.profile or args.metrics_out or trace_out or telemetry_out:
-        return Observer(tracer=TraceRecorder() if trace_out else None)
+    if args.profile or args.metrics_out or args.trace_out or args.telemetry_out:
+        return Observer(tracer=TraceRecorder() if args.trace_out else None)
     return NULL_OBSERVER
 
 
@@ -165,35 +172,23 @@ def _check_out_parents(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
-def _telemetry_spec(args: argparse.Namespace):
+def _telemetry_spec(args: argparse.Namespace) -> Optional[TelemetrySpec]:
     """A TelemetrySpec when ``--telemetry-out`` is set, else None."""
-    path = getattr(args, "telemetry_out", None)
-    if not path:
+    if not args.telemetry_out:
         return None
-    from repro.obs.telemetry import TelemetrySpec
-
-    return TelemetrySpec(
-        path=path, interval_s=getattr(args, "telemetry_interval", 1.0)
-    )
+    return TelemetrySpec(args.telemetry_out, args.telemetry_interval)
 
 
-def _start_telemetry(args: argparse.Namespace, obs, run_info: dict):
-    """Start the coordinator's flight recorder (source ``main``), or None."""
-    spec = _telemetry_spec(args)
-    if spec is None:
-        return None
-    from repro.obs.telemetry import FlightRecorder
+@contextmanager
+def _observed(args: argparse.Namespace, obs, run_info: dict):
+    """Flight-record the block (source ``main``), then write its outputs.
 
-    return FlightRecorder(
-        spec.path,
-        obs,
-        interval_s=spec.interval_s,
-        source="main",
-        run=run_info,
-    ).start()
-
-
-def _emit_observability(args: argparse.Namespace, obs, run_info: dict) -> None:
+    After a block that returns, the profile, metrics, Chrome trace and
+    "Wrote ..." lines follow; a block that raises leaves its recorder's
+    end record ``failed`` and writes nothing.
+    """
+    with record_telemetry(_telemetry_spec(args), obs, run=run_info):
+        yield
     if not obs.enabled:
         return
     from repro.obs import render_profile
@@ -205,7 +200,7 @@ def _emit_observability(args: argparse.Namespace, obs, run_info: dict) -> None:
     if args.metrics_out:
         metrics.write(args.metrics_out)
         print(f"Wrote metrics to {args.metrics_out}")
-    if getattr(args, "trace_out", None) and obs.tracer is not None:
+    if args.trace_out and obs.tracer is not None:
         obs.tracer.write_chrome(args.trace_out)
         dropped = (
             f" ({obs.tracer.dropped} oldest events dropped)"
@@ -216,7 +211,7 @@ def _emit_observability(args: argparse.Namespace, obs, run_info: dict) -> None:
             f"Wrote Chrome trace ({len(obs.tracer)} events) to "
             f"{args.trace_out}{dropped}"
         )
-    if getattr(args, "telemetry_out", None):
+    if args.telemetry_out:
         print(f"Wrote telemetry to {args.telemetry_out}")
 
 
@@ -333,10 +328,6 @@ def cmd_search(args: argparse.Namespace) -> int:
     from repro.util.tables import format_table, percent
     from repro.workload.generator import SyntheticWorkloadGenerator
 
-    problem = _check_out_parents(args)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
     # Built before the trace, so a bad value fails before generation.
     configs = [
         SearchConfig(
@@ -363,15 +354,14 @@ def cmd_search(args: argparse.Namespace) -> int:
         static = static.without_clients(aliases)
 
     obs = _observer(args)
-    rows = []
-    faulty = args.loss_rate > 0 or args.availability < 1 or args.evict_dead
-    recorder = _start_telemetry(
-        args,
-        obs,
-        {"command": "search", "seed": args.seed, "scale": args.scale},
-    )
-    outcome = "completed"
-    try:
+    run_info = {
+        "command": "search",
+        "seed": args.seed,
+        "scale": args.scale,
+        "strategy": args.strategy,
+        "two_hop": args.two_hop,
+    }
+    with _observed(args, obs, run_info):
         if args.workers > 1:
             from repro.runtime.sharded import sharded_search
 
@@ -388,39 +378,24 @@ def cmd_search(args: argparse.Namespace) -> int:
             for list_size, config in zip(args.list_sizes, configs):
                 with obs.span(f"search@{list_size}"):
                     results.append(simulate_search(static, config, obs=obs))
-    except BaseException:
-        outcome = "failed"
-        raise
-    finally:
-        if recorder is not None:
-            recorder.close(outcome)
-    for list_size, result in zip(args.list_sizes, results):
-        row = (list_size, result.rates.requests, percent(result.hit_rate))
+        faulty = args.loss_rate > 0 or args.availability < 1 or args.evict_dead
+        rows = []
+        for list_size, result in zip(args.list_sizes, results):
+            row = (list_size, result.rates.requests, percent(result.hit_rate))
+            if faulty:
+                row += (result.probes_lost, result.evictions)
+            rows.append(row)
+        hop = "two-hop" if args.two_hop else "one-hop"
+        headers = ("neighbours", "requests", "hit rate")
         if faulty:
-            row += (result.probes_lost, result.evictions)
-        rows.append(row)
-    hop = "two-hop" if args.two_hop else "one-hop"
-    headers = ("neighbours", "requests", "hit rate")
-    if faulty:
-        headers += ("probes lost", "evictions")
-    print(
-        format_table(
-            headers,
-            rows,
-            title=f"{args.strategy.upper()} semantic search ({hop})",
+            headers += ("probes lost", "evictions")
+        print(
+            format_table(
+                headers,
+                rows,
+                title=f"{args.strategy.upper()} semantic search ({hop})",
+            )
         )
-    )
-    _emit_observability(
-        args,
-        obs,
-        {
-            "command": "search",
-            "seed": args.seed,
-            "scale": args.scale,
-            "strategy": args.strategy,
-            "two_hop": args.two_hop,
-        },
-    )
     return 0
 
 
@@ -458,33 +433,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     except UnknownExperimentError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    problem = _check_out_parents(args)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
     obs = _observer(args)
     ctx = RunContext(seed=args.seed, scale=_scale(args.scale), obs=obs)
-    recorder = _start_telemetry(
-        args,
-        obs,
-        {"command": "experiment", "id": args.id, "scale": args.scale},
-    )
-    outcome = "completed"
-    try:
+    run_info = {"command": "experiment", "id": args.id, "scale": args.scale}
+    with _observed(args, obs, run_info):
         with obs.span(f"experiment/{args.id}"):
             result = spec.run(ctx=ctx)
-    except BaseException:
-        outcome = "failed"
-        raise
-    finally:
-        if recorder is not None:
-            recorder.close(outcome)
-    print(result.render())
-    _emit_observability(
-        args,
-        obs,
-        {"command": "experiment", "id": args.id, "scale": args.scale},
-    )
+        print(result.render())
     return 0
 
 
@@ -496,10 +451,6 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     from repro.obs.log import get_log
     from repro.runtime import RunContext, Runner, UnknownExperimentError
 
-    problem = _check_out_parents(args)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
     ctx = RunContext(seed=args.seed, scale=_scale(args.scale))
     runner = Runner(
         ctx=ctx,
@@ -967,10 +918,6 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     from repro.edonkey.network import NetworkConfig, build_network
     from repro.faults import FaultConfig, FaultSchedule, RetryPolicy
 
-    problem = _check_out_parents(args)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
     checkpointer = (
         Checkpointer(args.checkpoint_dir) if args.checkpoint_dir else None
     )
@@ -1130,29 +1077,19 @@ def cmd_crawl(args: argparse.Namespace) -> int:
                 # survives — exactly what resume must cope with.
                 os.kill(os.getpid(), signal.SIGKILL)
 
-    recorder = _start_telemetry(
-        args,
-        obs,
-        {
-            "command": "crawl",
-            "seed": args.seed,
-            "clients": args.clients,
-            "days": args.days,
-        },
-    )
-    outcome = "completed"
-    try:
+    run_info = {
+        "command": "crawl",
+        "seed": args.seed,
+        "clients": args.clients,
+        "days": args.days,
+    }
+    with _observed(args, obs, run_info):
         trace = crawler.crawl(checkpointer=checkpointer, on_day_end=on_day_end)
-    except BaseException:
-        outcome = "failed"
-        raise
-    finally:
-        if recorder is not None:
-            recorder.close(outcome)
-    return _crawl_summary(args, obs, trace, crawler)
+        _crawl_summary(args, trace, crawler)
+    return 0
 
 
-def _crawl_summary(args: argparse.Namespace, obs, trace, crawler) -> int:
+def _crawl_summary(args: argparse.Namespace, trace, crawler) -> None:
     from repro.trace.io import save_trace
     from repro.trace.stats import general_characteristics
     from repro.util.tables import percent
@@ -1182,17 +1119,6 @@ def _crawl_summary(args: argparse.Namespace, obs, trace, crawler) -> int:
         print(f"Wrote trace to {args.output}")
     if store_dir and not args.stream:
         print(f"Appended {len(trace.days())} day segments to {store_dir}")
-    _emit_observability(
-        args,
-        obs,
-        {
-            "command": "crawl",
-            "seed": args.seed,
-            "clients": args.clients,
-            "days": args.days,
-        },
-    )
-    return 0
 
 
 # ----------------------------------------------------------------------
@@ -1205,10 +1131,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.faults import FaultConfig
     from repro.service import ServiceConfig, run_service
 
-    problem = _check_out_parents(args)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
     if args.port_file:
         parent = os.path.dirname(os.path.abspath(args.port_file))
         if not os.path.isdir(parent):
@@ -1234,20 +1156,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     obs = _observer(args)
     run_info = {"command": "serve", "seed": args.seed, "host": args.host}
-    recorder = _start_telemetry(args, obs, run_info)
-    outcome = "completed"
-    try:
+    with _observed(args, obs, run_info):
         service = asyncio.run(
             run_service(config, obs=obs, port_file=args.port_file)
         )
-    except BaseException:
-        outcome = "failed"
-        raise
-    finally:
-        if recorder is not None:
-            recorder.close(outcome)
-    print(f"Drained after {service.requests_total} requests.")
-    _emit_observability(args, obs, run_info)
+        print(f"Drained after {service.requests_total} requests.")
     return 0
 
 
@@ -1258,10 +1171,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.edonkey.wire import WireError
     from repro.service import LoadGenConfig, run_loadgen
 
-    problem = _check_out_parents(args)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
     port = args.port
     if args.port_file:
         try:
@@ -1293,26 +1202,25 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     obs = _observer(args)
+    run_info = {
+        "command": "loadgen",
+        "seed": args.seed,
+        "scale": args.scale,
+        "requests": args.requests,
+        "rate": args.rate,
+        "sessions": args.sessions,
+    }
     try:
-        result = asyncio.run(run_loadgen(config, obs=obs))
+        with _observed(args, obs, run_info):
+            result = asyncio.run(run_loadgen(config, obs=obs))
+            print(result.summary())
+            mix = ", ".join(
+                f"{kind}={n}" for kind, n in sorted(result.mix.items())
+            )
+            print(f"Request mix: {mix}")
     except (WireError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(result.summary())
-    mix = ", ".join(f"{kind}={n}" for kind, n in sorted(result.mix.items()))
-    print(f"Request mix: {mix}")
-    _emit_observability(
-        args,
-        obs,
-        {
-            "command": "loadgen",
-            "seed": args.seed,
-            "scale": args.scale,
-            "requests": args.requests,
-            "rate": args.rate,
-            "sessions": args.sessions,
-        },
-    )
     return 0
 
 
@@ -1436,7 +1344,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--interval",
-        type=_positive_float,
+        type=_interval,
         default=1.0,
         metavar="SECS",
         help="refresh interval with --follow (default: 1.0)",
@@ -1641,6 +1549,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _check_out_parents(args)
+    if problem:
+        print(problem, file=sys.stderr)
+        return 2
     return args.func(args)
 
 

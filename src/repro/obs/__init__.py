@@ -19,13 +19,19 @@ The subsystem has four parts:
   renderer — and :mod:`repro.obs.diff`, the metrics diff/regression
   gate behind ``repro metrics diff``.
 
-The live-telemetry plane (PR 9) adds four more:
+The live-telemetry plane adds four more:
 
-- :mod:`repro.obs.resource` — :class:`ResourceSampler`, a psutil-free
-  ``/proc``-based RSS/CPU/IO/GC gauge series with a portable fallback;
+- :mod:`repro.obs.resource` — :func:`read_resource_sample`, one
+  psutil-free ``/proc``-based RSS/CPU/IO/GC reading with a portable
+  fallback;
 - :mod:`repro.obs.telemetry` — :class:`FlightRecorder`, the
   crash-persistent ``repro.telemetry/1`` JSONL snapshot stream
-  (``--telemetry-out``), plus its reader and validator;
+  (``--telemetry-out``) that takes one resource reading per snapshot,
+  plus its reader and validator.  Every entry point (each telemetered
+  CLI command, ``Runner.run`` and each sharded search worker) opens
+  and closes its recorder through :func:`record_telemetry`, whose end
+  record says ``failed`` when the run raised and ``completed``
+  otherwise;
 - :mod:`repro.obs.log` — the tiny leveled stderr logger
   (``REPRO_LOG=debug|info|quiet``) progress narration goes through;
 - :mod:`repro.obs.htmlreport` — the standalone HTML run report
@@ -42,12 +48,13 @@ from repro.obs.diff import (
 from repro.obs.events import TraceRecorder, validate_chrome_trace
 from repro.obs.hist import COUNT_BOUNDS, LATENCY_BOUNDS_S, Histogram, log_bounds
 from repro.obs.log import LOG, Log, get_log, log_level, set_context
-from repro.obs.resource import ResourceSample, ResourceSampler
+from repro.obs.resource import ResourceSample
 from repro.obs.telemetry import (
     TELEMETRY_SCHEMA,
     FlightRecorder,
     TelemetrySpec,
     read_telemetry,
+    record_telemetry,
     validate_telemetry,
 )
 from repro.obs.report import (
@@ -73,7 +80,6 @@ __all__ = [
     "NULL_OBSERVER",
     "Observer",
     "ResourceSample",
-    "ResourceSampler",
     "RunMetrics",
     "SCHEMA_V1",
     "SCHEMA_VERSION",
@@ -88,6 +94,7 @@ __all__ = [
     "log_level",
     "parse_tolerance_spec",
     "read_telemetry",
+    "record_telemetry",
     "render_profile",
     "set_context",
     "validate_chrome_trace",

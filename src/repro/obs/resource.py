@@ -1,20 +1,18 @@
-"""Process resource sampling: RSS, CPU, I/O and GC gauges over time.
+"""Process resource sampling: RSS, CPU, I/O and GC readings.
 
 Long captures (the paper's crawl ran 56 days; ``Scale.HUGE`` runs for
 minutes across many processes) need the capture process itself watched:
 a wedged worker shows up as a flat CPU curve, a leak as a climbing RSS
-curve, long before any end-of-run metric exists.  A
-:class:`ResourceSampler` is a daemon thread that reads
-``/proc/self/{statm,stat,io}`` plus :mod:`gc` counters every
-``interval_s`` into a bounded in-memory series of timestamped
-:class:`ResourceSample` gauges.
+curve, long before any end-of-run metric exists.
+:func:`read_resource_sample` reads ``/proc/self/{statm,stat,io}`` plus
+:mod:`gc` counters into one :class:`ResourceSample`; the flight
+recorder (:mod:`repro.obs.telemetry`) takes one per snapshot.
 
 Portability: everything degrades gracefully without psutil (which this
 repo does not depend on) and without ``/proc`` —
 :func:`read_resource_sample` falls back to ``resource.getrusage`` for
 RSS/CPU and reports zero for the I/O counters it cannot see, so the
-sampler runs (and the telemetry schema stays identical) on any
-platform.
+telemetry schema stays identical on any platform.
 
 Determinism contract: sampling never draws randomness and never feeds
 back into simulation state — it only *reads* process accounting — so a
@@ -25,14 +23,11 @@ from __future__ import annotations
 
 import gc
 import os
-import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = [
     "ResourceSample",
-    "ResourceSampler",
     "read_resource_sample",
 ]
 
@@ -153,117 +148,3 @@ def read_resource_sample() -> ResourceSample:
     sample.gc_collections = sum(int(s.get("collections", 0)) for s in stats)
     sample.gc_collected = sum(int(s.get("collected", 0)) for s in stats)
     return sample
-
-
-#: Default series bound: at 1 Hz this is over an hour of samples, and the
-#: telemetry file (not this buffer) is the durable record anyway.
-DEFAULT_MAX_SAMPLES = 4096
-
-
-class ResourceSampler:
-    """Background thread recording a bounded (t, sample) gauge series.
-
-    ``clock`` stamps samples (monotonic by default, so series from
-    different processes on the same host share a timeline).  The series
-    keeps the newest :data:`DEFAULT_MAX_SAMPLES` points; ``cpu_percent``
-    is derived between consecutive samples.  ``sample_now()`` works with
-    or without the thread running — the telemetry recorder uses it to
-    guarantee a fresh reading per snapshot even at sub-interval rates.
-    """
-
-    def __init__(
-        self,
-        interval_s: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
-        max_samples: int = DEFAULT_MAX_SAMPLES,
-    ) -> None:
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be > 0, got {interval_s}")
-        if max_samples <= 0:
-            raise ValueError(f"max_samples must be > 0, got {max_samples}")
-        self.interval_s = interval_s
-        self.clock = clock
-        self.max_samples = max_samples
-        self._series: List[Tuple[float, ResourceSample]] = []
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    # ------------------------------------------------------------------
-    # Sampling
-
-    def sample_now(self) -> ResourceSample:
-        """Take (and record) one sample immediately."""
-        sample = read_resource_sample()
-        now = self.clock()
-        with self._lock:
-            self._series.append((now, sample))
-            if len(self._series) > self.max_samples:
-                del self._series[0 : len(self._series) - self.max_samples]
-        return sample
-
-    def latest(self) -> Optional[ResourceSample]:
-        with self._lock:
-            return self._series[-1][1] if self._series else None
-
-    def series(self) -> List[Tuple[float, ResourceSample]]:
-        """A snapshot copy of the recorded (t, sample) series."""
-        with self._lock:
-            return list(self._series)
-
-    def cpu_percent(self) -> float:
-        """CPU utilisation between the two most recent samples (0 first)."""
-        with self._lock:
-            if len(self._series) < 2:
-                return 0.0
-            (t0, s0), (t1, s1) = self._series[-2], self._series[-1]
-        dt = t1 - t0
-        if dt <= 0:
-            return 0.0
-        return max(0.0, 100.0 * (s1.cpu_s - s0.cpu_s) / dt)
-
-    # ------------------------------------------------------------------
-    # Thread lifecycle
-
-    def start(self) -> "ResourceSampler":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-resource-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        # First sample immediately, so even a short-lived process has one.
-        self.sample_now()
-        while not self._stop.wait(self.interval_s):
-            self.sample_now()
-
-    def stop(self) -> None:
-        """Stop the thread (idempotent); the series stays readable."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._thread = None
-
-    def summary_gauges(self, prefix: str = "resource/") -> Dict[str, float]:
-        """Peak/total gauges for folding into an Observer at shutdown."""
-        series = self.series()
-        if not series:
-            return {}
-        last = series[-1][1]
-        return {
-            prefix + "rss_max_bytes": float(
-                max(s.rss_bytes for _, s in series)
-            ),
-            prefix + "rss_last_bytes": float(last.rss_bytes),
-            prefix + "cpu_user_s": last.cpu_user_s,
-            prefix + "cpu_system_s": last.cpu_system_s,
-            prefix + "io_read_bytes": float(last.io_read_bytes),
-            prefix + "io_write_bytes": float(last.io_write_bytes),
-            prefix + "gc_collections": float(last.gc_collections),
-            prefix + "samples": float(len(series)),
-        }

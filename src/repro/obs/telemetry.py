@@ -21,10 +21,10 @@ carries ``schema`` and ``kind``:
   ``mono_s``, ``interval_s``, optional ``run`` dict (scale, seed, ...);
 - ``kind: "snapshot"`` — ``seq`` (per-source counter), ``ts`` (wall
   clock), ``mono_s`` (shared monotonic clock), ``heartbeat_s`` (seconds
-  since this source started), ``progress`` (explicit ``update()``
-  values merged with the observer's ``progress/*`` gauges, prefix
-  stripped), ``resource`` (one :class:`~repro.obs.resource
-  .ResourceSample` as a flat dict), ``top_spans`` (top-k
+  since this source started), ``progress`` (the observer's
+  ``progress/*`` gauges, prefix stripped), ``resource`` (one
+  :class:`~repro.obs.resource.ResourceSample` as a flat dict),
+  ``top_spans`` (top-k
   ``[path, count, total_s]`` by cumulative time);
 - ``kind: "end"`` — final snapshot fields plus ``outcome``.
 
@@ -39,10 +39,11 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.obs.resource import ResourceSampler
+from repro.obs.resource import ResourceSample, read_resource_sample
 from repro.obs.spans import NULL_OBSERVER, Observer
 from repro.util.atomic import append_line
 
@@ -51,6 +52,7 @@ __all__ = [
     "TELEMETRY_SCHEMA",
     "TelemetrySpec",
     "read_telemetry",
+    "record_telemetry",
     "validate_telemetry",
     "validate_telemetry_record",
 ]
@@ -81,15 +83,16 @@ def _dump(record: Dict[str, object]) -> str:
 class FlightRecorder:
     """Periodic telemetry snapshots of one process, appended to a JSONL.
 
-    The recorder owns a :class:`ResourceSampler` (one fresh sample per
-    snapshot) and reads the observer's gauges and span aggregates under
-    the GIL — dict snapshots via ``list(d.items())`` are safe against a
+    Each snapshot takes one fresh :func:`read_resource_sample` and reads
+    the observer's gauges and span aggregates under the GIL — dict
+    snapshots via ``list(d.items())`` are safe against a
     concurrently-mutating owner thread.  ``start()`` writes the start
     line and launches the thread; ``close()`` writes a final snapshot
-    plus the end line and folds the sampler's peak gauges into the
-    observer (prefix ``resource/`` for the main source,
-    ``resource/{source}/`` otherwise) so the run's metrics JSON records
-    them too.
+    plus the end line and folds the run's resource gauges (last sample,
+    peak RSS, sample count) into the observer (prefix ``resource/`` for
+    the main source, ``resource/{source}/`` otherwise) so the run's
+    metrics JSON records them too.  Entry points open and close one
+    through :func:`record_telemetry`.
     """
 
     def __init__(
@@ -99,7 +102,6 @@ class FlightRecorder:
         interval_s: float = 1.0,
         source: str = "main",
         run: Optional[Dict[str, object]] = None,
-        fsync: bool = True,
     ) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be > 0, got {interval_s}")
@@ -108,11 +110,10 @@ class FlightRecorder:
         self.interval_s = interval_s
         self.source = source
         self.run = dict(run or {})
-        self.fsync = fsync
-        self.sampler = ResourceSampler(interval_s=interval_s)
         self.seq = 0
-        self._progress: Dict[str, float] = {}
-        self._lock = threading.Lock()
+        self._last_sample: Optional[ResourceSample] = None
+        self._rss_max_bytes = 0
+        self._samples = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._start_mono = time.monotonic()
@@ -121,21 +122,14 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Snapshot assembly
 
-    def update(self, **progress: float) -> None:
-        """Record explicit progress values (e.g. ``days_done=3``)."""
-        with self._lock:
-            for key, value in progress.items():
-                self._progress[key] = float(value)
-
     def _progress_dict(self) -> Dict[str, float]:
-        progress: Dict[str, float] = {}
-        # Observer progress gauges first, explicit updates win ties.
-        for name, value in list(self.obs.gauges.items()):
-            if name.startswith(PROGRESS_PREFIX):
-                progress[name[len(PROGRESS_PREFIX) :]] = value
-        with self._lock:
-            progress.update(self._progress)
-        return dict(sorted(progress.items()))
+        return dict(
+            sorted(
+                (name[len(PROGRESS_PREFIX) :], value)
+                for name, value in list(self.obs.gauges.items())
+                if name.startswith(PROGRESS_PREFIX)
+            )
+        )
 
     def _top_spans(self) -> List[List[object]]:
         totals: List[Tuple[str, int, float]] = [
@@ -149,7 +143,10 @@ class FlightRecorder:
         ]
 
     def _snapshot_record(self, kind: str = "snapshot") -> Dict[str, object]:
-        sample = self.sampler.sample_now()
+        sample = read_resource_sample()
+        self._last_sample = sample
+        self._rss_max_bytes = max(self._rss_max_bytes, sample.rss_bytes)
+        self._samples += 1
         now_mono = time.monotonic()
         record: Dict[str, object] = {
             "schema": TELEMETRY_SCHEMA,
@@ -172,7 +169,7 @@ class FlightRecorder:
 
     def _write(self, record: Dict[str, object]) -> None:
         try:
-            append_line(self.path, _dump(record), fsync=self.fsync)
+            append_line(self.path, _dump(record))
         except OSError:
             # Telemetry must never take the run down; a full disk or a
             # removed directory degrades to a silent gap in the timeline.
@@ -231,14 +228,51 @@ class FlightRecorder:
         record = self._snapshot_record(kind="end")
         record["outcome"] = outcome
         self._write(record)
-        self.sampler.stop()
+        last = self._last_sample
         prefix = (
             "resource/"
             if self.source == "main"
             else f"resource/{self.source}/"
         )
-        for name, value in self.sampler.summary_gauges(prefix).items():
-            self.obs.gauge(name, value)
+        for name, value in (
+            ("rss_max_bytes", float(self._rss_max_bytes)),
+            ("rss_last_bytes", float(last.rss_bytes)),
+            ("cpu_user_s", last.cpu_user_s),
+            ("cpu_system_s", last.cpu_system_s),
+            ("io_read_bytes", float(last.io_read_bytes)),
+            ("io_write_bytes", float(last.io_write_bytes)),
+            ("gc_collections", float(last.gc_collections)),
+            ("samples", float(self._samples)),
+        ):
+            self.obs.gauge(prefix + name, value)
+
+
+@contextmanager
+def record_telemetry(
+    spec: Optional[TelemetrySpec],
+    obs: Observer,
+    source: str = "main",
+    run: Optional[Dict[str, object]] = None,
+) -> Iterator[None]:
+    """Flight-record the block into ``spec.path``; a no-op without a spec.
+
+    The one lifecycle every entry point uses: the recorder starts
+    before the block and closes after it, and its end record says
+    ``failed`` when the block raised (``KeyboardInterrupt`` and
+    ``SystemExit`` included) and ``completed`` otherwise.
+    """
+    if spec is None:
+        yield
+        return
+    recorder = FlightRecorder(
+        spec.path, obs, interval_s=spec.interval_s, source=source, run=run
+    ).start()
+    outcome = "failed"
+    try:
+        yield
+        outcome = "completed"
+    finally:
+        recorder.close(outcome)
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.obs import Observer, RunMetrics, validate_metrics
+from repro.obs import Observer, RunMetrics, record_telemetry, validate_metrics
 from repro.runtime import registry
 from repro.runtime.context import RunContext
 
@@ -258,32 +258,18 @@ class Runner:
         # unchanged whether or not the ambient context observed anything.
         run_obs = Observer()
         run_ctx = self.ctx.derive(obs=run_obs)
-        recorder = None
-        if self.telemetry is not None:
-            from repro.obs.telemetry import FlightRecorder
-
-            recorder = FlightRecorder(
-                self.telemetry.path,
-                run_obs,
-                interval_s=self.telemetry.interval_s,
-                source=spec.name,
-                run={
-                    "experiment": spec.name,
-                    "seed": self.ctx.seed,
-                    "scale": self.ctx.scale.value,
-                },
-            ).start()
-        outcome = "completed"
         start = time.perf_counter()
-        try:
-            with run_obs.span(f"experiment/{spec.name}"):
-                result = spec.run(ctx=run_ctx, **overrides)
-        except BaseException:
-            outcome = "failed"
-            raise
-        finally:
-            if recorder is not None:
-                recorder.close(outcome)
+        with record_telemetry(
+            self.telemetry,
+            run_obs,
+            source=spec.name,
+            run={
+                "experiment": spec.name,
+                "seed": self.ctx.seed,
+                "scale": self.ctx.scale.value,
+            },
+        ), run_obs.span(f"experiment/{spec.name}"):
+            result = spec.run(ctx=run_ctx, **overrides)
         wall = time.perf_counter() - start
         report: RunMetrics = run_obs.report(
             run={

@@ -41,7 +41,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
 
-from repro.obs import NULL_OBSERVER, Observer, TraceRecorder
+from repro.obs import NULL_OBSERVER, Observer, TraceRecorder, record_telemetry
 from repro.obs.telemetry import TelemetrySpec
 from repro.trace.compiled import CompiledTrace
 
@@ -78,7 +78,6 @@ def _search_worker(
     """Run one seeded simulation on the adopted trace."""
     from repro.core.search import SearchSimulator
     from repro.obs.log import set_context
-    from repro.obs.telemetry import FlightRecorder
 
     source = f"shard {index}"
     set_context(source)
@@ -88,24 +87,10 @@ def _search_worker(
         else None
     )
     obs = Observer(tracer=tracer) if want_obs else NULL_OBSERVER
-    recorder = None
-    if telemetry is not None and want_obs:
-        recorder = FlightRecorder(
-            telemetry.path,
-            obs,
-            interval_s=telemetry.interval_s,
-            source=source,
-        ).start()
-    outcome = "completed"
-    try:
-        with obs.span(span_name):
-            result = SearchSimulator(_TRACE, config, obs=obs).run()
-    except BaseException:
-        outcome = "failed"
-        raise
-    finally:
-        if recorder is not None:
-            recorder.close(outcome)
+    with record_telemetry(
+        telemetry if want_obs else None, obs, source=source
+    ), obs.span(span_name):
+        result = SearchSimulator(_TRACE, config, obs=obs).run()
     return result, (obs if want_obs else None)
 
 

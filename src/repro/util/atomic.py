@@ -83,16 +83,16 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> None:
             fh.write(data)
 
 
-def append_line(path: PathLike, line: str, fsync: bool = True) -> None:
+def append_line(path: PathLike, line: str) -> None:
     """Append one line to ``path`` crash-safely and multi-writer-safely.
 
     The whole line (newline included) goes down in a single ``os.write``
     on an ``O_APPEND`` descriptor: concurrent appenders — the telemetry
     flight recorders of a sharded run's workers — cannot interleave
     *within* a line, and a crash mid-write can tear at most the file's
-    final line, which the telemetry reader tolerates by design.  With
-    ``fsync`` (the default) the line is flushed to disk before the call
-    returns, so a SIGKILL immediately after still leaves it readable.
+    final line, which the telemetry reader tolerates by design.  The
+    line is flushed to disk before the call returns, so a SIGKILL
+    immediately after still leaves it readable.
     """
     if "\n" in line:
         raise ValueError("append_line writes exactly one line, got embedded newline")
@@ -102,7 +102,6 @@ def append_line(path: PathLike, line: str, fsync: bool = True) -> None:
     )
     try:
         os.write(fd, data)
-        if fsync:
-            os.fsync(fd)
+        os.fsync(fd)
     finally:
         os.close(fd)

@@ -10,7 +10,6 @@ from repro.analysis.semantic import (
     popularity_band_filter,
 )
 from repro.util.cdf import Series
-from repro.util.rng import RngStream
 from tests.conftest import build_trace
 
 
@@ -32,19 +31,6 @@ class TestPairOverlaps:
         caches = {0: frozenset({"a", "b"}), 1: frozenset({"a", "b"})}
         overlaps = pair_overlaps(caches, file_filter=lambda f: f == "a")
         assert overlaps == {(0, 1): 1}
-
-    def test_subsampling_requires_rng(self):
-        caches = {i: frozenset({"hot"}) for i in range(5)}
-        with pytest.raises(ValueError):
-            pair_overlaps(caches, max_sources_per_file=2)
-
-    def test_subsampling_caps_fanout(self):
-        caches = {i: frozenset({"hot"}) for i in range(20)}
-        overlaps = pair_overlaps(
-            caches, max_sources_per_file=5, rng=RngStream(0)
-        )
-        # at most C(5,2) pairs from the capped file
-        assert len(overlaps) <= 10
 
 
 class TestClusteringCorrelation:

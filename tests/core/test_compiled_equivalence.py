@@ -78,9 +78,6 @@ class TestAnalysisEquivalence:
         assert_case("clustering/fixture/compiled")
         assert_case("clustering/fixture/cache-map")
 
-    def test_pair_overlaps_subsampled_path_untouched(self):
-        assert_case("pair-overlaps/fixture/capped")
-
     def test_overlap_evolution(self, small_temporal_trace, tmp_path):
         from repro.trace.io import trace_to_store
         from tests.golden.cases import assert_day_case

@@ -324,16 +324,6 @@ _register(
         dict(fixture_static().caches), **flags
     ),
 )
-# Subsampling draws in the cache map's iteration order, so the caches are
-# sorted lists here: a frozenset of strings iterates in hash order, which
-# varies between processes.
-_register(
-    "pair-overlaps/fixture/capped",
-    lambda **flags: semantic.pair_overlaps(
-        {c: sorted(f) for c, f in fixture_static().caches.items()},
-        max_sources_per_file=5, rng=RngStream(1, "cap"), **flags,
-    ),
-)
 for _filter, _suffix in ((None, ""), (_not_alpha, "/filtered")):
     _register(
         f"pair-overlaps/pair-trace{_suffix}/compiled",

@@ -1,15 +1,10 @@
-"""Resource sampler: /proc readers, fallback, and the sampling thread."""
+"""Resource readings: /proc readers, fallback, and the recorder's gauges."""
 
-import time
+import json
 
-import pytest
-
-from repro.obs.resource import (
-    DEFAULT_MAX_SAMPLES,
-    ResourceSample,
-    ResourceSampler,
-    read_resource_sample,
-)
+from repro.obs import Observer
+from repro.obs.resource import ResourceSample, read_resource_sample
+from repro.obs.telemetry import FlightRecorder
 
 
 def test_read_resource_sample_never_raises():
@@ -28,50 +23,35 @@ def test_sample_as_dict_all_float():
     assert "rss_bytes" in payload
 
 
-def test_sample_now_appends_series():
-    sampler = ResourceSampler(interval_s=0.01)
-    assert sampler.latest() is None
-    sampler.sample_now()
-    sampler.sample_now()
-    series = sampler.series()
-    assert len(series) == 2
-    ts0, _s0 = series[0]
-    ts1, _s1 = series[1]
-    assert ts1 >= ts0
-    assert sampler.latest() is series[-1][1]
-
-
-def test_sampler_thread_collects_and_stops():
-    sampler = ResourceSampler(interval_s=0.01)
-    sampler.start()
-    try:
-        deadline = time.monotonic() + 2.0
-        while len(sampler.series()) < 3 and time.monotonic() < deadline:
-            time.sleep(0.01)
-    finally:
-        sampler.stop()
-    assert len(sampler.series()) >= 3
-    count = len(sampler.series())
-    time.sleep(0.05)
-    assert len(sampler.series()) == count, "sampler kept running after stop"
-
-
-def test_sampler_bounded_memory():
-    sampler = ResourceSampler(interval_s=0.01, max_samples=4)
-    for _ in range(10):
-        sampler.sample_now()
-    assert len(sampler.series()) == 4
-    assert sampler.series()[-1][1] is sampler.latest()
-    assert DEFAULT_MAX_SAMPLES >= 1024
-
-
-def test_summary_gauges_shape():
-    sampler = ResourceSampler(interval_s=0.01)
-    sampler.sample_now()
-    gauges = sampler.summary_gauges(prefix="resource/")
-    assert gauges["resource/samples"] == 1.0
-    assert gauges["resource/rss_max_bytes"] > 0
-    assert set(gauges) == {
+def test_summary_gauges_shape(tmp_path):
+    """The folded gauges cover every sample the recorder wrote, not a
+    bounded window of them."""
+    path = tmp_path / "t.jsonl"
+    obs = Observer()
+    recorder = FlightRecorder(str(path), obs=obs, interval_s=60.0)
+    recorder.start()
+    # Freed ballast lets RSS fall after a snapshot, so the peak is not
+    # simply the last reading.
+    ballast = b"\x01" * (64 << 20)
+    recorder.snapshot_now()
+    del ballast
+    for _ in range(2):
+        recorder.snapshot_now()
+    recorder.close()
+    sampled = [
+        record
+        for record in map(json.loads, path.read_text().splitlines())
+        if record["kind"] in ("snapshot", "end")
+    ]
+    gauges = obs.gauges
+    assert gauges["resource/samples"] == len(sampled) == 5
+    assert gauges["resource/rss_max_bytes"] == max(
+        record["resource"]["rss_bytes"] for record in sampled
+    )
+    assert gauges["resource/rss_last_bytes"] == (
+        sampled[-1]["resource"]["rss_bytes"]
+    )
+    assert {name for name in gauges if name.startswith("resource/")} == {
         "resource/rss_max_bytes",
         "resource/rss_last_bytes",
         "resource/cpu_user_s",
@@ -81,22 +61,3 @@ def test_summary_gauges_shape():
         "resource/gc_collections",
         "resource/samples",
     }
-
-
-def test_summary_gauges_empty_without_samples():
-    sampler = ResourceSampler()
-    assert sampler.summary_gauges() == {}
-
-
-def test_cpu_percent_requires_two_samples():
-    clock_values = iter([0.0, 1.0])
-    sampler = ResourceSampler(clock=lambda: next(clock_values))
-    sampler.sample_now()
-    assert sampler.cpu_percent() == 0.0
-    sampler.sample_now()
-    assert sampler.cpu_percent() >= 0.0
-
-
-def test_interval_must_be_positive():
-    with pytest.raises(ValueError):
-        ResourceSampler(interval_s=0.0)

@@ -51,12 +51,11 @@ def test_progress_merges_gauges_and_updates(tmp_path):
     obs.gauge("progress/days_total", 5)
     obs.gauge("unrelated/gauge", 9)
     recorder = FlightRecorder(path, obs=obs, interval_s=60.0)
-    recorder.update(days_done=3, phase=1)
     record = recorder.snapshot_now()
-    # Explicit update wins the tie; non-progress gauges stay out.
-    assert record["progress"] == {
-        "days_done": 3.0, "days_total": 5.0, "phase": 1.0
-    }
+    # Prefix stripped; non-progress gauges stay out.
+    assert record["progress"] == {"days_done": 2.0, "days_total": 5.0}
+    obs.gauge("progress/days_done", 3)
+    assert recorder.snapshot_now()["progress"]["days_done"] == 3.0
     recorder.close()
 
 

@@ -82,11 +82,14 @@ class TestErrorPaths:
 class TestServeLoadgenSmoke:
     def test_loadgen_cli_against_live_service(self, tmp_path, capsys):
         """`repro loadgen` (the real CLI path) against a service hosted
-        on a background event loop: rc=0 and the metrics file carries
-        the percentiles and a clean counter set."""
+        on a background event loop: rc=0, the metrics file carries the
+        percentiles and a clean counter set, and the telemetry file is a
+        valid start-to-completed stream."""
+        from repro.obs.telemetry import read_telemetry, validate_telemetry
         from repro.service import IndexService, ServiceConfig
 
         metrics_file = tmp_path / "loadgen.json"
+        telemetry = str(tmp_path / "loadgen-telemetry.jsonl")
         started = threading.Event()
         stopped = {}
         holder = {}
@@ -111,7 +114,8 @@ class TestServeLoadgenSmoke:
         rc = main(
             ["loadgen", "--port", str(service.port),
              "--requests", "200", "--rate", "2000", "--sessions", "4",
-             "--metrics-out", str(metrics_file)]
+             "--metrics-out", str(metrics_file),
+             "--telemetry-out", telemetry]
         )
         assert rc == 0
         out = capsys.readouterr().out
@@ -130,6 +134,12 @@ class TestServeLoadgenSmoke:
         assert not thread.is_alive()
         # connect + publish per session ride on top of the 200 plan ops.
         assert stopped["requests"] == 200 + 2 * 4
+
+        assert validate_telemetry(telemetry) == []
+        records, _truncated = read_telemetry(telemetry)
+        assert records[0]["kind"] == "start"
+        assert records[-1]["kind"] == "end"
+        assert records[-1]["outcome"] == "completed"
 
 
 def test_serve_drain_exits_zero_under_sigterm(tmp_path):

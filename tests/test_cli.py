@@ -3,6 +3,7 @@
 import argparse
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -285,11 +286,22 @@ class TestNonPositiveSizes:
         assert "Traceback" not in result.stderr
 
 
-class TestNonPositiveIntervals:
-    """Intervals of zero or less are argument errors (exit 2), raised
-    before any work: no trace is built and no file is read."""
+#: Each rejected interval and the bound its message names: a thread
+#: wait or sleep overflows above ``threading.TIMEOUT_MAX``.
+BAD_INTERVALS = {
+    "0": "must be > 0",
+    "-1": "must be > 0",
+    "1e10": f"must be <= {threading.TIMEOUT_MAX:g}",
+    "inf": f"must be <= {threading.TIMEOUT_MAX:g}",
+}
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
+
+class TestNonPositiveIntervals:
+    """Intervals of zero or less, or beyond what a thread can wait, are
+    argument errors (exit 2), raised before any work: no trace is built
+    and no file is read."""
+
+    @pytest.mark.parametrize("value", BAD_INTERVALS)
     def test_search_telemetry_interval(self, value, tmp_path, capsys):
         telemetry = tmp_path / "t.jsonl"
         with pytest.raises(SystemExit) as excinfo:
@@ -297,16 +309,17 @@ class TestNonPositiveIntervals:
                   "--telemetry-out", str(telemetry),
                   "--telemetry-interval", value])
         assert excinfo.value.code == 2
-        assert "--telemetry-interval: must be > 0" in capsys.readouterr().err
+        message = BAD_INTERVALS[value]
+        assert f"--telemetry-interval: {message}" in capsys.readouterr().err
         assert not telemetry.exists()
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", BAD_INTERVALS)
     def test_tail_interval(self, value, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["tail", "--follow", "--interval", value,
                   str(tmp_path / "missing.jsonl")])
         assert excinfo.value.code == 2
-        assert "--interval: must be > 0" in capsys.readouterr().err
+        assert f"--interval: {BAD_INTERVALS[value]}" in capsys.readouterr().err
 
 
 class TestSearchFaultFlags:

@@ -56,6 +56,72 @@ class TestTelemetryFlag:
         assert records[0]["run"].get("id") == "fig5"
 
 
+def _fail(*args, **kwargs):
+    raise RuntimeError("simulated work failed")
+
+
+#: Entry point -> (CLI argv or None for ``Runner.run``, the work that is
+#: made to raise, the telemetry sources that must each end ``failed``).
+FAILING_RUNS = {
+    "search-workers-1": (
+        ["search", "--scale", "tiny", "--list-sizes", "5", "10",
+         "--workers", "1"],
+        "repro.core.search.SearchSimulator.run",
+        {"main"},
+    ),
+    # Forked workers inherit the patched class.
+    "search-workers-2": (
+        ["search", "--scale", "tiny", "--list-sizes", "5", "10",
+         "--workers", "2"],
+        "repro.core.search.SearchSimulator.run",
+        {"main", "shard 0", "shard 1"},
+    ),
+    "crawl": (
+        ["crawl", "--clients", "40", "--days", "2"],
+        "repro.edonkey.crawler.Crawler.crawl",
+        {"main"},
+    ),
+    "experiment": (
+        ["experiment", "fig5", "--scale", "tiny"],
+        "repro.runtime.registry.ExperimentSpec.run",
+        {"main"},
+    ),
+    "Runner.run": (
+        None,
+        "repro.runtime.registry.ExperimentSpec.run",
+        {"fig5"},
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", FAILING_RUNS)
+def test_failed_run_ends_every_source_failed(entry, tmp_path, monkeypatch):
+    """The exception propagates, and every recorder the run opened says
+    ``failed`` in its end record."""
+    argv, work, sources = FAILING_RUNS[entry]
+    telemetry = str(tmp_path / "t.jsonl")
+    monkeypatch.setattr(work, _fail)
+    with pytest.raises(RuntimeError, match="simulated work failed"):
+        if argv is None:
+            from repro.obs.telemetry import TelemetrySpec
+            from repro.runtime import RunContext, Runner, Scale
+
+            Runner(
+                ctx=RunContext(scale=Scale.TINY),
+                results_dir=tmp_path / "results",
+                telemetry=TelemetrySpec(telemetry),
+            ).run("fig5")
+        else:
+            main(argv + ["--telemetry-out", telemetry])
+    assert validate_telemetry(telemetry) == []
+    records, _truncated = read_telemetry(telemetry)
+    last = {record["source"]: record for record in records}
+    assert set(last) == sources
+    for source, record in last.items():
+        assert record["kind"] == "end", source
+        assert record["outcome"] == "failed", source
+
+
 class TestOutParentValidation:
     @pytest.mark.parametrize("flag", [
         "--metrics-out", "--trace-out", "--telemetry-out",
@@ -68,6 +134,14 @@ class TestOutParentValidation:
         err = capsys.readouterr().err
         assert "parent directory" in err
         assert flag.lstrip("-") in err.replace("-", "_") or flag in err
+
+    def test_checked_before_any_command_runs(self, tmp_path, capsys):
+        rc = main(["experiment", "--list",
+                   "--metrics-out", str(tmp_path / "nope" / "m.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "parent directory of --metrics-out" in captured.err
+        assert "Registered experiments" not in captured.out
 
     def test_existing_parent_passes(self, tmp_path, capsys):
         rc = main(["crawl", "--clients", "40", "--days", "2",

@@ -127,12 +127,6 @@ class TestOverlapKernels:
         assert_case("pair-overlaps/pair-trace/filtered/compiled")
         assert_case("pair-overlaps/pair-trace/filtered/cache-map")
 
-    def test_subsampling_requires_cache_map(self, compiled):
-        with pytest.raises(ValueError, match="cache map"):
-            pair_overlaps(
-                compiled, max_sources_per_file=2, rng=RngStream(0)
-            )
-
     def test_empty_trace(self):
         compiled = StaticTrace(caches={}).compiled()
         assert compiled.num_clients == 0
