@@ -185,32 +185,32 @@ def _observed(args: argparse.Namespace, obs, run_info: dict):
 
     After a block that returns, the profile, metrics, Chrome trace and
     "Wrote ..." lines follow; a block that raises leaves its recorder's
-    end record ``failed`` and writes nothing.
+    end record ``failed`` and writes nothing.  A disabled observer (a
+    crawl resumed from an unobserved run) still writes the telemetry.
     """
     with record_telemetry(_telemetry_spec(args), obs, run=run_info):
         yield
-    if not obs.enabled:
-        return
-    from repro.obs import render_profile
+    if obs.enabled:
+        from repro.obs import render_profile
 
-    metrics = obs.report(run=run_info)
-    if args.profile:
-        print()
-        print(render_profile(metrics))
-    if args.metrics_out:
-        metrics.write(args.metrics_out)
-        print(f"Wrote metrics to {args.metrics_out}")
-    if args.trace_out and obs.tracer is not None:
-        obs.tracer.write_chrome(args.trace_out)
-        dropped = (
-            f" ({obs.tracer.dropped} oldest events dropped)"
-            if obs.tracer.dropped
-            else ""
-        )
-        print(
-            f"Wrote Chrome trace ({len(obs.tracer)} events) to "
-            f"{args.trace_out}{dropped}"
-        )
+        metrics = obs.report(run=run_info)
+        if args.profile:
+            print()
+            print(render_profile(metrics))
+        if args.metrics_out:
+            metrics.write(args.metrics_out)
+            print(f"Wrote metrics to {args.metrics_out}")
+        if args.trace_out and obs.tracer is not None:
+            obs.tracer.write_chrome(args.trace_out)
+            dropped = (
+                f" ({obs.tracer.dropped} oldest events dropped)"
+                if obs.tracer.dropped
+                else ""
+            )
+            print(
+                f"Wrote Chrome trace ({len(obs.tracer)} events) to "
+                f"{args.trace_out}{dropped}"
+            )
     if args.telemetry_out:
         print(f"Wrote telemetry to {args.telemetry_out}")
 
@@ -1003,12 +1003,16 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         # Resume with the observer that was snapshotted alongside the
         # simulation, so counters keep accumulating across the crash.
         obs = crawler.obs
-        wants_obs = args.profile or args.metrics_out or args.trace_out
+        wants_obs = (
+            args.profile or args.metrics_out or args.trace_out
+            or args.telemetry_out
+        )
         if wants_obs and not obs.enabled:
             print(
                 "warning: the interrupted run was not observed, so "
                 "--profile/--metrics-out/--trace-out have nothing to "
-                "report; pass them on the initial run",
+                "report and --telemetry-out snapshots carry no progress; "
+                "pass them on the initial run",
                 file=sys.stderr,
             )
         from repro.obs.log import get_log

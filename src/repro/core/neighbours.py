@@ -17,9 +17,8 @@ how the list is maintained:
   ones — dominate the list.
 
 All strategies expose the same interface so the simulator can treat them
-uniformly: ``ordered()`` (best neighbour first), ``members()`` (an RNG-free
-O(1) membership view, used by the fast two-hop path, or None for Random)
-and ``record_upload``.
+uniformly: ``ordered()`` (best neighbour first, the order every probe
+follows at one hop and at two), ``record_upload`` and ``evict``.
 """
 
 from __future__ import annotations
@@ -55,20 +54,6 @@ class NeighbourStrategy(ABC):
         ``popularity`` is the number of sources of the requested file at
         request time (only the Popularity strategy uses it)."""
 
-    def members(self):
-        """The current list as an RNG-free O(1) membership view, or None.
-
-        Strategies with a materialized list (LRU, History, Popularity,
-        Fixed) return a mapping/set whose ``in`` operator tells whether a
-        peer is in :meth:`ordered` without rebuilding it or consuming
-        any RNG; the two-hop fast path unions these views to test many
-        sharers at once.  Sampling strategies (Random), whose membership
-        is only defined against a fresh draw, return None — callers must
-        probe a fresh :meth:`ordered` per check so the seeded draw
-        pattern is preserved.
-        """
-        return None
-
     def evict(self, peer: ClientId) -> None:
         """Forget ``peer`` (dead-neighbour detection: it stopped answering).
 
@@ -90,9 +75,6 @@ class LRUNeighbours(NeighbourStrategy):
 
     def ordered(self) -> Sequence[ClientId]:
         return self._list
-
-    def members(self):
-        return self._members
 
     def record_upload(self, uploader: ClientId, popularity: int = 1) -> None:
         if uploader in self._members:
@@ -159,9 +141,6 @@ class _ScoredNeighbours(NeighbourStrategy):
     def ordered(self) -> Sequence[ClientId]:
         return self._ranked
 
-    def members(self):
-        return self._listed
-
     def evict(self, peer: ClientId) -> None:
         if self._keys.pop(peer, None) is not None and peer in self._listed:
             keys = self._keys
@@ -201,13 +180,9 @@ class FixedNeighbours(NeighbourStrategy):
     def __init__(self, capacity: int, members: Sequence[ClientId]) -> None:
         super().__init__(capacity)
         self._list: List[ClientId] = list(members)[:capacity]
-        self._positions = {peer: i for i, peer in enumerate(self._list)}
 
     def ordered(self) -> Sequence[ClientId]:
         return self._list
-
-    def members(self):
-        return self._positions
 
     def record_upload(self, uploader: ClientId, popularity: int = 1) -> None:
         return
@@ -223,10 +198,10 @@ class RandomNeighbours(NeighbourStrategy):
     therefore looked up once, and each draw skips that index instead of
     copying the list without it.
 
-    Random has no ``members()`` view *on purpose*: membership is only
-    defined against a fresh sample, so each probe must call
-    :meth:`ordered` (and consume RNG draws) — seeded runs depend on
-    exactly that draw pattern.
+    Every call to :meth:`ordered` draws a fresh sample: a one-hop query
+    draws the querying peer's list once, and a two-hop walk draws each
+    first-hop neighbour's list once, in probe order.  Seeded runs depend
+    on exactly that draw pattern.
     """
 
     def __init__(

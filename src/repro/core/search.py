@@ -45,12 +45,15 @@ from repro.util.validation import check_fraction, check_positive
 class SearchConfig:
     """Parameters of one simulation run.
 
+    ``track_load`` decides only whether probes are counted in
+    ``SimulationResult.load``; it never changes who answers.
+
     ``availability`` models peer churn (the concern of the availability
     studies the paper cites): every contacted peer is online with this
     probability, independently per request.  Offline semantic neighbours
     cannot answer; the fall-back only succeeds if some source is online.
-    Availability below 1 is one-hop only (the two-hop fast path assumes
-    all peers answer).
+    Availability below 1 is one-hop only (the two-hop walk assumes all
+    peers answer).
 
     ``probe_loss_rate`` models a lossy network under the search: each
     neighbour probe is independently lost with this probability (the
@@ -177,11 +180,9 @@ class QueryRecord:
     histograms plus, when an event tracer is attached, one structured
     trace event per request.
 
-    ``two_hop_contacts`` counts second-hop peers actually probed; the
-    two-hop fast path (which answers from the sharer side without
-    enumerating contacts) reports 0.  ``hit_position`` is the 1-based
-    rank of the answering neighbour in the probe order (``None`` unless
-    the one-hop search hit).
+    ``two_hop_contacts`` counts second-hop peers actually probed.
+    ``hit_position`` is the 1-based rank of the answering neighbour in
+    the probe order (``None`` unless the one-hop search hit).
     """
 
     index: int
@@ -292,9 +293,6 @@ class SearchSimulator:
         self._strikes: Dict[Tuple[ClientId, ClientId], int] = {}
         self._probes_lost = 0
         self._evictions = 0
-        # Second-hop peers probed by the most recent _query_two_hop call
-        # (0 on the sharer-side fast path) — lifecycle bookkeeping only.
-        self._last_two_hop_contacts = 0
         # Mid-run state; populated lazily by run() and carried across a
         # checkpoint/resume cycle.
         self._run_state: Optional[_RunState] = None
@@ -429,46 +427,21 @@ class SearchSimulator:
         file_key,
         first_hop: Sequence[ClientId],
         load: Optional[LoadTracker],
-    ) -> Optional[ClientId]:
-        """Query the neighbours' neighbours after a one-hop miss.
+    ) -> Tuple[Optional[ClientId], int]:
+        """Query the neighbours' neighbours after a one-hop miss; return
+        (answerer, second-hop peers contacted).
 
         Second-hop peers are visited in the order induced by the first-hop
         list; duplicates, ``peer`` itself and already-queried first-hop
-        neighbours are skipped.
+        neighbours are skipped.  ``load`` only decides whether the
+        contacts are counted: the walk, and so the answer, is the same.
         """
-        self._last_two_hop_contacts = 0
-        sharers = self._sharers(file_key) or ()
-        if load is None and len(sharers) * max(1, len(first_hop)) < _fast_path_budget(
-            self.config.list_size
-        ):
-            # Fast path (no message accounting): a sharer is reachable at
-            # two hops iff it sits in some first-hop neighbour's list.
-            # Materialized lists answer through the union of their
-            # RNG-free members() views — the first sharer in some view is
-            # exactly the one a per-pair probe loop returns.
-            union = self._member_union(first_hop)
-            if union is not None:
-                for sharer in sharers:
-                    if sharer != peer and sharer in union:
-                        return sharer
-                return None
-            # Random lists have no membership view: each (sharer,
-            # neighbour) probe draws a fresh list, and seeded runs depend
-            # on exactly that draw pattern.
-            for sharer in sharers:
-                if sharer == peer:
-                    continue
-                for neighbour in first_hop:
-                    if sharer in self._strategy_for(neighbour).ordered():
-                        return sharer
-            return None
-
         # Every contact is added to ``seen`` once, so the contact count
         # is how much ``seen`` grew.
         seen: Set[ClientId] = set(first_hop)
         seen.add(peer)
         known = len(seen)
-        holders = set(sharers)
+        holders = set(self._sharers(file_key) or ())
         messages = load.messages if load is not None else None
         strategy_for = self._strategy_for
         for neighbour in first_hop:
@@ -479,27 +452,8 @@ class SearchSimulator:
                 if messages is not None:
                     messages[second] += 1
                 if second in holders:
-                    self._last_two_hop_contacts = len(seen) - known
-                    return second
-        self._last_two_hop_contacts = len(seen) - known
-        return None
-
-    def _member_union(self, first_hop: Sequence[ClientId]) -> Optional[Set]:
-        """Union of the first-hop lists' members() views, or None.
-
-        None means at least one strategy has no RNG-free membership view
-        (Random) and the caller must keep the per-pair probe order.
-        """
-        views = []
-        for neighbour in first_hop:
-            view = self._strategy_for(neighbour).members()
-            if view is None:
-                return None
-            views.append(view)
-        union: Set = set()
-        for view in views:
-            union.update(view)
-        return union
+                    return second, len(seen) - known
+        return None, len(seen) - known
 
     # ------------------------------------------------------------------
     # Query-lifecycle records
@@ -733,14 +687,16 @@ class SearchSimulator:
                     record.hit_position = len(first_hop)
             elif config.two_hop:
                 started = clock() if profiled else 0.0
-                answerer = self._query_two_hop(peer, file_key, first_hop, load_sink)
+                answerer, contacts = self._query_two_hop(
+                    peer, file_key, first_hop, load_sink
+                )
                 if profiled:
                     two_hop_s = clock() - started
                     obs.record_span(
                         "search/two_hop", two_hop_s, start_s=started
                     )
                     record.two_hop_s = two_hop_s
-                    record.two_hop_contacts = self._last_two_hop_contacts
+                    record.two_hop_contacts = contacts
                 if answerer is not None:
                     rates.hits += 1
                     rates.two_hop_hits += 1
@@ -809,12 +765,6 @@ class SearchSimulator:
             rare_rates=rare_rates,
             exchanges=exchanges,
         )
-
-
-def _fast_path_budget(list_size: int) -> int:
-    """Work threshold below which the sharer-side two-hop check is cheaper
-    than enumerating up to ``list_size**2`` second-hop contacts."""
-    return list_size * list_size
 
 
 def simulate_search(

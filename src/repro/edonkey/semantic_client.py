@@ -177,10 +177,6 @@ class LiveSemanticResult:
     per_client_stats: Dict[int, SemanticStats] = field(default_factory=dict)
 
     @property
-    def final_avoidance(self) -> float:
-        return self.avoidance_by_day.ys[-1] / 100.0 if self.avoidance_by_day.ys else 0.0
-
-    @property
     def overall_avoidance(self) -> float:
         if self.total_lookups == 0:
             return 0.0

@@ -207,9 +207,6 @@ class CompiledTrace:
             return False
         return idx in self.cache_sets[row]
 
-    def shares_row(self, row: int, idx: FileIdx) -> bool:
-        return idx in self.cache_sets[row]
-
     def cache_set(self, client_id: ClientId) -> FrozenSet[FileIdx]:
         """The client's static cache as a frozen set of file indices."""
         return self.cache_sets[self.client_row[client_id]]

@@ -256,10 +256,6 @@ def _digest(salt: str, value: str) -> str:
     return hashlib.sha256(f"{salt}:{value}".encode("utf-8")).hexdigest()
 
 
-def _hash_token(salt: str, value: str, length: int = 16) -> str:
-    return _digest(salt, value)[:length]
-
-
 def _collision_free_hashes(
     salt: str, namespace: str, values: Iterable[str], length: int
 ) -> Dict[str, str]:

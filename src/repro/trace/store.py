@@ -657,18 +657,6 @@ class TraceStore:
         with self._day(day) as seg:
             return Counter({fids[i]: n for i, n in seg.replica_counts().items()})
 
-    def day_trace(self, day: int) -> Trace:
-        """One day as an in-memory :class:`Trace` (metadata restricted to
-        the clients observed that day; file metadata shared)."""
-        trace = Trace(files=self.file_metas)
-        snapshots = self.snapshots_on(day)
-        metas = self.client_metas
-        for client_id in snapshots:
-            trace.add_client(metas[client_id])
-        for client_id, cache in snapshots.items():
-            trace.add_snapshot(Snapshot(day, client_id, cache))
-        return trace
-
     def to_trace(self) -> Trace:
         """The whole store as an in-memory :class:`Trace` (the inverse
         converter; needs whole-trace RAM, by definition)."""

@@ -12,6 +12,7 @@ import repro
 from repro.checkpoint import ChaosRunner, ChaosSpec
 from repro.checkpoint.chaos import compare_metrics
 from repro.obs import Observer, RunMetrics
+from repro.obs.telemetry import validate_telemetry
 
 
 def _cli(*args):
@@ -148,6 +149,24 @@ class TestCliResumeGuards:
         )
         assert resumed.returncode == 0
         assert "was not observed" in resumed.stderr
+
+    def test_resume_of_an_unobserved_crawl_writes_and_announces_telemetry(
+        self, tmp_path
+    ):
+        # The resumed leg records through the restored, disabled
+        # observer: the file is valid but its snapshots carry no
+        # progress, so the CLI warns, and it still says it wrote it.
+        ckpt = str(tmp_path / "ckpt")
+        telemetry = str(tmp_path / "resumed.jsonl")
+        base = ["crawl", "--clients", "40", "--days", "3", "--seed", "7",
+                "--checkpoint-dir", ckpt]
+        assert _cli(*base, "--kill-after-day", "1").returncode != 0
+        resumed = _cli(*base, "--resume", "--telemetry-out", telemetry)
+        assert resumed.returncode == 0, resumed.stderr
+        assert "was not observed" in resumed.stderr
+        assert "--telemetry-out" in resumed.stderr
+        assert f"Wrote telemetry to {telemetry}" in resumed.stdout
+        assert validate_telemetry(telemetry) == []
 
     def test_resume_rejects_fault_schedule_flag(self, tmp_path):
         proc = _cli(

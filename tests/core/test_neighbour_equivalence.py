@@ -123,4 +123,4 @@ def test_ranking_matches_a_full_sort(cls, capacity, operations):
         expected = sorted(scores, key=lambda p: (-scores[p], -recency[p]))
         expected = expected[:capacity]
         assert list(strategy.ordered()) == expected
-        assert set(strategy.members()) == set(expected)
+        assert strategy._listed == set(expected)

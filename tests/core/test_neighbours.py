@@ -26,7 +26,8 @@ class TestLRU:
         for peer in (1, 2, 3):
             lru.record_upload(peer)
         assert list(lru.ordered()) == [3, 2]
-        assert 1 not in lru.members()
+        lru.record_upload(1)  # the evicted peer comes back as a new one
+        assert list(lru.ordered()) == [1, 3]
 
     def test_reupload_moves_to_front(self):
         lru = LRUNeighbours(3)
@@ -160,84 +161,3 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_strategy("random", 5)
 
-
-class TestMembershipProbeCost:
-    """Audit: membership probes on materialized lists go through the
-    RNG-free ``members()`` view and never enumerate the list.  The
-    two-hop fast path unions one view per first-hop neighbour, so
-    routing membership through ``ordered()`` would turn every probe into
-    a rebuild-and-scan; counting both during a real run pins the
-    separation.  Random lists have no view: each (sharer, neighbour)
-    probe draws a fresh list, the draw pattern seeded runs depend on."""
-
-    @pytest.mark.parametrize("cls", [LRUNeighbours, HistoryNeighbours,
-                                     PopularityNeighbours])
-    def test_contains_never_calls_ordered(self, monkeypatch, cls):
-        strategy = cls(5)
-        for peer in (1, 2, 3):
-            strategy.record_upload(peer)
-        calls = {"ordered": 0}
-        original = cls.ordered
-
-        def counting_ordered(self):
-            calls["ordered"] += 1
-            return original(self)
-
-        monkeypatch.setattr(cls, "ordered", counting_ordered)
-        assert 1 in strategy.members()
-        assert 99 not in strategy.members()
-        assert calls["ordered"] == 0
-
-    @staticmethod
-    def _count_two_hop_run(monkeypatch, name, cls, trace):
-        from repro.core.search import SearchConfig, simulate_search
-
-        counts = {"ordered": 0, "members": 0}
-        original_ordered = cls.ordered
-        original_members = cls.members
-
-        def counting_ordered(self):
-            counts["ordered"] += 1
-            return original_ordered(self)
-
-        def counting_members(self):
-            counts["members"] += 1
-            return original_members(self)
-
-        monkeypatch.setattr(cls, "ordered", counting_ordered)
-        monkeypatch.setattr(cls, "members", counting_members)
-        result = simulate_search(
-            trace,
-            SearchConfig(
-                list_size=5, strategy=name, two_hop=True,
-                track_load=False, seed=1,
-            ),
-        )
-        return counts, result
-
-    @pytest.mark.parametrize("name, cls", [
-        ("lru", LRUNeighbours),
-        ("history", HistoryNeighbours),
-        ("popularity", PopularityNeighbours),
-    ])
-    def test_two_hop_run_probes_more_than_it_enumerates(
-        self, monkeypatch, name, cls, small_static_trace
-    ):
-        counts, _ = self._count_two_hop_run(
-            monkeypatch, name, cls, small_static_trace
-        )
-        # One enumeration per issued query (plus misses too costly for
-        # the fast path); membership views dominate because every
-        # eligible one-hop miss unions one view per first-hop neighbour.
-        assert 0 < counts["ordered"] < counts["members"]
-
-    def test_random_two_hop_draws_a_fresh_list_per_probe(
-        self, monkeypatch, small_static_trace
-    ):
-        counts, result = self._count_two_hop_run(
-            monkeypatch, "random", RandomNeighbours, small_static_trace
-        )
-        # members() answers None, so each (sharer, neighbour) probe
-        # draws: far more enumerations than the one per issued query.
-        assert counts["members"] > 0
-        assert counts["ordered"] > 2 * result.rates.requests

@@ -107,6 +107,22 @@ class TestLifecycleHistograms:
         assert probes > hops > 0  # the second hop contacted someone
         assert probes == result.load.total_messages
 
+    @pytest.mark.parametrize("strategy", ["lru", "random"])
+    def test_probes_counted_without_load_accounting(
+        self, strategy, small_static_trace
+    ):
+        """A profiled run without load accounting still records every
+        second-hop contact: its probe histogram sums to the load the
+        same run counts with accounting on."""
+        config = dict(list_size=5, strategy=strategy, two_hop=True, seed=SEED)
+        counted = simulate_search(small_static_trace, SearchConfig(**config))
+        obs = Observer()
+        simulate_search(
+            small_static_trace, SearchConfig(track_load=False, **config), obs=obs
+        )
+        probes = obs.histograms["search/probes_per_request"].total
+        assert probes == counted.load.total_messages
+
     def test_one_hop_only_search_has_no_two_hop_latency(self):
         obs = Observer()
         simulate_search(

@@ -116,20 +116,24 @@ class TestTwoHop:
             == result.rates.hits
         )
 
-    def test_two_hop_with_load_tracking_matches_fast_path(self, small_static_trace):
-        """Hit totals agree between the message-accounting path and the
-        set-logic fast path (the answering peer may differ on ties, which
-        can perturb later list states; totals must stay close)."""
-        tracked = simulate_search(
-            small_static_trace,
-            SearchConfig(list_size=5, two_hop=True, track_load=True, seed=11),
+    def test_load_tracking_never_changes_the_answer(self, small_static_trace):
+        """Load accounting only counts probes: the same peers answer, so
+        rates, rare-file rates and the exchange graph are equal."""
+        tracked, untracked = (
+            simulate_search(
+                small_static_trace,
+                SearchConfig(
+                    list_size=5, two_hop=True, track_load=track_load,
+                    rare_cutoff=3, track_exchanges=True, seed=11,
+                ),
+            )
+            for track_load in (True, False)
         )
-        fast = simulate_search(
-            small_static_trace,
-            SearchConfig(list_size=5, two_hop=True, track_load=False, seed=11),
-        )
-        assert tracked.rates.requests == fast.rates.requests
-        assert tracked.rates.hits == pytest.approx(fast.rates.hits, rel=0.15)
+        assert tracked.load.total_messages > 0
+        assert untracked.load.total_messages == 0
+        assert tracked.rates == untracked.rates
+        assert tracked.rare_rates == untracked.rare_rates
+        assert tracked.exchanges == untracked.exchanges
 
 
 class TestLoad:

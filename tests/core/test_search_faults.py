@@ -75,9 +75,9 @@ class TestEviction:
         strategy.record_upload(1)
         for up in (False, True, False):
             simulator._query_one_hop(0, 0, None, online=lambda _peer: up)
-        assert 1 in strategy.members()
+        assert 1 in strategy.ordered()
         simulator._query_one_hop(0, 0, None, online=lambda _peer: False)
-        assert 1 not in strategy.members()
+        assert 1 not in strategy.ordered()
         assert simulator._evictions == 1
 
     def test_eviction_off_means_none(self):

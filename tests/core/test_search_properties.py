@@ -3,10 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.neighbours import STRATEGY_NAMES
 from repro.core.randomization import randomize_trace
 from repro.core.search import SearchConfig, simulate_search
 from repro.util.rng import RngStream
 from tests.conftest import build_static
+from tests.golden.cases import scale_static, search_payload
 
 # Random small static traces: up to 12 peers, up to 18 files per peer,
 # drawn from a 30-file universe so overlaps actually happen.
@@ -96,6 +98,35 @@ class TestSimulationInvariants:
         assert set(result.load.messages) <= set(trace.caches)
         # at most list_size messages per request
         assert result.load.total_messages <= 3 * result.rates.requests
+
+
+class TestPathEquality:
+    @given(
+        strategy=st.sampled_from(STRATEGY_NAMES),
+        list_size=st.integers(1, 30),
+        two_hop=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_load_accounting_on_equals_off(self, strategy, list_size, two_hop, seed):
+        """Counting load never changes a result: on the TINY static
+        trace, runs with and without it differ only in ``load``."""
+        on, off = (
+            search_payload(
+                simulate_search(
+                    scale_static("tiny", 0),
+                    SearchConfig(
+                        list_size=list_size, strategy=strategy,
+                        two_hop=two_hop, track_load=track_load,
+                        rare_cutoff=3, track_exchanges=True, seed=seed,
+                    ),
+                )
+            )
+            for track_load in (True, False)
+        )
+        assert on.pop("load")
+        assert off.pop("load") == {}
+        assert on == off
 
 
 class TestRandomizationProperties:

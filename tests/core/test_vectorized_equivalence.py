@@ -1,7 +1,7 @@
-"""Seeded equivalence between the fast search paths and the scalar draws.
+"""Seeded equivalence between the search engine and the scalar draws.
 
-The request streams and the two-hop member-union fast path must not
-change a single seeded draw.  These tests pin byte-identity at two
+The request streams and the search simulator must not change a single
+seeded draw.  These tests pin byte-identity at two
 levels — the request streams and the full search simulator (all
 strategies, two-hop, availability, probe loss) — plus mid-stream
 pickling, which is what a checkpoint does to a live stream.  The scalar

@@ -1,6 +1,6 @@
 """Tests for the cost-benefit experiment."""
 
-from repro.experiments import Scale
+from repro.experiments import Scale, run_figure23
 from repro.runtime import RunContext
 from repro.experiments.cost_benefit import run_cost_benefit
 
@@ -31,3 +31,16 @@ class TestCostBenefit:
         )
         for label in ("semantic", "flooding", "random walk", "central server"):
             assert label in result.table_text
+
+
+def test_figure23_and_cost_benefit_share_one_two_hop_engine():
+    """Figure 23 runs without load accounting and cost-benefit with it;
+    both report the same two-hop hit rates."""
+    ctx = RunContext(scale=Scale.TINY)
+    figure = run_figure23(ctx, list_sizes=(5, 20), uploader_fractions=())
+    costs = run_cost_benefit(ctx, list_sizes=(5, 20), num_baseline_queries=20)
+    two_hops = next(s for s in figure.series if s.name == "2 hops")
+    for list_size in (5, 20):
+        assert two_hops.y_at(list_size) == 100 * costs.metric(
+            f"lru{list_size}_2hop_hit"
+        )

@@ -207,10 +207,8 @@ for _weighted in (False, True):
     )
 
 # Scale.TINY and Scale.SMALL, three seeds each (trace and search seed).
-# "two-hop" probes with load accounting (the enumerating path);
-# "two-hop-fast" runs without it, so eligible misses take the
-# sharer-side path: member-union for materialized lists, per-pair
-# ordered() probes for Random.
+# "two-hop" probes with load accounting; the same runs without it must
+# differ only in their empty load (``tests/core/test_golden_engines.py``).
 for _scale in SCALES:
     for _seed in SEEDS:
         _trace = partial(scale_static, _scale, _seed)
@@ -221,10 +219,6 @@ for _scale in SCALES:
             _search_case(
                 f"search/{_prefix}/{_strategy}/two-hop", _trace,
                 two_hop=True, **_base,
-            )
-            _search_case(
-                f"search/{_prefix}/{_strategy}/two-hop-fast", _trace,
-                two_hop=True, track_load=False, **_base,
             )
         _search_case(
             f"search/{_prefix}/weighted", _trace,

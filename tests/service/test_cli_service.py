@@ -108,29 +108,35 @@ class TestServeLoadgenSmoke:
 
         thread = threading.Thread(target=host)
         thread.start()
-        assert started.wait(10)
-        service = holder["service"]
+        try:
+            assert started.wait(10)
+            service = holder["service"]
 
-        rc = main(
-            ["loadgen", "--port", str(service.port),
-             "--requests", "200", "--rate", "2000", "--sessions", "4",
-             "--metrics-out", str(metrics_file),
-             "--telemetry-out", telemetry]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "200 requests" in out
-        assert "p99" in out
-        assert "Request mix:" in out
+            rc = main(
+                ["loadgen", "--port", str(service.port),
+                 "--requests", "200", "--rate", "2000", "--sessions", "4",
+                 "--metrics-out", str(metrics_file),
+                 "--telemetry-out", telemetry]
+            )
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert "200 requests" in out
+            assert "p99" in out
+            assert "Request mix:" in out
 
-        payload = json.loads(metrics_file.read_text())
-        assert payload["schema"] == "repro.metrics/2"
-        assert payload["gauges"]["loadgen/p99_ms"] > 0
-        assert payload["histograms"]["loadgen/latency_s"]["count"] == 200
-        assert payload["counters"].get("loadgen/timeouts", 0) == 0
-
-        holder["loop"].call_soon_threadsafe(service.request_stop)
-        thread.join(10)
+            payload = json.loads(metrics_file.read_text())
+            assert payload["schema"] == "repro.metrics/2"
+            assert payload["gauges"]["loadgen/p99_ms"] > 0
+            assert payload["histograms"]["loadgen/latency_s"]["count"] == 200
+            assert payload["counters"].get("loadgen/timeouts", 0) == 0
+        finally:
+            # A failed assertion must not leave the service thread
+            # serving, or the test process never exits.
+            if "loop" in holder:
+                holder["loop"].call_soon_threadsafe(
+                    holder["service"].request_stop
+                )
+            thread.join(10)
         assert not thread.is_alive()
         # connect + publish per session ride on top of the 200 plan ops.
         assert stopped["requests"] == 200 + 2 * 4
