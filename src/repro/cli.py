@@ -761,21 +761,21 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_bench_summary(args: argparse.Namespace) -> int:
     from repro.obs.benchsummary import (
+        checkout_dir,
         collate_results,
         render_summary,
         summary_to_json,
     )
 
+    root = checkout_dir()
+    results_dir = args.results_dir or os.path.join(root, "benchmarks", "results")
     try:
-        entries = collate_results(args.results_dir)
+        entries = collate_results(results_dir, root)
     except OSError as exc:
-        print(f"error: cannot read {args.results_dir}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {results_dir}: {exc}", file=sys.stderr)
         return 2
     if not entries:
-        print(
-            f"error: no benchmark result JSONs in {args.results_dir}",
-            file=sys.stderr,
-        )
+        print(f"error: no benchmark result JSONs in {results_dir}", file=sys.stderr)
         return 2
     text = render_summary(entries)
     print(text)
@@ -1381,9 +1381,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--results-dir",
-        default="benchmarks/results",
-        help="directory of benchmark result JSONs "
-        "(default: benchmarks/results)",
+        help="directory of benchmark result JSONs (default: benchmarks/results "
+        "of this checkout, or of the working directory outside one)",
     )
     p.add_argument(
         "--json", metavar="PATH", help="also write the summary as JSON"

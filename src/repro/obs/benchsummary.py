@@ -9,23 +9,36 @@ repo in a single glance instead of eight files — plus a machine-readable
 
 Unknown files are still listed (headline ``-``) rather than skipped, so
 a new benchmark shows up here the day its baseline lands even before a
-summariser is taught its shape.
+summariser is taught its shape.  Each ``BENCH_PR<n>.json`` at the checkout
+root (``repro.bench-trajectory/1``) adds one row per perfbench workload and
+end-to-end metric: the parent's and the change's medians over the PR's pairs.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
+from pathlib import Path
 from typing import Dict, List, Optional
 
 __all__ = [
     "SUMMARY_SCHEMA",
+    "checkout_dir",
     "collate_results",
     "render_summary",
     "summary_to_json",
 ]
 
 SUMMARY_SCHEMA = "repro.bench-summary/1"
+TRAJECTORY_SCHEMA = "repro.bench-trajectory/1"
+
+
+def checkout_dir() -> str:
+    """The checkout holding this package's ``src/``, or the working
+    directory when the package was not imported from a checkout."""
+    root = Path(__file__).resolve().parents[3]
+    return str(root) if (root / "benchmarks" / "results").is_dir() else os.getcwd()
 
 
 def _fmt(value: float) -> str:
@@ -137,45 +150,44 @@ def summarise_payload(payload: Dict[str, object]) -> Dict[str, object]:
     return {"benchmark": "unknown", "kind": "unknown", "headline": {}}
 
 
-def collate_results(results_dir: str) -> List[Dict[str, object]]:
-    """Summary entries for every ``*.json`` in ``results_dir``, sorted.
+def _trajectory_entries(payload: Dict[str, object]) -> List[Dict[str, object]]:
+    entries: List[Dict[str, object]] = []
+    for workload, runs in sorted(payload["workloads"].items()):
+        for metric, stats in sorted(runs["metrics"].items()):
+            parent, change = stats["parent"]["median"], stats["change"]["median"]
+            headline = {"parent": parent, "change": change, "ratio": change / parent}
+            headline.update(wins=stats["wins"], pairs=runs["pairs"])
+            entries.append(
+                {"benchmark": f"{workload} {metric}", "kind": "perfbench", "headline": headline}
+            )
+    return entries
+
+
+def collate_results(results_dir: str, root: str) -> List[Dict[str, object]]:
+    """Summary entries for every ``*.json`` in ``results_dir``, sorted,
+    then those of every ``BENCH_PR*.json`` in ``root``, in PR order.
 
     Unreadable files become ``kind: "error"`` entries — the summary must
     render the history even when one baseline is corrupt.
     """
+    names = sorted(name for name in os.listdir(results_dir) if name.endswith(".json"))
+    paths = [os.path.join(results_dir, name) for name in names]
+    trajectory = glob.glob(os.path.join(root, "BENCH_PR*.json"))
+    paths += sorted(trajectory, key=lambda path: (len(path), path))
     entries: List[Dict[str, object]] = []
-    for filename in sorted(os.listdir(results_dir)):
-        if not filename.endswith(".json"):
-            continue
-        path = os.path.join(results_dir, filename)
+    for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, ValueError) as exc:
-            entries.append(
-                {
-                    "file": filename,
-                    "benchmark": "-",
-                    "kind": "error",
-                    "headline": {},
-                    "error": str(exc),
-                }
-            )
-            continue
-        if not isinstance(payload, dict):
-            entries.append(
-                {
-                    "file": filename,
-                    "benchmark": "-",
-                    "kind": "error",
-                    "headline": {},
-                    "error": "top-level JSON is not an object",
-                }
-            )
-            continue
-        entry = summarise_payload(payload)
-        entry["file"] = filename
-        entries.append(entry)
+            if not isinstance(payload, dict):
+                raise ValueError("top-level JSON is not an object")
+            if payload.get("schema") == TRAJECTORY_SCHEMA:
+                found = _trajectory_entries(payload)
+            else:
+                found = [summarise_payload(payload)]
+        except (OSError, ValueError, LookupError, TypeError, ZeroDivisionError) as exc:
+            found = [{"benchmark": "-", "kind": "error", "headline": {}, "error": str(exc)}]
+        entries.extend(dict(entry, file=os.path.basename(path)) for entry in found)
     return entries
 
 
@@ -187,8 +199,7 @@ def render_summary(entries: List[Dict[str, object]]) -> str:
         headline = entry.get("headline", {})
         shown = (
             " ".join(
-                f"{key}={_fmt(float(value))}"
-                for key, value in sorted(headline.items())
+                f"{key}={_fmt(float(value))}" for key, value in headline.items()
             )
             if headline
             else entry.get("error", "-")

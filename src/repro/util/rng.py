@@ -12,7 +12,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import random
-from typing import Iterator, Optional, Sequence, Tuple, TypeVar
+from array import array
+from bisect import bisect_right
+from typing import Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -144,27 +146,26 @@ class RngStream:
         k = min(k, len(items))
         return self.py.sample(list(items), k)
 
-    def weighted_index(self, cumulative_weights: Sequence[float]) -> int:
-        """Draw an index proportionally to weights given as a cumulative sum.
-
-        ``cumulative_weights`` must be non-decreasing with a positive final
-        entry.  Runs in O(log n) via bisection.
-        """
-        import bisect
-
-        total = cumulative_weights[-1]
-        if total <= 0:
-            raise ValueError("total weight must be positive")
-        x = self.py.random() * total
-        return bisect.bisect_right(cumulative_weights, x)
-
-    def iter_children(self, base_label: str, count: int) -> Iterator["RngStream"]:
-        """Yield ``count`` numbered substreams ``base_label[0..count)``."""
-        for i in range(count):
-            yield self.child(f"{base_label}[{i}]")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(seed={self.seed}, label={self.label!r})"
+
+
+def cumulative_table(weights) -> array:
+    """The running sums of ``weights`` as a flat ``array('d')`` for
+    :func:`weighted_index`: ``np.cumsum``'s floats, bit for bit."""
+    import numpy
+
+    return array("d", numpy.cumsum(weights, dtype=float).tobytes())
+
+
+def weighted_index(rng: random.Random, cumulative: Sequence[float], total: float) -> int:
+    """Draw an index with probability proportional to its weight: the first
+    whose running sum in ``cumulative`` (best a :func:`cumulative_table`,
+    built once) exceeds ``rng.random() * total``, or the last index if none
+    does."""
+    i = bisect_right(cumulative, rng.random() * total)
+    n = len(cumulative)
+    return i if i < n else n - 1
 
 
 def stable_choice(rng: random.Random, items: Sequence[T], weights: Optional[Sequence[float]] = None) -> T:

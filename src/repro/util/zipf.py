@@ -9,10 +9,10 @@ observed data so tests and benchmarks can assert the shape holds.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Sequence, Tuple
 
+from repro.util.rng import cumulative_table, weighted_index
 from repro.util.validation import check_positive
 
 
@@ -50,36 +50,33 @@ class ZipfSampler:
     """Draw item indices from a (flattened) Zipf distribution in O(log n).
 
     Indices are 0-based; index 0 is the most popular item.  The sampler
-    precomputes a cumulative weight table once, so drawing is cheap even for
-    large universes.
+    keeps one cumulative weight table, ``np.cumsum``'s floats copied into
+    a flat ``array('d')``, so drawing is cheap even for large universes.
     """
 
     def __init__(self, n: int, alpha: float, flat_head: int = 0) -> None:
         self.n = n
         self.alpha = alpha
         self.flat_head = flat_head
-        weights = zipf_weights(n, alpha, flat_head)
-        self._cum = np.cumsum(weights)
-        self._total = float(self._cum[-1])
+        self._cum = cumulative_table(zipf_weights(n, alpha, flat_head))
+        self._total = self._cum[-1]
 
     def weight(self, index: int) -> float:
         """The unnormalized weight of ``index``."""
         if index == 0:
-            return float(self._cum[0])
-        return float(self._cum[index] - self._cum[index - 1])
+            return self._cum[0]
+        return self._cum[index] - self._cum[index - 1]
+
+    def weights(self) -> np.ndarray:
+        """Every ``weight(i)`` at once, in index order."""
+        return np.diff(np.frombuffer(self._cum), prepend=0.0)
 
     def probability(self, index: int) -> float:
         return self.weight(index) / self._total
 
     def sample(self, rng) -> int:
         """Draw one index.  ``rng`` is a ``random.Random``."""
-        x = rng.random() * self._total
-        return int(bisect.bisect_right(self._cum, x))
-
-    def sample_many(self, np_rng: np.random.Generator, size: int) -> np.ndarray:
-        """Vectorized draw of ``size`` indices using a numpy Generator."""
-        xs = np_rng.random(size) * self._total
-        return np.searchsorted(self._cum, xs, side="right")
+        return weighted_index(rng, self._cum, self._total)
 
 
 def fit_zipf_slope(

@@ -12,10 +12,12 @@ range.
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import accumulate
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-from repro.util.rng import RngStream, stable_choice
+from repro.util.rng import RngStream, weighted_index
 from repro.util.validation import check_fraction
 
 KB = 1024
@@ -64,6 +66,15 @@ def sample_size(kind: str, rng: RngStream) -> int:
     return int(min(max(size, lo), hi))
 
 
+def _kind_table(weights: Dict[str, float]) -> Tuple[List[str], array, float]:
+    """Kinds in name order, their running weight sums and the total the
+    kind draw always used, ``float(sum(...))``: from Python 3.12 a
+    compensated sum, which may differ from the last running sum."""
+    kinds = sorted(weights)
+    ordered = [weights[k] for k in kinds]
+    return kinds, array("d", accumulate(ordered, initial=0.0))[1:], float(sum(ordered))
+
+
 @dataclass
 class FileKindModel:
     """Draws (kind, size) pairs conditioned on popularity-head membership.
@@ -87,16 +98,17 @@ class FileKindModel:
             unknown = set(weights) - set(SIZE_MODELS)
             if unknown:
                 raise ValueError(f"unknown kinds in {label} weights: {unknown}")
-            if sum(weights.values()) <= 0:
-                raise ValueError(f"{label} weights must have positive total")
+            if min(weights.values(), default=0) < 0 or sum(weights.values()) <= 0:
+                raise ValueError(f"{label} weights must be non-negative with positive total")
+        self._head_table = _kind_table(self.head_weights)
+        self._tail_table = _kind_table(self.tail_weights)
 
     def sample_kind(self, popularity_rank: int, universe_size: int, rng: RngStream) -> str:
         """Draw a kind given the file's intrinsic-popularity rank (0 = most
         popular) within a universe of ``universe_size`` files."""
         in_head = popularity_rank < self.head_fraction * universe_size
-        weights = self.head_weights if in_head else self.tail_weights
-        kinds = sorted(weights)
-        return stable_choice(rng.py, kinds, [weights[k] for k in kinds])
+        kinds, cum, total = self._head_table if in_head else self._tail_table
+        return kinds[weighted_index(rng.py, cum, total)]
 
     def sample(
         self, popularity_rank: int, universe_size: int, rng: RngStream

@@ -18,11 +18,13 @@ Two entry points:
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.trace.model import ClientMeta, FileMeta, StaticTrace, Trace
-from repro.util.rng import RngStream
+from repro.util.rng import RngStream, cumulative_table, weighted_index
 from repro.util.zipf import ZipfSampler
 from repro.workload.config import WorkloadConfig
 from repro.workload.geo import CountryModel, IpAllocator, default_country_model
@@ -101,13 +103,14 @@ class SyntheticWorkloadGenerator:
         # Populated by _build():
         self.files: List[FileMeta] = []
         self.file_weights: np.ndarray = np.empty(0)
-        self.birth_days: np.ndarray = np.empty(0)
+        self.birth_days = array("q")
         self.universe: Optional[InterestUniverse] = None
         self.profiles: List[ClientProfile] = []
         self.shocks: List[ShockEvent] = []
         self._global_sampler: Optional[ZipfSampler] = None
         self._mainstream_sampler: Optional[ZipfSampler] = None
-        self._born_order: np.ndarray = np.empty(0)  # file indices by birth day
+        self._born_order = array("q")  # file indices by birth day
+        self._born_days = array("q")  # their birth days, ascending
         # (day, its shock tables) of the last day _shock_tables was asked
         self._day_tables: Optional[tuple] = None
 
@@ -120,6 +123,9 @@ class SyntheticWorkloadGenerator:
         self._build_files()
         self._build_clients()
         self._build_shocks()
+        order = sorted(range(self.config.num_files), key=self.birth_days.__getitem__)
+        self._born_order = array("q", order)
+        self._born_days = array("q", sorted(self.birth_days))
         self._built = True
 
     def _build_files(self) -> None:
@@ -129,10 +135,8 @@ class SyntheticWorkloadGenerator:
         self.universe = interest_model.build_universe(
             self.country_model.sample_country, rng.child("categories")
         )
-        categories = self.universe.categories
-        cat_weights = [c.weight for c in categories]
-        cat_cum = np.cumsum(cat_weights)
-        cat_total = float(cat_cum[-1])
+        cat_cum = cumulative_table([c.weight for c in self.universe.categories])
+        cat_total = cat_cum[-1]
 
         self._global_sampler = ZipfSampler(cfg.num_files, cfg.file_alpha, cfg.flat_head)
         # The mainstream pool is the global popular head: indices
@@ -140,17 +144,13 @@ class SyntheticWorkloadGenerator:
         self._mainstream_sampler = ZipfSampler(
             cfg.mainstream_pool_size, cfg.mainstream_alpha, cfg.mainstream_flat_head
         )
-        self.file_weights = np.array(
-            [self._global_sampler.weight(i) for i in range(cfg.num_files)]
-        )
+        self.file_weights = self._global_sampler.weights()
 
-        births = np.empty(cfg.num_files, dtype=int)
+        births = array("q", [0]) * cfg.num_files
         files: List[FileMeta] = []
         size_rng = rng.child("sizes")
         for i in range(cfg.num_files):
-            x = rng.py.random() * cat_total
-            cat_index = int(np.searchsorted(cat_cum, x, side="right"))
-            cat_index = min(cat_index, len(categories) - 1)
+            cat_index = weighted_index(rng.py, cat_cum, cat_total)
             kind, size = cfg.kind_model.sample(i, cfg.num_files, size_rng)
             if rng.py.random() < cfg.preexisting_fraction:
                 births[i] = cfg.start_day - 1
@@ -168,7 +168,6 @@ class SyntheticWorkloadGenerator:
         self.files = files
         self.birth_days = births
         self.universe.finalize(self.file_weights)
-        self._born_order = np.argsort(births, kind="stable")
 
     def _build_clients(self) -> None:
         cfg = self.config
@@ -290,21 +289,19 @@ class SyntheticWorkloadGenerator:
                 )
             )
         self.shocks = shocks
-        self._born_order = np.argsort(self.birth_days, kind="stable")
 
     # ------------------------------------------------------------------
     # File draws
 
     def _num_born(self, day: int) -> int:
-        return int(np.searchsorted(self.birth_days[self._born_order], day, side="right"))
+        return bisect_right(self._born_days, day)
 
     def _fallback_draw(self, day: int, rng: RngStream) -> Optional[int]:
         """Uniform draw among files born by ``day`` (last-resort path)."""
         n_born = self._num_born(day)
         if n_born == 0:
             return None
-        pos = rng.py.randrange(n_born)
-        return int(self._born_order[pos])
+        return self._born_order[rng.py.randrange(n_born)]
 
     def _draw_file(
         self,
@@ -313,7 +310,7 @@ class SyntheticWorkloadGenerator:
         rng: RngStream,
         exclude: Set[int],
         trend_prob: float,
-        shock_cum: Optional[np.ndarray],
+        shock_cum: Optional[array],
     ) -> Optional[int]:
         """Draw one file index for ``profile`` on ``day``.
 
@@ -327,9 +324,7 @@ class SyntheticWorkloadGenerator:
         assert self.universe is not None and self._global_sampler is not None
 
         if shock_cum is not None and trend_prob > 0 and rng.py.random() < trend_prob:
-            x = rng.py.random() * float(shock_cum[-1])
-            pos = int(np.searchsorted(shock_cum, x, side="right"))
-            pos = min(pos, len(self.shocks) - 1)
+            pos = weighted_index(rng.py, shock_cum, shock_cum[-1])
             idx = self.shocks[pos].file_index
             if idx not in exclude and self.birth_days[idx] <= day:
                 return idx
@@ -378,7 +373,7 @@ class SyntheticWorkloadGenerator:
         trend_prob = min(
             self.config.shock_trend_cap, total / (total + self.config.shock_boost)
         )
-        return trend_prob, np.cumsum(attractions)
+        return trend_prob, cumulative_table(attractions)
 
     # ------------------------------------------------------------------
     # Cache processes
@@ -401,7 +396,7 @@ class SyntheticWorkloadGenerator:
         day: int,
         rng: RngStream,
         trend_prob: float,
-        shock_cum: Optional[np.ndarray],
+        shock_cum: Optional[array],
     ) -> None:
         cfg = self.config
         n_add = poisson_draw(cfg.daily_adds_mean, rng)

@@ -21,11 +21,11 @@ the ablation benchmark does.
 
 from __future__ import annotations
 
-import bisect
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.util.rng import RngStream, stable_choice
+from repro.util.rng import RngStream, cumulative_table, stable_choice, weighted_index
 from repro.util.validation import check_fraction, check_positive
 from repro.util.zipf import zipf_weights
 
@@ -66,8 +66,8 @@ class InterestUniverse:
 
     File membership is filled in by the generator (files are created with a
     category index); the universe then precomputes, per category, the
-    cumulative intrinsic-weight table used for O(log n) popularity-weighted
-    draws within the category.
+    cumulative intrinsic-weight table (a flat ``array('d')``) used for
+    O(log n) popularity-weighted draws within the category.
     """
 
     def __init__(
@@ -86,8 +86,7 @@ class InterestUniverse:
         self._files_by_category: Dict[int, List[int]] = {
             c.index: [] for c in categories
         }
-        self._cum_by_category: Dict[int, np.ndarray] = {}
-        self._file_weights: Optional[np.ndarray] = None
+        self._cum_by_category: Dict[int, array] = {}
 
     def add_file(self, file_index: int, category_index: int) -> None:
         self._files_by_category[category_index].append(file_index)
@@ -103,11 +102,11 @@ class InterestUniverse:
         popularity distribution a multi-replica body (files the whole
         community holds) on top of the singleton tail.
         """
-        self._file_weights = np.asarray(file_weights, dtype=float)
+        file_weights = np.asarray(file_weights, dtype=float)
         for cat_index, members in self._files_by_category.items():
             if not members:
                 continue
-            global_w = self._file_weights[np.asarray(members)]
+            global_w = file_weights[np.asarray(members)]
             if self.within_alpha is None:
                 # Community attention mirrors global popularity: the
                 # category's draw weights are the members' intrinsic
@@ -130,7 +129,7 @@ class InterestUniverse:
             # reachable through the global path only).
             cut = max(1, int(round(self.catalog_fraction * len(members))))
             weights[local_rank > cut] = 0.0
-            self._cum_by_category[cat_index] = np.cumsum(weights)
+            self._cum_by_category[cat_index] = cumulative_table(weights)
 
     def files_in(self, category_index: int) -> List[int]:
         return list(self._files_by_category[category_index])
@@ -144,10 +143,7 @@ class InterestUniverse:
         if not members:
             return None
         cum = self._cum_by_category[category_index]
-        x = rng.py.random() * float(cum[-1])
-        pos = bisect.bisect_right(cum, x)
-        pos = min(pos, len(members) - 1)
-        return members[pos]
+        return members[weighted_index(rng.py, cum, cum[-1])]
 
     def homed_in(self, country: str) -> List[Category]:
         return [c for c in self.categories if c.home_country == country]

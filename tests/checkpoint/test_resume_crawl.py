@@ -6,10 +6,14 @@ checkpoint on disk is the only thing the resumed crawler sees, exactly
 as after a SIGKILL (the subprocess variant lives in ``test_chaos.py``).
 Equivalence is byte-level on the serialized trace and exact on the
 metrics counters/gauges/histograms, at two scales and three kill days
-each.
+each, and at TINY over generated seeds, day counts and kill days.
 """
 
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.checkpoint import Checkpointer
 from repro.checkpoint.chaos import compare_metrics
@@ -36,13 +40,13 @@ class SimulatedCrash(Exception):
     """Stands in for SIGKILL: aborts the crawl after a day's checkpoint."""
 
 
-def build_crawler(scale: Scale, days: int) -> Crawler:
+def build_crawler(scale: Scale, days: int, seed: int = DEFAULT_SEED) -> Crawler:
     network = build_network(
         NetworkConfig(workload=workload_config(scale)),
-        seed=DEFAULT_SEED,
+        seed=seed,
         obs=Observer(),
     )
-    return Crawler(network, CrawlerConfig(days=days), seed=DEFAULT_SEED)
+    return Crawler(network, CrawlerConfig(days=days), seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +87,36 @@ def test_killed_and_resumed_run_is_byte_identical(
 
     assert dumps_trace(trace) == ref_trace
     assert compare_metrics(ref_metrics, resumed.obs.report()) == []
+    assert resumed.network.check_invariants() == []
+
+
+@given(seed=st.integers(0, 2**31), days=st.integers(2, 4), data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_kill_and_resume_equals_run_over_generated_seeds(seed, days, data):
+    """Run ≡ kill+resume at TINY for a drawn seed, day count and kill
+    day before the last: the resumed crawl ends with the same trace
+    bytes, metrics and invariants as the uninterrupted one."""
+    kill_day = data.draw(st.integers(0, days - 2), label="kill_day")
+    with tempfile.TemporaryDirectory() as tmp:
+        reference = build_crawler(Scale.TINY, days, seed)
+        ref_trace = dumps_trace(
+            reference.crawl(checkpointer=Checkpointer(f"{tmp}/ref"))
+        )
+        store = Checkpointer(f"{tmp}/ckpt")
+        crawler = build_crawler(Scale.TINY, days, seed)
+
+        def crash(day_offset: int) -> None:
+            if day_offset == kill_day:
+                raise SimulatedCrash
+
+        with pytest.raises(SimulatedCrash):
+            crawler.crawl(checkpointer=store, on_day_end=crash)
+        resumed = Crawler.resume_from(store)
+        assert resumed.next_day_offset == kill_day + 1
+        trace = resumed.crawl(checkpointer=store)
+
+    assert dumps_trace(trace) == ref_trace
+    assert compare_metrics(reference.obs.report(), resumed.obs.report()) == []
     assert resumed.network.check_invariants() == []
 
 

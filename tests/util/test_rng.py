@@ -1,10 +1,21 @@
 """Tests for deterministic RNG streams."""
 
+import random
+from array import array
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.rng import RngStream, derive_seed, make_rng, stable_choice
+from repro.util.rng import (
+    RngStream,
+    cumulative_table,
+    derive_seed,
+    make_rng,
+    stable_choice,
+    weighted_index,
+)
 
 
 class TestDeriveSeed:
@@ -68,27 +79,51 @@ class TestRngStream:
 
     def test_weighted_index_bounds(self):
         rng = RngStream(3)
-        cum = [1.0, 3.0, 6.0]
+        cum = array("d", [1.0, 3.0, 6.0])
         for _ in range(200):
-            assert 0 <= rng.weighted_index(cum) < 3
-
-    def test_weighted_index_rejects_zero_total(self):
-        rng = RngStream(3)
-        with pytest.raises(ValueError):
-            rng.weighted_index([0.0, 0.0])
+            assert 0 <= weighted_index(rng.py, cum, cum[-1]) < 3
 
     def test_weighted_index_skew(self):
         rng = RngStream(3)
         counts = [0, 0]
         for _ in range(2000):
-            counts[rng.weighted_index([0.9, 1.0])] += 1
+            counts[weighted_index(rng.py, array("d", [0.9, 1.0]), 1.0)] += 1
         assert counts[0] > counts[1] * 4
 
-    def test_iter_children_count(self):
-        rng = RngStream(0)
-        kids = list(rng.iter_children("worker", 4))
-        assert len(kids) == 4
-        assert len({k.label for k in kids}) == 4
+
+class TestWeightedIndex:
+    """The one cumulative-table draw every weighted draw of the workload
+    generator makes (``test_weighted_index_*`` above cover its range and
+    skew)."""
+
+    def test_zero_weights_are_never_drawn(self):
+        rng = RngStream(3)
+        cum = array("d", [0.0, 2.0, 2.0, 3.0])
+        assert {weighted_index(rng.py, cum, cum[-1]) for _ in range(300)} == {1, 3}
+
+    def test_point_past_the_last_sum_returns_the_last_index(self):
+        # A caller's total may exceed the last running sum (stable_choice's
+        # compensated sum on Python 3.12+); such a draw is clamped.
+        rng = RngStream(3)
+        cum = array("d", [1.0, 2.0])
+        assert {weighted_index(rng.py, cum, 100.0) for _ in range(50)} == {1}
+
+    @given(
+        st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=40),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=50)
+    def test_matches_clamped_numpy_searchsorted(self, weights, seed):
+        """Same table floats and the same index as the numpy expression
+        the generator used to draw with, for the same ``random()`` value."""
+        cum = np.cumsum(weights)
+        table = cumulative_table(weights)
+        assert table.tolist() == cum.tolist()
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            x = twin.random() * float(cum[-1])
+            expected = min(int(np.searchsorted(cum, x, side="right")), len(cum) - 1)
+            assert weighted_index(rng, table, table[-1]) == expected
 
 
 class TestMakeRng:

@@ -61,17 +61,11 @@ class TestZipfSampler:
         total = sum(sampler.probability(i) for i in range(20))
         assert total == pytest.approx(1.0)
 
-    def test_sample_many_matches_range(self):
-        sampler = ZipfSampler(30, 1.0)
-        rng = RngStream(2)
-        out = sampler.sample_many(rng.np, 1000)
-        assert out.min() >= 0 and out.max() < 30
-
     def test_empirical_frequency_tracks_probability(self):
         sampler = ZipfSampler(10, 1.0)
         rng = RngStream(3)
-        draws = sampler.sample_many(rng.np, 20000)
-        freq0 = np.count_nonzero(draws == 0) / len(draws)
+        draws = [sampler.sample(rng.py) for _ in range(20000)]
+        freq0 = draws.count(0) / len(draws)
         assert freq0 == pytest.approx(sampler.probability(0), rel=0.15)
 
 

@@ -3,8 +3,10 @@
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.util.rng import RngStream
+from repro.util.rng import RngStream, stable_choice
 from repro.workload.filesizes import (
     MB,
     SIZE_MODELS,
@@ -76,6 +78,10 @@ class TestFileKindModel:
         with pytest.raises(ValueError, match="positive total"):
             FileKindModel(tail_weights={"audio": 0.0})
 
+    def test_rejects_negative_weights(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            FileKindModel(head_weights={"audio": 2.0, "video": -1.0})
+
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             FileKindModel(head_fraction=2.0)
@@ -87,3 +93,28 @@ class TestFileKindModel:
         rng = RngStream(5)
         assert model.sample_kind(0, 100, rng) == "audio"
         assert model.sample_kind(99, 100, rng) == "audio"
+
+
+kind_weights = st.dictionaries(
+    st.sampled_from(sorted(SIZE_MODELS)),
+    st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+    min_size=1,
+)
+
+
+class TestKindDrawMatchesStableChoice:
+    """The kind table draws exactly what ``stable_choice`` drew over the
+    kinds in name order, and consumes the same randomness."""
+
+    @given(kind_weights, kind_weights, st.integers(0, 2**32), st.integers(0, 99))
+    @settings(max_examples=50)
+    def test_same_kind_and_state(self, head, tail, seed, rank):
+        assume(sum(head.values()) > 0 and sum(tail.values()) > 0)
+        model = FileKindModel(head_weights=head, tail_weights=tail)
+        weights = head if rank < model.head_fraction * 100 else tail
+        kinds = sorted(weights)
+        rng, twin = RngStream(seed), RngStream(seed)
+        for _ in range(20):
+            expected = stable_choice(twin.py, kinds, [weights[k] for k in kinds])
+            assert model.sample_kind(rank, 100, rng) == expected
+        assert rng.py.getstate() == twin.py.getstate()

@@ -3,8 +3,12 @@
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.runtime.scale import Scale, workload_config
 from repro.util.rng import RngStream
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import ShockEvent, SyntheticWorkloadGenerator
@@ -94,13 +98,44 @@ class TestFiles:
 
     def test_birth_days_in_range(self, small_generator, small_config):
         births = small_generator.birth_days
-        assert births.min() >= small_config.start_day - 1
-        assert births.max() < small_config.end_day
+        assert min(births) >= small_config.start_day - 1
+        assert max(births) < small_config.end_day
 
     def test_categories_assigned(self, small_generator, small_config):
         n_cats = small_config.interest_model.num_categories
         for meta in small_generator.files[:500]:
             assert 0 <= meta.category < n_cats
+
+
+class TestFlatTables:
+    """The generator draws from flat tables built once; each matches the
+    numpy expression it replaced."""
+
+    @pytest.mark.parametrize("scale", [Scale.TINY, Scale.SMALL])
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=4, deadline=None)
+    def test_file_weights_are_the_sampler_weights(self, scale, seed):
+        generator = SyntheticWorkloadGenerator(workload_config(scale), seed=seed)
+        generator.build()
+        sampler = generator._global_sampler
+        assert generator.file_weights.tolist() == [
+            sampler.weight(i) for i in range(sampler.n)
+        ]
+
+    @pytest.mark.parametrize("scale", [Scale.TINY, Scale.SMALL])
+    @given(seed=st.integers(0, 2**16))
+    @settings(max_examples=4, deadline=None)
+    def test_num_born_matches_numpy_searchsorted(self, scale, seed):
+        generator = SyntheticWorkloadGenerator(workload_config(scale), seed=seed)
+        generator.build()
+        births = np.asarray(generator.birth_days)
+        order = np.argsort(births, kind="stable")
+        assert list(generator._born_order) == order.tolist()
+        born = births[order]
+        cfg = generator.config
+        for day in range(cfg.start_day - 2, cfg.end_day + 1):
+            expected = int(np.searchsorted(born, day, side="right"))
+            assert generator._num_born(day) == expected
 
 
 class TestShocks:
