@@ -9,9 +9,8 @@ appends; ``MAX_RATIO`` is the budget.
 
 Both runs are timed with the median of ``REPEATS`` repetitions to damp
 scheduler noise; the committed baseline
-(``benchmarks/results/bench-telemetry.json``) records the trajectory,
-and ``repro bench-summary`` reads the ``off_secs`` / ``on_secs`` /
-``overhead_ratio`` / ``max_ratio`` fields.
+(``benchmarks/results/bench-telemetry.json``) records the
+``off_secs`` / ``on_secs`` / ``overhead_ratio`` / ``max_ratio`` fields.
 
 Runs two ways:
 

@@ -27,6 +27,30 @@ Quickstart::
     print(run_figure18(RunContext(scale=Scale.SMALL)).render())
 """
 
+import functools
+
 __version__ = "1.0.0"
 
-__all__ = ["__version__"]
+__all__ = ["__version__", "code_identity"]
+
+
+@functools.cache
+def code_identity() -> str:
+    """Which code this is: SHA-256 over the sorted relative paths and
+    bytes of this package's ``*.py`` files.
+
+    Checkpoint headers and run-manifest hashes carry it, so state that
+    other code wrote is refused or re-run instead of trusted.  Computed
+    on first call, never at import: ``repro serve`` imports the runner
+    at start-up and never needs it.
+    """
+    import hashlib
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py")):
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()

@@ -4,7 +4,7 @@ A checkpoint file (``repro.checkpoint/1``) is one JSON header line
 followed by a pickle blob::
 
     {"schema": "repro.checkpoint/1", "kind": "crawl", "step": 12,
-     "seed": 20060418, "payload_bytes": 123456,
+     "seed": 20060418, "code": "...", "payload_bytes": 123456,
      "payload_sha256": "...", "meta": {...}}\n
     <pickle bytes>
 
@@ -17,9 +17,12 @@ either the previous complete file or no file, never a torn one.
 
 The payload is a pickle of live simulation objects (the crawler or the
 search simulator, with their networks, traces and RNG streams).  That
-couples checkpoints to the code version that wrote them — which is
-exactly right for crash/resume within one run, and why the header
-carries a schema version to refuse anything else loudly.
+couples checkpoints to the code that wrote them — which is exactly
+right for crash/resume within one run.  The schema names the file
+format; ``code`` (:func:`repro.code_identity`) names the code, and
+:meth:`Checkpointer.load` refuses a file whose ``code`` is another or
+missing, loudly and without falling back to older files: their objects
+were laid out by that other code too.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+import repro
 from repro.util.atomic import atomic_replace
 
 CHECKPOINT_SCHEMA = "repro.checkpoint/1"
@@ -45,6 +49,10 @@ class CheckpointError(Exception):
     """A checkpoint file is missing, corrupt, or from another world."""
 
 
+class ForeignCheckpointError(CheckpointError):
+    """A checkpoint that other code wrote: refused, never skipped."""
+
+
 @dataclass(frozen=True)
 class CheckpointInfo:
     """The parsed header of one checkpoint file."""
@@ -56,6 +64,8 @@ class CheckpointInfo:
     payload_bytes: int
     payload_sha256: str
     meta: Dict[str, object] = field(default_factory=dict)
+    #: :func:`repro.code_identity` of the writer; None in old files.
+    code: Optional[str] = None
 
 
 def _checkpoint_name(kind: str, step: int) -> str:
@@ -102,6 +112,7 @@ class Checkpointer:
             "kind": kind,
             "step": step,
             "seed": seed,
+            "code": repro.code_identity(),
             "payload_bytes": len(blob),
             "payload_sha256": hashlib.sha256(blob).hexdigest(),
             "meta": dict(meta or {}),
@@ -145,6 +156,7 @@ class Checkpointer:
                 payload_bytes=int(header["payload_bytes"]),
                 payload_sha256=str(header["payload_sha256"]),
                 meta=dict(header.get("meta", {})),
+                code=header.get("code"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
@@ -152,8 +164,14 @@ class Checkpointer:
             ) from exc
 
     def load(self, path) -> Tuple[object, CheckpointInfo]:
-        """Verify and unpickle one checkpoint file."""
+        """Verify and unpickle one checkpoint file this code wrote."""
         info = self.inspect(path)
+        if info.code != repro.code_identity():
+            raise ForeignCheckpointError(
+                f"{info.path}: written by code {info.code or '(unrecorded)'}, "
+                f"but this is code {repro.code_identity()}; resume it with "
+                "the code that wrote it"
+            )
         with open(info.path, "rb") as fh:
             fh.readline()  # skip the header
             blob = fh.read()
@@ -202,11 +220,15 @@ class Checkpointer:
 
         Falls back through older checkpoints when newer ones fail their
         checksum — the resume story survives a corrupted latest file as
-        long as any earlier snapshot is whole.
+        long as any earlier snapshot is whole.  A file that other code
+        wrote is not corrupt: its :class:`ForeignCheckpointError` is
+        raised, not skipped.
         """
         for path in reversed(self.list(kind)):
             try:
                 return self.load(path)
+            except ForeignCheckpointError:
+                raise
             except CheckpointError:
                 continue
         raise CheckpointError(

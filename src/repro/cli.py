@@ -451,18 +451,16 @@ def cmd_run_all(args: argparse.Namespace) -> int:
     from repro.obs.log import get_log
     from repro.runtime import RunContext, Runner, UnknownExperimentError
 
-    ctx = RunContext(seed=args.seed, scale=_scale(args.scale))
+    if args.workers > 1:
+        return _run_all_parallel(args)
+
     runner = Runner(
-        ctx=ctx,
+        ctx=RunContext(seed=args.seed, scale=_scale(args.scale)),
         results_dir=args.results_dir,
         force=args.force,
         write_metrics=args.metrics_out,
         telemetry=_telemetry_spec(args),
     )
-
-    if args.workers > 1:
-        return _run_all_parallel(args, runner)
-
     report = _run_all_reporter(args)
 
     get_log().info(
@@ -515,14 +513,9 @@ def _run_all_summary(outcomes) -> int:
     return 0
 
 
-def _run_all_parallel(args: argparse.Namespace, runner) -> int:
-    """``run-all --workers N``: one experiment per worker process.
-
-    An explicit ``--only`` selection naming a sequential-only experiment
-    is rejected (rc=2) — failing fast beats failing deep inside a
-    worker.  The default full sweep instead fans out the parallelizable
-    experiments and runs the sequential-only remainder in-process.
-    """
+def _run_all_parallel(args: argparse.Namespace) -> int:
+    """``run-all --workers N``: one experiment per worker process."""
+    from repro.obs.log import get_log
     from repro.runtime import UnknownExperimentError
     from repro.runtime.registry import get as get_spec, load_all
     from repro.runtime.sharded import run_experiments_parallel
@@ -530,49 +523,26 @@ def _run_all_parallel(args: argparse.Namespace, runner) -> int:
     specs = load_all()
     if args.only:
         try:
-            selected = [get_spec(name) for name in args.only]
+            specs = [get_spec(name) for name in args.only]
         except UnknownExperimentError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        blocked = [spec.name for spec in selected if spec.sequential_only]
-        if blocked:
-            print(
-                "error: sequential-only experiment(s) cannot run with "
-                f"--workers: {', '.join(blocked)} (they manage their own "
-                "subprocesses); drop them from --only or drop --workers",
-                file=sys.stderr,
-            )
-            return 2
-        parallel_names = [spec.name for spec in selected]
-        sequential_names = []
-    else:
-        parallel_names = [s.name for s in specs if not s.sequential_only]
-        sequential_names = [s.name for s in specs if s.sequential_only]
-
-    report = _run_all_reporter(args)
-    from repro.obs.log import get_log
 
     get_log().info(
         f"Running experiments at scale={args.scale} seed={args.seed} "
         f"-> {args.results_dir} ({args.workers} workers)"
     )
     outcomes = run_experiments_parallel(
-        parallel_names,
+        [spec.name for spec in specs],
         seed=args.seed,
         scale=_scale(args.scale),
         results_dir=args.results_dir,
         workers=args.workers,
         force=args.force,
         write_metrics=args.metrics_out,
-        on_outcome=report,
+        on_outcome=_run_all_reporter(args),
         telemetry=_telemetry_spec(args),
     )
-    if sequential_names:
-        print(
-            f"  ({len(sequential_names)} sequential-only experiment(s) "
-            "run in-process)"
-        )
-        outcomes += runner.run_all(sequential_names, on_outcome=report)
     return _run_all_summary(outcomes)
 
 
@@ -762,33 +732,16 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_bench_summary(args: argparse.Namespace) -> int:
     from repro.obs.benchsummary import (
         checkout_dir,
-        collate_results,
+        collate_trajectory,
         render_summary,
-        summary_to_json,
     )
 
     root = checkout_dir()
-    results_dir = args.results_dir or os.path.join(root, "benchmarks", "results")
-    try:
-        entries = collate_results(results_dir, root)
-    except OSError as exc:
-        print(f"error: cannot read {results_dir}: {exc}", file=sys.stderr)
+    rows = collate_trajectory(root)
+    if not rows:
+        print(f"error: no BENCH_PR*.json trajectory files in {root}", file=sys.stderr)
         return 2
-    if not entries:
-        print(f"error: no benchmark result JSONs in {results_dir}", file=sys.stderr)
-        return 2
-    text = render_summary(entries)
-    print(text)
-    if args.json:
-        from repro.util.atomic import atomic_write_text
-
-        atomic_write_text(args.json, summary_to_json(entries) + "\n")
-        print(f"Wrote summary JSON to {args.json}")
-    if args.txt:
-        from repro.util.atomic import atomic_write_text
-
-        atomic_write_text(args.txt, text + "\n")
-        print(f"Wrote summary table to {args.txt}")
+    print(render_summary(rows))
     return 0
 
 
@@ -1377,18 +1330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser(
         "bench-summary",
-        help="collate benchmarks/results/*.json into one trajectory table",
-    )
-    p.add_argument(
-        "--results-dir",
-        help="directory of benchmark result JSONs (default: benchmarks/results "
-        "of this checkout, or of the working directory outside one)",
-    )
-    p.add_argument(
-        "--json", metavar="PATH", help="also write the summary as JSON"
-    )
-    p.add_argument(
-        "--txt", metavar="PATH", help="also write the rendered table"
+        help="list the perfbench trajectory (BENCH_PR*.json) as one table",
     )
     p.set_defaults(func=cmd_bench_summary)
 
@@ -1461,7 +1403,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "--checkpoint-dir instead of starting fresh")
     p.add_argument("--kill-after-day", type=int, default=None, metavar="DAY",
                    help="SIGKILL this process right after DAY's checkpoint "
-                   "is written (chaos testing; requires --checkpoint-dir)")
+                   "is written (kill+resume testing; requires --checkpoint-dir)")
     _add_obs_flags(p)
     p.set_defaults(func=cmd_crawl)
 

@@ -415,8 +415,8 @@ class Crawler:
         completed day; a crawler rebuilt via :meth:`resume_from`
         continues from the checkpointed day and produces byte-identical
         final artefacts.  ``on_day_end(day_offset)`` (if given) runs
-        after each day's checkpoint — the chaos harness uses it to kill
-        the process at a precise point.
+        after each day's checkpoint — ``repro crawl --kill-after-day`` uses
+        it to kill the process at a precise point.
         """
         days = days if days is not None else self.config.days
         if self._trace is None:

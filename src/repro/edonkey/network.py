@@ -371,16 +371,17 @@ class Network:
     def check_invariants(self) -> List[str]:
         """Cross-layer consistency checks; returns problems (empty = ok).
 
-        Run by the chaos harness after a resume: a checkpoint that
-        restored half the object graph (a session without its client, a
-        cache set disagreeing with the client's shared dict) surfaces
-        here instead of as a silently divergent trace.  Only the
-        *forward* session direction is checked: every session must
-        belong to an online client that points at its server.  A client
-        whose reconnect is lost is orphaned (``server_id`` None) rather
-        than left pointing at a server without its session, but a
-        connect that timed out after the server accepted it leaves a
-        session its client never learnt of, which this check reports.
+        Run by ``repro crawl --resume`` on the restored network: a
+        checkpoint that restored half the object graph (a session
+        without its client, a cache set disagreeing with the client's
+        shared dict) surfaces here instead of as a silently divergent
+        trace.  Only the *forward* session direction is checked: every
+        session must belong to an online client that points at its
+        server.  A client whose reconnect is lost is orphaned
+        (``server_id`` None) rather than left pointing at a server
+        without its session, but a connect that timed out after the
+        server accepted it leaves a session its client never learnt of,
+        which this check reports.
         """
         problems: List[str] = []
         for server_id, server in self.servers.items():

@@ -334,9 +334,9 @@ class Server:
     def check_invariants(self) -> List[str]:
         """Cross-check the internal indexes; returns problems (empty = ok).
 
-        The chaos harness runs this after every resumed day: a checkpoint
-        that restored sessions without their index entries (or vice
-        versa) shows up here rather than as a silently wrong trace.
+        ``repro crawl --resume`` runs this on the restored network: a
+        checkpoint that restored sessions without their index entries (or
+        vice versa) shows up here rather than as a silently wrong trace.
         """
         problems: List[str] = []
         tag = f"server {self.server_id}"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.util.cdf import Series
 from repro.util.tables import render_series
@@ -25,9 +25,6 @@ class ExperimentResult:
     table_text: str = ""
     metrics: Dict[str, float] = field(default_factory=dict)
     notes: str = ""
-    #: provenance of runs that were assembled from checkpoints (e.g. the
-    #: chaos harness's kill/resume history); recorded in the run manifest.
-    lineage: Optional[Dict[str, object]] = None
 
     def render(self, max_points: int = 24) -> str:
         lines: List[str] = [f"=== {self.experiment_id}: {self.title} ==="]

@@ -3,7 +3,7 @@ Table 3)."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.randomization import randomization_schedule
 from repro.core.search import (
@@ -49,11 +49,15 @@ def _sweep(
     strategy: str = "lru",
     two_hop: bool = False,
     seed: int = DEFAULT_SEED,
-) -> Series:
+) -> Tuple[Series, Dict[int, float]]:
+    """The percent series of a sweep, and its hit rates by list size
+    (the metrics read these: a percent divided by 100 is off by an ulp)."""
     series = Series(name=name)
+    rates: Dict[int, float] = {}
     for size in list_sizes:
-        series.append(size, 100.0 * _hit_rate(trace, size, strategy, two_hop, seed))
-    return series
+        rates[size] = _hit_rate(trace, size, strategy, two_hop, seed)
+        series.append(size, 100.0 * rates[size])
+    return series, rates
 
 
 @experiment(
@@ -68,14 +72,18 @@ def run_figure18(
     """Figure 18: hit rate vs number of semantic neighbours, for the LRU,
     History and Random strategies."""
     trace, seed = ctx.static_trace(), ctx.seed
-    lru = _sweep(trace, "LRU", list_sizes, "lru", seed=seed)
-    history = _sweep(trace, "History", list_sizes, "history", seed=seed)
-    random_series = _sweep(trace, "Random", list_sizes, "random", seed=seed)
+    lru, lru_rates = _sweep(trace, "LRU", list_sizes, "lru", seed=seed)
+    history, history_rates = _sweep(
+        trace, "History", list_sizes, "history", seed=seed
+    )
+    random_series, random_rates = _sweep(
+        trace, "Random", list_sizes, "random", seed=seed
+    )
     metrics = {
-        "lru@20": lru.y_at(20) / 100.0,
-        "history@20": history.y_at(20) / 100.0,
-        "random@20": random_series.y_at(20) / 100.0,
-        "lru@5": lru.y_at(5) / 100.0,
+        "lru@20": lru_rates[20],
+        "history@20": history_rates[20],
+        "random@20": random_rates[20],
+        "lru@5": lru_rates[5],
     }
     return ExperimentResult(
         experiment_id="figure-18",
@@ -99,21 +107,21 @@ def run_figure19(
 ) -> ExperimentResult:
     """Figure 19: LRU hit rate after removing the most generous uploaders."""
     trace, seed = ctx.static_trace(), ctx.seed
-    series = [_sweep(trace, "all uploaders", list_sizes, "lru", seed=seed)]
+    curve, all_rates = _sweep(trace, "all uploaders", list_sizes, "lru", seed=seed)
+    series, last_rates = [curve], all_rates
     for fraction in fractions:
         ablated = remove_top_uploaders(trace, fraction)
-        series.append(
-            _sweep(
-                ablated,
-                f"without top {int(100 * fraction)}%",
-                list_sizes,
-                "lru",
-                seed=seed,
-            )
+        curve, last_rates = _sweep(
+            ablated,
+            f"without top {int(100 * fraction)}%",
+            list_sizes,
+            "lru",
+            seed=seed,
         )
+        series.append(curve)
     metrics = {
-        "all@20": series[0].y_at(20) / 100.0,
-        "minus15@20": series[-1].y_at(20) / 100.0,
+        "all@20": all_rates[20],
+        "minus15@20": last_rates[20],
     }
     return ExperimentResult(
         experiment_id="figure-19",
@@ -137,16 +145,18 @@ def run_figure20(
 ) -> ExperimentResult:
     """Figure 20: LRU hit rate after removing the most popular files."""
     trace, seed = ctx.static_trace(), ctx.seed
-    series = [_sweep(trace, "all files", list_sizes, "lru", seed=seed)]
+    curve, all_rates = _sweep(trace, "all files", list_sizes, "lru", seed=seed)
+    series, last_rates = [curve], all_rates
     request_counts = {"all files": float(trace.total_replicas())}
     for fraction in fractions:
         ablated = remove_popular_files(trace, fraction)
         label = f"without {int(100 * fraction)}% popular"
-        series.append(_sweep(ablated, label, list_sizes, "lru", seed=seed))
+        curve, last_rates = _sweep(ablated, label, list_sizes, "lru", seed=seed)
+        series.append(curve)
         request_counts[label] = float(ablated.total_replicas())
     metrics = {
-        "all@5": series[0].y_at(5) / 100.0,
-        "minus30@5": series[-1].y_at(5) / 100.0,
+        "all@5": all_rates[5],
+        "minus30@5": last_rates[5],
         "remaining_requests_minus30": request_counts[
             f"without {int(100 * fractions[-1])}% popular"
         ]
@@ -246,7 +256,7 @@ def run_figure21(
         series.append(count, 100.0 * rate)
         if count == 0:
             metrics["hit_rate_original"] = rate
-    metrics["hit_rate_fully_randomized"] = series.ys[-1] / 100.0
+    metrics["hit_rate_fully_randomized"] = rate
     metrics["semantic_share"] = (
         metrics["hit_rate_original"] - metrics["hit_rate_fully_randomized"]
     )
@@ -317,25 +327,28 @@ def run_figure23(
     """Figure 23: two-hop semantic search, with and without the most
     generous uploaders."""
     trace, seed = ctx.static_trace(), ctx.seed
-    one_hop = _sweep(trace, "1 hop", list_sizes, "lru", two_hop=False, seed=seed)
-    two_hop = _sweep(trace, "2 hops", list_sizes, "lru", two_hop=True, seed=seed)
+    one_hop, one_hop_rates = _sweep(
+        trace, "1 hop", list_sizes, "lru", two_hop=False, seed=seed
+    )
+    two_hop, two_hop_rates = _sweep(
+        trace, "2 hops", list_sizes, "lru", two_hop=True, seed=seed
+    )
     series = [two_hop, one_hop]
     for fraction in uploader_fractions:
         ablated = remove_top_uploaders(trace, fraction)
-        series.append(
-            _sweep(
-                ablated,
-                f"2 hops, without top {int(100 * fraction)}%",
-                list_sizes,
-                "lru",
-                two_hop=True,
-                seed=seed,
-            )
+        curve, _ = _sweep(
+            ablated,
+            f"2 hops, without top {int(100 * fraction)}%",
+            list_sizes,
+            "lru",
+            two_hop=True,
+            seed=seed,
         )
+        series.append(curve)
     metrics = {
-        "one_hop@20": one_hop.y_at(20) / 100.0,
-        "two_hop@20": two_hop.y_at(20) / 100.0,
-        "two_hop@5": two_hop.y_at(5) / 100.0,
+        "one_hop@20": one_hop_rates[20],
+        "two_hop@20": two_hop_rates[20],
+        "two_hop@5": two_hop_rates[5],
     }
     return ExperimentResult(
         experiment_id="figure-23",

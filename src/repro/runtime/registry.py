@@ -60,10 +60,6 @@ class ExperimentSpec:
     description: str
     default_scale: Optional[object] = None  # a Scale, or None = Scale.DEFAULT
     aliases: Tuple[str, ...] = field(default_factory=tuple)
-    #: Experiments that manage their own subprocesses (``chaos``) cannot
-    #: ride the sharded runner; ``repro run-all --workers N`` rejects
-    #: them by name (exit code 2).
-    sequential_only: bool = False
 
     @property
     def runner_name(self) -> str:
@@ -100,7 +96,6 @@ def experiment(
     description: str,
     default_scale: Optional[object] = None,
     aliases: Tuple[str, ...] = (),
-    sequential_only: bool = False,
 ):
     """Register the decorated runner under ``name`` (see module docstring)."""
 
@@ -113,7 +108,6 @@ def experiment(
                 description=description,
                 default_scale=default_scale,
                 aliases=tuple(aliases),
-                sequential_only=sequential_only,
             )
         )
         return runner

@@ -11,7 +11,8 @@ Schema (``repro.manifest/1``) — a single JSON object:
 - ``experiment``  — the registry name (e.g. ``"fig18"``);
 - ``artefact``    — the paper artefact it reproduces (``"Figure 18"``);
 - ``config_hash`` — SHA-256 over the canonical run configuration
-  (experiment, seed, scale, overrides); the skip key;
+  (experiment, seed, scale, overrides) and the code identity
+  (:func:`repro.code_identity`); the skip key;
 - ``seed`` / ``scale`` — run identity;
 - ``wall_time_s`` — wall-clock duration of the run;
 - ``metrics``     — the experiment's headline scalars
@@ -20,16 +21,14 @@ Schema (``repro.manifest/1``) — a single JSON object:
 - ``metrics_file`` — optional: the standalone metrics JSON written next
   to this manifest (``Runner(write_metrics=True)``, the CLI's
   ``repro run-all --metrics-out``), for feeding ``repro metrics diff``
-  without extracting the embedded blob;
-- ``lineage`` — optional: checkpoint provenance for experiments that
-  save/resume state mid-run (the chaos harness records kill days and
-  resume counts here).
+  without extracting the embedded blob.
 
 ``Runner.run`` skips an experiment when its manifest already exists with a
 matching ``config_hash`` (``force`` re-runs anyway), which is what makes
 ``repro run-all`` incremental: a second invocation over the same results
-directory is a no-op, and changing the seed or scale invalidates exactly
-the affected manifests.
+directory is a no-op, changing the seed or scale invalidates exactly
+the affected manifests, and changing any source file invalidates all of
+them.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+import repro
 from repro.obs import Observer, RunMetrics, record_telemetry, validate_metrics
 from repro.runtime import registry
 from repro.runtime.context import RunContext
@@ -67,10 +67,6 @@ class RunManifest:
     metrics: Dict[str, float] = field(default_factory=dict)
     run_metrics: Dict[str, object] = field(default_factory=dict)
     metrics_file: Optional[str] = None
-    #: Optional provenance of checkpoint-based runs: which checkpoints the
-    #: experiment saved/resumed from (kill days, resume counts, ...).  Free
-    #: JSON-object shape; absent for experiments that never checkpoint.
-    lineage: Optional[Dict[str, object]] = None
     schema: str = MANIFEST_SCHEMA
 
     def to_dict(self) -> Dict[str, object]:
@@ -87,8 +83,6 @@ class RunManifest:
         }
         if self.metrics_file is not None:
             payload["metrics_file"] = self.metrics_file
-        if self.lineage is not None:
-            payload["lineage"] = dict(self.lineage)
         return payload
 
     def to_json(self) -> str:
@@ -111,7 +105,6 @@ class RunManifest:
             metrics={k: float(v) for k, v in payload["metrics"].items()},
             run_metrics=dict(payload["run_metrics"]),
             metrics_file=payload.get("metrics_file"),
-            lineage=payload.get("lineage"),
             schema=payload["schema"],
         )
 
@@ -155,9 +148,6 @@ def validate_manifest(payload: object) -> List[str]:
     metrics_file = payload.get("metrics_file")
     if metrics_file is not None and not isinstance(metrics_file, str):
         problems.append("'metrics_file' must be a string when present")
-    lineage = payload.get("lineage")
-    if lineage is not None and not isinstance(lineage, dict):
-        problems.append("'lineage' must be an object when present")
     if not isinstance(payload.get("metrics"), dict):
         problems.append("missing or non-object section 'metrics'")
     else:
@@ -233,6 +223,7 @@ class Runner:
                 "seed": self.ctx.seed,
                 "scale": self.ctx.scale.value,
                 "overrides": {k: repr(v) for k, v in sorted(overrides.items())},
+                "code": repro.code_identity(),
             }
         )
 
@@ -294,7 +285,6 @@ class Runner:
             metrics=dict(getattr(result, "metrics", {}) or {}),
             run_metrics=report.to_dict(),
             metrics_file=metrics_file,
-            lineage=getattr(result, "lineage", None),
         )
         manifest.write(path)
         if hasattr(result, "write_csv"):

@@ -1,1 +1,1 @@
-"""Checkpoint/resume and chaos-harness tests."""
+"""Checkpoint/resume tests."""

@@ -1,18 +1,17 @@
-"""Chaos harness: real SIGKILLs against the real CLI, plus the CLI's
-resume guard rails (flag validation and mismatch detection)."""
+"""Real SIGKILLs against the real CLI, plus the CLI's resume guard rails
+(flag validation and mismatch detection)."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import repro
-from repro.checkpoint import ChaosRunner, ChaosSpec
-from repro.checkpoint.chaos import compare_metrics
-from repro.obs import Observer, RunMetrics
+from repro.checkpoint import Checkpointer
+from repro.edonkey.crawler import Crawler
+from repro.obs import RunMetrics
 from repro.obs.telemetry import validate_telemetry
+from tests.checkpoint.test_store import set_header_code
 
 
 def _cli(*args):
@@ -28,61 +27,47 @@ def _cli(*args):
     )
 
 
-class TestChaosSpec:
-    def test_needs_at_least_two_days(self):
-        with pytest.raises(ValueError, match="days"):
-            ChaosSpec(days=1)
-
-    def test_rejects_bad_rates(self):
-        with pytest.raises(ValueError):
-            ChaosSpec(loss_rate=1.5)
-
-    def test_kill_days_never_include_the_last_day(self):
-        spec = ChaosSpec(days=4, kills=10, seed=3)
-        days = ChaosRunner(spec, "unused").draw_kill_days()
-        assert days == [0, 1, 2]  # capped at days-1 candidates
-
-    def test_kill_days_are_seeded(self):
-        spec = ChaosSpec(days=8, kills=3, seed=3)
-        a = ChaosRunner(spec, "unused").draw_kill_days()
-        b = ChaosRunner(spec, "unused").draw_kill_days()
-        assert a == b
-        assert a == sorted(set(a))
-
-
-class TestCompareMetrics:
-    def test_equal_metrics_no_differences(self):
-        a = RunMetrics(counters={"x": 1.0}, gauges={}, histograms={})
-        b = RunMetrics(counters={"x": 1.0}, gauges={}, histograms={})
-        assert compare_metrics(a, b) == []
-
-    def test_differences_are_described(self):
-        a = RunMetrics(counters={"x": 1.0}, gauges={}, histograms={})
-        b = RunMetrics(counters={"x": 2.0, "y": 1.0}, gauges={}, histograms={})
-        diffs = compare_metrics(a, b)
-        assert any("'x'" in d for d in diffs)
-        assert any("only in candidate" in d for d in diffs)
-
-    def test_span_timings_excluded(self):
-        a = RunMetrics(counters={}, gauges={}, histograms={}, spans={"s": 1})
-        b = RunMetrics(counters={}, gauges={}, histograms={}, spans={"s": 2})
-        assert compare_metrics(a, b) == []
-
-
 class TestChaosCampaign:
     def test_sigkilled_crawl_resumes_byte_identical(self, tmp_path):
-        obs = Observer()
-        spec = ChaosSpec(clients=40, days=4, seed=11, kills=1)
-        report = ChaosRunner(spec, tmp_path, obs=obs).run(trials=1)
-        trial = report.trials[0]
-        assert trial.killed_ok, "the subprocess was never actually killed"
-        assert trial.trace_identical
-        assert trial.metrics_equal, trial.metrics_differences
-        assert trial.invariant_problems == []
-        assert report.passed
-        assert obs.counters["chaos/kills"] == 1
-        assert report.as_lineage()["kill_days"] == [trial.kill_days]
-        assert "equivalent" in report.render()
+        """SIGKILL a checkpointing CLI crawl after day 0, resume it and
+        SIGKILL it again after day 2, then resume it to the end: it must
+        end as an uninterrupted checkpointing run does."""
+
+        def crawl(name, *extra):
+            run_dir = tmp_path / name
+            run_dir.mkdir(exist_ok=True)
+            return _cli(
+                "crawl", "--seed", "11", "--clients", "40", "--days", "4",
+                "--checkpoint-dir", str(run_dir / "ckpt"),
+                "--output", str(run_dir / "trace.jsonl"),
+                "--metrics-out", str(run_dir / "metrics.json"),
+                *extra,
+            )
+
+        reference = crawl("reference")
+        assert reference.returncode == 0, reference.stderr
+        assert crawl("victim", "--kill-after-day", "0").returncode != 0
+        killed_again = crawl("victim", "--resume", "--kill-after-day", "2")
+        assert killed_again.returncode != 0
+        final = crawl("victim", "--resume")
+        assert final.returncode == 0, final.stderr
+
+        ref_dir, victim_dir = tmp_path / "reference", tmp_path / "victim"
+        assert (victim_dir / "trace.jsonl").read_bytes() == (
+            ref_dir / "trace.jsonl"
+        ).read_bytes()
+        ref_metrics = RunMetrics.read(str(ref_dir / "metrics.json"))
+        victim_metrics = RunMetrics.read(str(victim_dir / "metrics.json"))
+        # Span timings are wall-clock; everything else must be equal.
+        for section in ("counters", "gauges", "histograms"):
+            assert getattr(victim_metrics, section) == getattr(
+                ref_metrics, section
+            ), section
+        invariants = [
+            Crawler.resume_from(Checkpointer(d / "ckpt")).network.check_invariants()
+            for d in (ref_dir, victim_dir)
+        ]
+        assert invariants[1] == invariants[0]
 
 
 class TestCliResumeGuards:
@@ -131,6 +116,20 @@ class TestCliResumeGuards:
         )
         assert mismatched.returncode == 2
         assert "seed" in mismatched.stderr
+
+    def test_resume_refuses_a_checkpoint_other_code_wrote(self, tmp_path):
+        # Only the newest checkpoint is patched: the older, intact one
+        # must not be resumed from instead, since its objects were laid
+        # out by the same other code.
+        ckpt = tmp_path / "ckpt"
+        base = ["crawl", "--clients", "20", "--days", "2", "--seed", "5",
+                "--checkpoint-dir", str(ckpt)]
+        assert _cli(*base).returncode == 0
+        set_header_code(Checkpointer(ckpt).list()[-1], "0" * 64)
+        resumed = _cli(*base, "--resume")
+        assert resumed.returncode == 2
+        assert "0" * 64 in resumed.stderr
+        assert repro.code_identity() in resumed.stderr
 
     def test_resume_warns_when_initial_run_was_unobserved(self, tmp_path):
         # Observability state lives in the checkpoint: asking the

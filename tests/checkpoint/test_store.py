@@ -5,10 +5,12 @@ import pickle
 
 import pytest
 
+import repro
 from repro.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointError,
     Checkpointer,
+    ForeignCheckpointError,
 )
 
 
@@ -130,6 +132,40 @@ class TestCorruption:
 
     def test_load_latest_empty_directory(self, store):
         with pytest.raises(CheckpointError, match="no intact"):
+            store.load_latest("crawl")
+
+
+def set_header_code(path, code):
+    """Rewrite one checkpoint's ``code`` field (deleted when None)."""
+    header_line, blob = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    header.pop("code")
+    if code is not None:
+        header["code"] = code
+    path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+
+
+class TestCodeIdentity:
+    def test_header_records_the_writing_code(self, store):
+        path = store.save("crawl", 1, {"x": 1}, seed=0)
+        assert store.inspect(path).code == repro.code_identity()
+        assert len(repro.code_identity()) == 64
+
+    @pytest.mark.parametrize("code", ["0" * 64, None], ids=["other", "none"])
+    def test_load_refuses_other_code(self, store, code):
+        path = store.save("crawl", 1, {"x": 1}, seed=0)
+        set_header_code(path, code)
+        with pytest.raises(ForeignCheckpointError) as caught:
+            store.load(path)
+        assert repro.code_identity() in str(caught.value)
+        if code is not None:
+            assert code in str(caught.value)
+
+    def test_load_latest_does_not_fall_back_past_other_code(self, store):
+        store.save("crawl", 1, {"step": 1}, seed=0)
+        newest = store.save("crawl", 2, {"step": 2}, seed=0)
+        set_header_code(newest, "0" * 64)
+        with pytest.raises(ForeignCheckpointError, match="0" * 64):
             store.load_latest("crawl")
 
 

@@ -39,8 +39,7 @@ def test_figure23_and_cost_benefit_share_one_two_hop_engine():
     ctx = RunContext(scale=Scale.TINY)
     figure = run_figure23(ctx, list_sizes=(5, 20), uploader_fractions=())
     costs = run_cost_benefit(ctx, list_sizes=(5, 20), num_baseline_queries=20)
-    two_hops = next(s for s in figure.series if s.name == "2 hops")
     for list_size in (5, 20):
-        assert two_hops.y_at(list_size) == 100 * costs.metric(
+        assert figure.metric(f"two_hop@{list_size}") == costs.metric(
             f"lru{list_size}_2hop_hit"
         )

@@ -135,6 +135,15 @@ class TestRunnerCaching:
         assert tiny_runner.run("fig18", list_sizes=(5, 20)).skipped
         assert not tiny_runner.run("fig18", list_sizes=(5, 10, 20)).skipped
 
+    def test_manifest_other_code_wrote_reruns(self, tiny_runner, monkeypatch):
+        import repro
+
+        with monkeypatch.context() as patch:
+            patch.setattr(repro, "code_identity", lambda: "0" * 64)
+            assert not tiny_runner.run("table2").skipped
+        assert not tiny_runner.run("table2").skipped
+        assert tiny_runner.run("table2").skipped
+
     def test_corrupt_manifest_reruns(self, tiny_runner):
         tiny_runner.run("table2")
         tiny_runner.manifest_path("table2").write_text("{not json")
@@ -182,51 +191,3 @@ class TestRunAll:
             tiny_runner.manifest_path("table2").read_text()
         )
         assert validate_manifest(payload) == []
-
-
-class TestLineage:
-    def test_lineage_round_trips_through_json(self, tmp_path):
-        lineage = {"harness": "chaos", "kill_days": [[0, 2]], "passed": True}
-        manifest = _manifest(lineage=lineage)
-        path = tmp_path / "m.json"
-        manifest.write(path)
-        loaded = RunManifest.read(path)
-        assert loaded.lineage == lineage
-        assert loaded == manifest
-
-    def test_lineage_absent_by_default(self):
-        payload = _manifest().to_dict()
-        assert "lineage" not in payload
-        assert RunManifest.from_dict(payload).lineage is None
-
-    def test_validate_rejects_non_object_lineage(self):
-        payload = _manifest().to_dict()
-        payload["lineage"] = "not an object"
-        assert any("lineage" in p for p in validate_manifest(payload))
-
-    def test_runner_records_result_lineage(self, tmp_path, monkeypatch):
-        from repro.experiments.result import ExperimentResult
-        from repro.runtime import registry
-        from repro.runtime.registry import experiment
-
-        monkeypatch.setattr(registry, "_REGISTRY", {})
-        monkeypatch.setattr(registry, "_ALIASES", {})
-
-        @experiment("probe", artefact="t", description="d")
-        def run_probe(ctx=None, **kwargs):
-            return ExperimentResult(
-                experiment_id="probe",
-                title="t",
-                metrics={"x": 1.0},
-                lineage={"harness": "chaos", "passed": True},
-            )
-
-        runner = Runner(
-            ctx=RunContext(seed=3, scale=Scale.TINY),
-            results_dir=tmp_path / "results",
-        )
-        outcome = runner.run("probe")
-        assert outcome.ok
-        assert outcome.manifest.lineage == {"harness": "chaos", "passed": True}
-        reread = RunManifest.read(runner.manifest_path("probe"))
-        assert reread.lineage == {"harness": "chaos", "passed": True}

@@ -290,14 +290,15 @@ class TestSequentialOnlyGuards:
         assert result.returncode == 2
         assert "--store" in result.stderr
 
-    def test_run_all_names_sequential_only(self, tmp_path):
+    def test_run_all_workers_rejects_an_unknown_name(self, tmp_path):
+        # The fan-out resolves --only before it starts a pool.
         result = _cli(
             "run-all", "--scale", "tiny", "--only", "chaos",
             "--workers", "2", "--results-dir", str(tmp_path),
             check=False,
         )
         assert result.returncode == 2
-        assert "chaos" in result.stderr
+        assert "unknown experiment 'chaos'" in result.stderr
 
     def test_run_all_runs_extrapolation_in_a_worker(self, tmp_path):
         # Worker count must be unobservable in what the run records.

@@ -3,10 +3,12 @@
 import gzip
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.obs import benchsummary
 from repro.obs.telemetry import read_telemetry, validate_telemetry
 
 
@@ -217,35 +219,33 @@ class TestReport:
 
 
 class TestBenchSummary:
-    def test_collates_committed_baselines(self, capsys):
-        rc = main(["bench-summary"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Benchmark trajectory" in out
-        assert "bench-profile.json" in out
-        assert "bench-telemetry.json" in out
+    def test_lists_only_the_committed_trajectory(self, capsys):
+        """One row per workload and end-to-end metric of each committed
+        ``BENCH_PR*.json``; the gate baselines under benchmarks/results
+        are not a trajectory and get no rows."""
+        paths = sorted(
+            Path(benchsummary.checkout_dir()).glob("BENCH_PR*.json"),
+            key=lambda path: (len(path.name), path.name),
+        )
+        expected = [
+            path.name
+            for path in paths
+            for runs in json.loads(path.read_text())["workloads"].values()
+            for _metric in runs["metrics"]
+        ]
+        assert expected
+        assert main(["bench-summary"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert [row.split()[0] for row in rows if row.strip()] == expected
 
-    def test_json_and_txt_outputs(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "bench-telemetry.json").write_text(json.dumps({
-            "benchmark": "bench-telemetry", "off_secs": 1.0,
-            "on_secs": 1.1, "overhead_ratio": 1.1, "max_ratio": 1.25,
-        }))
-        (results / "broken.json").write_text("{nope")
-        json_out = tmp_path / "summary.json"
-        txt_out = tmp_path / "summary.txt"
-        rc = main(["bench-summary", "--results-dir", str(results),
-                   "--json", str(json_out), "--txt", str(txt_out)])
-        assert rc == 0
-        payload = json.loads(json_out.read_text())
-        assert payload["schema"] == "repro.bench-summary/1"
-        by_file = {e["file"]: e for e in payload["results"]}
-        assert by_file["bench-telemetry.json"]["headline"]["overhead"] == 1.1
-        assert by_file["broken.json"]["kind"] == "error"
-        assert "Benchmark trajectory" in txt_out.read_text()
-
-    def test_missing_dir_is_rc2(self, tmp_path, capsys):
-        rc = main(["bench-summary", "--results-dir",
-                   str(tmp_path / "absent")])
-        assert rc == 2
+    def test_no_trajectory_is_rc2(self, tmp_path, monkeypatch, capsys):
+        # Outside a checkout the working directory is read: this one has
+        # a gate baseline but no trajectory file.
+        results = tmp_path / "benchmarks" / "results"
+        results.mkdir(parents=True)
+        (results / "bench-profile.json").write_text("{}")
+        installed = tmp_path / "site" / "lib" / "repro" / "obs" / "benchsummary.py"
+        monkeypatch.setattr(benchsummary, "__file__", str(installed))
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench-summary"]) == 2
+        assert "no BENCH_PR*.json" in capsys.readouterr().err
