@@ -19,10 +19,7 @@ Module map (see DESIGN.md for the full per-experiment index):
   correlation and overlap dynamics).
 """
 
-from repro.analysis.contribution import (
-    contribution_cdfs,
-    size_cdf_by_popularity,
-)
+from repro.analysis.contribution import size_cdf_by_popularity
 from repro.analysis.geographic import (
     country_histogram,
     home_locality_cdf,
@@ -41,7 +38,6 @@ from repro.analysis.semantic import (
 
 __all__ = [
     "clustering_correlation",
-    "contribution_cdfs",
     "country_histogram",
     "file_spread",
     "home_locality_cdf",

@@ -43,44 +43,6 @@ def size_cdf_by_popularity(
     return out
 
 
-def contribution_cdfs(
-    trace: StaticTrace, max_points: int = 200
-) -> Dict[str, Series]:
-    """Per-client shared-files and shared-space CDFs (Figure 7).
-
-    Returns four series keyed ``files_full``, ``files_sharers``,
-    ``space_full``, ``space_sharers`` — "full" includes free-riders,
-    "sharers" excludes them.  Space is in GB as in the figure.
-    """
-    file_counts_full: List[float] = []
-    file_counts_sharers: List[float] = []
-    space_full: List[float] = []
-    space_sharers: List[float] = []
-    for client_id, cache in trace.caches.items():
-        n = len(cache)
-        gb = trace.shared_bytes(client_id) / (1024.0**3)
-        file_counts_full.append(n)
-        space_full.append(gb)
-        if n > 0:
-            file_counts_sharers.append(n)
-            space_sharers.append(gb)
-
-    def to_series(name: str, samples: List[float]) -> Series:
-        series = Series(name=name)
-        if samples:
-            xs, ps = empirical_cdf(samples)
-            for x, p in _downsample(xs, ps, max_points):
-                series.append(x, p)
-        return series
-
-    return {
-        "files_full": to_series("Files (full)", file_counts_full),
-        "files_sharers": to_series("Files (free-riders excluded)", file_counts_sharers),
-        "space_full": to_series("Space (full)", space_full),
-        "space_sharers": to_series("Space (free-riders excluded)", space_sharers),
-    }
-
-
 def temporal_contribution_cdfs(trace, max_points: int = 200) -> Dict[str, Series]:
     """Figure 7 on a *temporal* trace: per-client contribution measured as
     the mean observed cache size (and mean shared bytes) over the client's

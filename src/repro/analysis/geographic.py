@@ -12,7 +12,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.trace.model import ClientId, StaticTrace, Trace
+from repro.trace.model import ClientId, Trace
 from repro.util.cdf import Series, empirical_cdf
 
 
@@ -125,39 +125,3 @@ def home_locality_cdf(
             series.append(float(xs[-1]), float(ps[-1]))
         out.append(series)
     return out
-
-
-def static_home_locality_cdf(
-    trace: StaticTrace,
-    level: str = "country",
-    min_sources: int = 2,
-    max_points: int = 120,
-) -> Series:
-    """Home-locality CDF on a static trace (no day dimension).
-
-    Average popularity is unavailable without days, so files are filtered
-    by a minimum source count instead.  Used by quick-look examples.
-    """
-    if level == "country":
-        locator = lambda c: trace.clients[c].country  # noqa: E731
-    elif level == "as":
-        locator = lambda c: trace.clients[c].asn  # noqa: E731
-    else:
-        raise ValueError(f"level must be 'country' or 'as', got {level!r}")
-    sources_of: Dict[str, List[ClientId]] = defaultdict(list)
-    for client_id, cache in trace.caches.items():
-        for fid in cache:
-            sources_of[fid].append(client_id)
-    fractions = [
-        100.0 * _home_fraction(sources, locator)
-        for sources in sources_of.values()
-        if len(sources) >= min_sources
-    ]
-    series = Series(name=f"sources >= {min_sources}")
-    if fractions:
-        xs, ps = empirical_cdf(fractions)
-        step = max(1, len(xs) // max_points)
-        for i in range(0, len(xs), step):
-            series.append(float(xs[i]), float(ps[i]))
-        series.append(float(xs[-1]), float(ps[-1]))
-    return series

@@ -103,10 +103,6 @@ class AsContentCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def byte_hit_rate(self) -> float:
-        total = self.bytes_served + self.bytes_fetched
-        return self.bytes_served / total if total else 0.0
-
 
 @dataclass
 class PeerCacheConfig:

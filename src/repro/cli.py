@@ -323,35 +323,33 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     from repro.core.search import SearchConfig, simulate_search
+    from repro.runtime import RunContext
     from repro.trace.filtering import filter_duplicates
     from repro.trace.io import load_trace
     from repro.util.tables import format_table, percent
-    from repro.workload.generator import SyntheticWorkloadGenerator
 
     # Built before the trace, so a bad value fails before generation.
-    configs = [
-        SearchConfig(
-            list_size=list_size,
-            strategy=args.strategy,
-            two_hop=args.two_hop,
-            track_load=False,
-            availability=args.availability,
-            probe_loss_rate=args.loss_rate,
-            evict_dead=args.evict_dead,
-            seed=args.seed,
-        )
-        for list_size in args.list_sizes
-    ]
+    try:
+        configs = [
+            SearchConfig(
+                list_size=list_size,
+                strategy=args.strategy,
+                two_hop=args.two_hop,
+                track_load=False,
+                availability=args.availability,
+                probe_loss_rate=args.loss_rate,
+                evict_dead=args.evict_dead,
+                seed=args.seed,
+            )
+            for list_size in args.list_sizes
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.trace:
         static = filter_duplicates(load_trace(args.trace)).to_static()
     else:
-        config = workload_config(_scale(args.scale))
-        generator = SyntheticWorkloadGenerator(config=config, seed=args.seed)
-        static = generator.generate_static()
-        aliases = [
-            p.meta.client_id for p in generator.profiles if p.alias_of is not None
-        ]
-        static = static.without_clients(aliases)
+        static = RunContext(seed=args.seed, scale=_scale(args.scale)).static_trace()
 
     obs = _observer(args)
     run_info = {
@@ -871,6 +869,23 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     from repro.edonkey.network import NetworkConfig, build_network
     from repro.faults import FaultConfig, FaultSchedule, RetryPolicy
 
+    # Built before any work, so an out-of-range flag fails with one line.
+    try:
+        faults = FaultConfig(
+            loss_rate=args.loss_rate,
+            slow_rate=args.slow_rate,
+            deadline=args.timeout,
+            malformed_rate=args.malformed_rate,
+            peer_downtime=args.peer_downtime,
+            server_crash_day=args.server_crash_day,
+            server_crash_id=args.server_crash_id,
+            server_downtime_days=args.server_downtime,
+        )
+        retry = RetryPolicy(max_retries=args.retries) if args.retries else None
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     checkpointer = (
         Checkpointer(args.checkpoint_dir) if args.checkpoint_dir else None
     )
@@ -944,14 +959,23 @@ def cmd_crawl(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        problems = crawler.network.check_invariants()
-        if problems:
+        # The saving run's own report is the baseline: a lossy crawl may
+        # carry ghost sessions, and only a change across the restore is
+        # a fault.  Sorted: set order can change across a pickle.
+        problems = sorted(crawler.network.check_invariants())
+        if problems != crawler.saved_invariants:
+            from collections import Counter
+
             print(
-                "error: restored network fails invariant checks:",
+                "error: restored network's invariant report differs from "
+                "the one the checkpointing run saw "
+                "(+ only after the restore, - only before):",
                 file=sys.stderr,
             )
-            for problem in problems:
-                print(f"  - {problem}", file=sys.stderr)
+            found, saved = Counter(problems), Counter(crawler.saved_invariants)
+            for mark, lines in (("+", found - saved), ("-", saved - found)):
+                for problem in sorted(lines.elements()):
+                    print(f"  {mark} {problem}", file=sys.stderr)
             return 3
         # Resume with the observer that was snapshotted alongside the
         # simulation, so counters keep accumulating across the crash.
@@ -982,16 +1006,6 @@ def cmd_crawl(args: argparse.Namespace) -> int:
             days=args.days,
             mainstream_pool_size=min(args.clients, max(args.clients * 15, 500)),
         )
-        faults = FaultConfig(
-            loss_rate=args.loss_rate,
-            slow_rate=args.slow_rate,
-            deadline=args.timeout,
-            malformed_rate=args.malformed_rate,
-            peer_downtime=args.peer_downtime,
-            server_crash_day=args.server_crash_day,
-            server_crash_id=args.server_crash_id,
-            server_downtime_days=args.server_downtime,
-        )
         schedule = None
         if args.fault_schedule:
             try:
@@ -1009,7 +1023,6 @@ def cmd_crawl(args: argparse.Namespace) -> int:
             seed=args.seed,
             obs=obs,
         )
-        retry = RetryPolicy(max_retries=args.retries) if args.retries > 0 else None
         crawler = Crawler(
             network,
             CrawlerConfig(days=args.days, retry=retry),
@@ -1098,19 +1111,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
             return 2
 
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        seed=args.seed,
-        max_users=args.max_users,
-        reply_limit=args.reply_limit,
-        grace_s=args.grace,
-        faults=FaultConfig(
-            loss_rate=args.loss_rate,
-            slow_rate=args.slow_rate,
-            malformed_rate=args.malformed_rate,
-        ),
-    )
+    try:
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            seed=args.seed,
+            max_users=args.max_users,
+            reply_limit=args.reply_limit,
+            grace_s=args.grace,
+            faults=FaultConfig(
+                loss_rate=args.loss_rate,
+                slow_rate=args.slow_rate,
+                malformed_rate=args.malformed_rate,
+            ),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     obs = _observer(args)
     run_info = {"command": "serve", "seed": args.seed, "host": args.host}
     with _observed(args, obs, run_info):
@@ -1283,8 +1300,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="run experiments in N worker processes; an explicit --only "
-        "selection naming a sequential-only experiment is rejected",
+        help="run experiments in N worker processes",
     )
     _add_telemetry_flags(p)
     p.set_defaults(func=cmd_run_all, seed=DEFAULT_SEED)

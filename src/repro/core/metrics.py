@@ -55,10 +55,6 @@ class LoadTracker:
         return sum(self.messages.values())
 
     @property
-    def num_loaded_clients(self) -> int:
-        return len(self.messages)
-
-    @property
     def max_load(self) -> int:
         if not self.messages:
             return 0
@@ -79,9 +75,6 @@ class LoadTracker:
         for rank, load in self.by_rank():
             series.append(rank, load)
         return series
-
-    def top_loads(self, k: int = 3) -> List[int]:
-        return sorted(self.messages.values(), reverse=True)[:k]
 
 
 @dataclass

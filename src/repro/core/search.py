@@ -40,6 +40,9 @@ from repro.trace.model import ClientId, FileId, StaticTrace
 from repro.util.rng import RngStream
 from repro.util.validation import check_fraction, check_positive
 
+#: consecutive unanswered probes after which ``evict_dead`` drops a neighbour
+DEAD_AFTER = 2
+
 
 @dataclass
 class SearchConfig:
@@ -60,7 +63,7 @@ class SearchConfig:
     message is sent — it counts toward load — but never answered).
 
     ``evict_dead`` enables dead-neighbour detection: a neighbour that
-    fails to answer ``dead_after`` consecutive probes from the same peer
+    fails to answer :data:`DEAD_AFTER` consecutive probes from the same peer
     is evicted from that peer's list, making room for live peers; any
     answer clears the strikes.  Both fault knobs are one-hop only, like
     ``availability``.
@@ -70,11 +73,9 @@ class SearchConfig:
     strategy: str = "lru"  # lru | history | random | popularity
     two_hop: bool = False
     track_load: bool = True
-    weighted_requests: bool = False
     availability: float = 1.0
     probe_loss_rate: float = 0.0
     evict_dead: bool = False
-    dead_after: int = 2
     rare_cutoff: Optional[int] = None  # track a second hit-rate for
     # requests whose file has <= rare_cutoff replicas in the input trace
     track_exchanges: bool = False  # record the (uploader -> downloader)
@@ -89,7 +90,6 @@ class SearchConfig:
         check_positive("list_size", self.list_size)
         check_fraction("availability", self.availability)
         check_fraction("probe_loss_rate", self.probe_loss_rate)
-        check_positive("dead_after", self.dead_after)
         if self.availability < 1.0 and self.two_hop:
             raise ValueError(
                 "availability modelling is one-hop only; disable two_hop"
@@ -414,7 +414,7 @@ class SearchSimulator:
             return
         key = (peer, neighbour)
         strikes = self._strikes.get(key, 0) + 1
-        if strikes >= self.config.dead_after:
+        if strikes >= DEAD_AFTER:
             self._strategy_for(peer).evict(neighbour)
             self._strikes.pop(key, None)
             self._evictions += 1
@@ -501,11 +501,7 @@ class SearchSimulator:
     def _fresh_state(self) -> _RunState:
         """Build the event-zero run state (streams, accumulators, RNGs)."""
         config = self.config
-        requests = iter_requests_compiled(
-            self._compiled,
-            self.rng.child("requests"),
-            weighted_by_cache=config.weighted_requests,
-        )
+        requests = iter_requests_compiled(self._compiled, self.rng.child("requests"))
         rare_rates: Optional[HitRateAccumulator] = None
         rare_files: Set[int] = set()
         if config.rare_cutoff is not None:

@@ -32,7 +32,6 @@ from repro.edonkey.messages import (
     Query,
     QuerySources,
     SearchRequest,
-    UdpSearchRequest,
 )
 
 
@@ -189,35 +188,6 @@ class Client:
         if reply is None:
             return []
         return list(reply.results)
-
-    def search_all_servers(
-        self, transport, query: Query, limit: int = 200
-    ) -> List[FileDescription]:
-        """Search the connected server over TCP, then spray the query to
-        every other known server over UDP (Section 2.1: servers do not
-        forward queries to each other, clients do it themselves).
-
-        Results are deduplicated by file id, connected-server results
-        first.
-        """
-        results = self.search(transport, query, limit=limit)
-        seen = {desc.file_id for desc in results}
-        for server_id in sorted(self.known_servers):
-            if server_id == self.server_id:
-                continue
-            reply = transport.to_server(
-                server_id,
-                UdpSearchRequest(client_id=self.client_id, query=query),
-            )
-            if reply is None:
-                continue
-            for desc in reply.results:
-                if desc.file_id not in seen:
-                    seen.add(desc.file_id)
-                    results.append(desc)
-                    if len(results) >= limit:
-                        return results
-        return results
 
     def _request_callback(self, transport, source_id: int) -> bool:
         """Ask known servers to force firewalled ``source_id`` to connect

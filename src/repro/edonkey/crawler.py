@@ -24,7 +24,7 @@ import itertools
 import os
 import string
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.checkpoint import Checkpointer
@@ -156,6 +156,11 @@ class Crawler:
         # picks up exactly where the snapshot was taken.
         self._trace: Optional[Trace] = None
         self._next_day_offset = 0
+        # The network's sorted check_invariants() list as of the last
+        # checkpoint.  A lossy crawl can legitimately carry the ghost
+        # session of a timed-out connect, so resume checks the restored
+        # network against this list, not against an empty one.
+        self.saved_invariants: Optional[List[str]] = None
         # Incremental trace-store output (a plain string so it pickles
         # into checkpoints).  Each completed day is appended *before* the
         # day's checkpoint, so a crash-and-resume replays the day and
@@ -352,14 +357,17 @@ class Crawler:
     def save_checkpoint(self, checkpointer: "Checkpointer") -> None:
         """Snapshot the whole crawler (network, trace and RNGs included).
 
-        The observer's live span stack is excluded: the snapshot is taken
-        between days, and the resumed process opens its own spans — a
-        restored half-open stack would corrupt its span paths.
+        The snapshot carries :attr:`saved_invariants`, the network's
+        invariant report at save time.  The observer's live span stack
+        is excluded: the snapshot is taken between days, and the resumed
+        process opens its own spans — a restored half-open stack would
+        corrupt its span paths.
         """
         # Counted *before* pickling so the snapshot itself carries the
         # save it belongs to; a resumed run then continues the counter
         # exactly where an uninterrupted checkpointing run would be.
         self.obs.count("checkpoint/saves")
+        self.saved_invariants = sorted(self.network.check_invariants())
         stack = self.obs._stack
         self.obs._stack = []
         try:

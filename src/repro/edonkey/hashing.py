@@ -13,7 +13,7 @@ downloaded and verified.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.edonkey.md4 import MD4, md4_digest
 
@@ -58,47 +58,3 @@ def root_hash(partials: Sequence[bytes]) -> bytes:
 def ed2k_hash(data: bytes) -> str:
     """The ed2k identifier (hex) of an in-memory file."""
     return root_hash(block_hashes(data)).hex()
-
-
-def ed2k_hash_stream(chunks: Iterable[bytes]) -> str:
-    """The ed2k identifier of a file supplied as an iterable of chunks.
-
-    Chunks may have arbitrary sizes; they are re-blocked internally, so this
-    works for streaming large files without materializing them.
-    """
-    partials: List[bytes] = []
-    current = MD4()
-    current_len = 0
-    total_len = 0
-    for chunk in chunks:
-        total_len += len(chunk)
-        view = memoryview(chunk)
-        while len(view) > 0:
-            room = BLOCK_SIZE - current_len
-            take = min(room, len(view))
-            current.update(bytes(view[:take]))
-            current_len += take
-            view = view[take:]
-            if current_len == BLOCK_SIZE:
-                partials.append(current.digest())
-                current = MD4()
-                current_len = 0
-    # Trailing partial block (or the empty file's single empty block).  Note
-    # the ed2k quirk: a file of exactly k*BLOCK_SIZE bytes has k+1 blocks,
-    # the last being empty -- we follow the simpler historical variant where
-    # the trailing empty block is included only when the file is empty or
-    # ends mid-block, matching :func:`block_hashes` above.
-    if current_len > 0 or total_len == 0:
-        partials.append(current.digest())
-    return root_hash(partials).hex()
-
-
-def synthetic_file_id(token: str) -> str:
-    """A stable ed2k-style identifier for a *synthetic* file.
-
-    The simulator does not materialize 700 MB of bytes per fake movie; it
-    derives the identifier by hashing the file's token (name + size) with
-    the same MD4 primitive, so identifiers look and distribute like real
-    ones while costing O(len(token)).
-    """
-    return md4_digest(token.encode("utf-8")).hex()

@@ -157,10 +157,6 @@ def query_and(*parts: Query) -> And:
     return And(tuple(parts))
 
 
-def query_or(*parts: Query) -> Or:
-    return Or(tuple(parts))
-
-
 # ----------------------------------------------------------------------
 # Client <-> server messages
 
@@ -190,17 +186,6 @@ class SearchRequest:
     client_id: int
     query: Query
     limit: int = 200
-
-
-@dataclass
-class UdpSearchRequest:
-    """Query propagated over UDP to a server the client is *not*
-    connected to (Section 2.1: no broadcast exists between servers, so
-    clients spray their queries at other servers themselves)."""
-
-    client_id: int
-    query: Query
-    limit: int = 50  # UDP replies are kept small
 
 
 @dataclass

@@ -58,9 +58,6 @@ class NetworkConfig:
     # :mod:`repro.faults.schedule`).  A schedule whose windows carry no
     # overrides is byte-identical to no schedule at all.
     fault_schedule: Optional[FaultSchedule] = None
-    # Dead-neighbour detection for semantic clients: evict a semantic
-    # neighbour after this many consecutive unanswered probes (None = off).
-    semantic_dead_after: Optional[int] = None
 
     def __post_init__(self) -> None:
         check_positive("num_servers", self.num_servers)
@@ -71,8 +68,6 @@ class NetworkConfig:
         )
         check_positive("semantic_list_size", self.semantic_list_size)
         check_fraction("corrupt_fraction", self.corrupt_fraction)
-        if self.semantic_dead_after is not None:
-            check_positive("semantic_dead_after", self.semantic_dead_after)
 
 
 class Network:
@@ -496,7 +491,6 @@ def build_network(
                 config=client_config,
                 strategy=config.semantic_strategy,
                 list_size=config.semantic_list_size,
-                dead_after=config.semantic_dead_after,
             )
         else:
             client = Client(

@@ -44,7 +44,6 @@ from repro.edonkey.messages import (
     QueryUsers,
     SearchRequest,
     ServerListRequest,
-    UdpSearchRequest,
 )
 from repro.obs import LATENCY_BOUNDS_S, NULL_OBSERVER, Observer
 
@@ -64,7 +63,6 @@ SERVER_HANDLERS: Dict[type, str] = {
     QuerySources: "handle_query_sources",
     QueryUsers: "handle_query_users",
     ServerListRequest: "handle_server_list",
-    UdpSearchRequest: "handle_udp_search",
     CallbackRequest: "handle_callback",
     BrowseUser: "handle_browse_user",
 }
@@ -86,10 +84,6 @@ class ProtocolHandler:
     def __init__(self, target, obs: Optional[Observer] = None) -> None:
         self.target = target
         self.obs = obs if obs is not None else NULL_OBSERVER
-
-    def handles(self, message) -> bool:
-        """True when this handler routes ``message``'s type."""
-        return type(message) in self.table
 
     def handle(self, message):
         """Dispatch ``message`` to its handler; returns the reply.
@@ -123,17 +117,9 @@ class ServerProtocolHandler(ProtocolHandler):
     role = "server"
     table = SERVER_HANDLERS
 
-    @property
-    def server(self):
-        return self.target
-
 
 class ClientProtocolHandler(ProtocolHandler):
     """Dispatch for one :class:`~repro.edonkey.client.Client`."""
 
     role = "client"
     table = CLIENT_HANDLERS
-
-    @property
-    def client(self):
-        return self.target

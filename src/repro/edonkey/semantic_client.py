@@ -38,13 +38,6 @@ class SemanticStats:
     downloads_ok: int = 0
     downloads_failed: int = 0
     probe_failures: int = 0  # neighbour probes that got no answer
-    neighbours_evicted: int = 0  # dead neighbours dropped from the list
-
-    @property
-    def server_avoidance(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.semantic_hits / self.lookups
 
 
 class SemanticClient(Client):
@@ -52,11 +45,6 @@ class SemanticClient(Client):
 
     ``strategy`` is any non-random strategy name from
     :mod:`repro.core.neighbours` (``lru``, ``history``, ``popularity``).
-
-    ``dead_after`` enables dead-neighbour detection: a neighbour whose
-    probes go unanswered (offline, crashed, firewalled, or lost to the
-    fault layer) that many times *consecutively* is evicted from the
-    list, making room for reachable peers.  ``None`` disables it.
     """
 
     def __init__(
@@ -66,7 +54,6 @@ class SemanticClient(Client):
         config: Optional[ClientConfig] = None,
         strategy: str = "lru",
         list_size: int = 10,
-        dead_after: Optional[int] = None,
     ) -> None:
         super().__init__(client_id, nickname, config)
         if strategy == "random":
@@ -74,41 +61,25 @@ class SemanticClient(Client):
                 "the random benchmark strategy is simulation-only; a live "
                 "client needs a learnable list (lru/history/popularity)"
             )
-        if dead_after is not None:
-            check_positive("dead_after", dead_after)
         self.neighbour_list: NeighbourStrategy = make_strategy(strategy, list_size)
         self.semantic_stats = SemanticStats()
-        self.dead_after = dead_after
-        self._probe_strikes: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
 
     def _probe_neighbours(self, transport, file_id: str) -> Optional[int]:
         """Ask semantic neighbours directly whether they share ``file_id``.
 
-        An unanswered probe counts a strike against the neighbour; any
-        answer (even "I don't have it") clears its strikes."""
+        An unanswered probe (offline, crashed, firewalled, or lost to the
+        fault layer) counts in ``probe_failures``; the neighbour stays in
+        the list."""
         for neighbour in list(self.neighbour_list.ordered()):
             status = transport.to_client(neighbour, FileStatusRequest(file_id=file_id))
             if status is None:
-                self._record_probe_failure(neighbour)
+                self.semantic_stats.probe_failures += 1
                 continue
-            self._probe_strikes.pop(neighbour, None)
             if status.available:
                 return neighbour
         return None
-
-    def _record_probe_failure(self, neighbour: int) -> None:
-        self.semantic_stats.probe_failures += 1
-        if self.dead_after is None:
-            return
-        strikes = self._probe_strikes.get(neighbour, 0) + 1
-        if strikes >= self.dead_after:
-            self.neighbour_list.evict(neighbour)
-            self._probe_strikes.pop(neighbour, None)
-            self.semantic_stats.neighbours_evicted += 1
-        else:
-            self._probe_strikes[neighbour] = strikes
 
     def locate_and_download(self, transport, description: FileDescription) -> bool:
         """The semantic lookup path: neighbours first, server second.
@@ -155,14 +126,11 @@ class LiveSemanticConfig:
 
     days: int = 10
     requests_per_client_per_day: int = 3
-    strategy: str = "lru"
-    list_size: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_positive("days", self.days)
         check_positive("requests_per_client_per_day", self.requests_per_client_per_day)
-        check_positive("list_size", self.list_size)
 
 
 @dataclass

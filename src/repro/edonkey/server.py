@@ -30,7 +30,6 @@ from repro.edonkey.messages import (
     ServerListReply,
     ServerListRequest,
     SourcesReply,
-    UdpSearchRequest,
     UsersReply,
 )
 from repro.util.validation import check_positive
@@ -261,23 +260,12 @@ class Server:
         sources = sorted(self._sources.get(msg.file_id, set()))
         return SourcesReply(file_id=msg.file_id, sources=sources[: self.config.reply_limit])
 
-    def handle_udp_search(self, msg: UdpSearchRequest) -> SearchReply:
-        """A UDP query from a non-connected client: same index lookup,
-        smaller reply budget (UDP datagrams are small)."""
-        return self.handle_search(
-            SearchRequest(client_id=msg.client_id, query=msg.query, limit=msg.limit)
-        )
-
-    def handle_callback(self, msg: CallbackRequest, network=None) -> bool:
+    def handle_callback(self, msg: CallbackRequest) -> bool:
         """Forward a callback request to a connected firewalled client.
 
         Returns True when the target is a connected session (the network
         then lets the requester reach it once through
-        :meth:`~repro.edonkey.network.Network.callback_to_client`).  The
-        ``network`` parameter is vestigial — the handler only consults
-        its own session table — and defaults to ``None`` so the
-        transport-independent dispatch can call every handler with the
-        message alone."""
+        :meth:`~repro.edonkey.network.Network.callback_to_client`)."""
         return msg.target_id in self._sessions
 
     def handle_browse_user(self, msg: BrowseUser) -> BrowseReply:

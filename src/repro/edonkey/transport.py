@@ -5,8 +5,8 @@ In a simulation, messages move through the in-memory
 ``to_client`` / ``callback_to_client`` trio is what
 :class:`~repro.edonkey.client.Client` calls.  :class:`TcpTransport` is
 the asyncio-streams client side of service mode, speaking
-``repro.wire/1`` frames to a live ``repro serve`` process.  Its surface
-is the async mirror of that trio: requests are sequence-tagged so
+``repro.wire/1`` frames to a live ``repro serve`` process through one
+method, :meth:`TcpTransport.request`: requests are sequence-tagged so
 several can be in flight on one connection, and a reply suppressed by
 the server's fault injector surfaces as ``None`` after the timeout —
 exactly how the simulated network reports a dropped or timed-out
@@ -14,8 +14,7 @@ message.
 
 Client-to-client messages have no live path: in service mode only the
 index server is reachable, and browsing is server-mediated via
-:class:`~repro.edonkey.messages.BrowseUser`.  ``TcpTransport.to_client``
-therefore raises :class:`TransportError` rather than silently failing.
+:class:`~repro.edonkey.messages.BrowseUser`.
 
 ``asyncio`` is imported lazily inside ``TcpTransport`` methods so that
 importing this module (which the CLI's cold-import gate does) keeps the
@@ -34,10 +33,10 @@ class TransportError(RuntimeError):
 class TcpTransport:
     """Asyncio-streams transport speaking framed ``repro.wire/1``.
 
-    Open with :meth:`open`, issue requests with :meth:`request` (or the
-    async ``to_server`` mirror), close with :meth:`aclose`.  A single
-    background reader task resolves in-flight request futures by the
-    sequence number the server echoes, so callers may pipeline freely.
+    Open with :meth:`open`, send requests with :meth:`request`, close
+    with :meth:`aclose`.  A single background reader task resolves
+    in-flight request futures by the sequence number the server echoes,
+    so callers may pipeline freely.
     """
 
     def __init__(self, reader, writer) -> None:
@@ -134,23 +133,6 @@ class TcpTransport:
             raise self._error or TransportError(str(exc)) from exc
         finally:
             self._pending.pop(seq, None)
-
-    # Async mirror of the Network trio ---------------------------------
-
-    async def to_server(self, server_id: int, message):
-        """The single live endpoint answers regardless of ``server_id``."""
-        return await self.request(message)
-
-    async def to_client(self, client_id: int, message):
-        raise TransportError(
-            "client-to-client messages are server-mediated in service "
-            "mode: send BrowseUser to the server instead"
-        )
-
-    async def callback_to_client(self, client_id: int, message):
-        raise TransportError(
-            "callbacks are server-mediated in service mode"
-        )
 
     async def aclose(self) -> None:
         """Close the connection and stop the reader task."""

@@ -719,28 +719,6 @@ def decode_frame(
     return message, seq, start + length
 
 
-def decode_frames(data: bytes) -> List[Tuple[Any, Optional[int]]]:
-    """Decode a complete byte string into its frames, strictly.
-
-    Trailing partial frames are an error here (the stream readers use
-    :func:`decode_frame` for incremental parsing): a closed connection
-    that left half a frame behind surfaces as ``WireError`` rather than
-    silent truncation.
-    """
-    frames: List[Tuple[Any, Optional[int]]] = []
-    offset = 0
-    while offset < len(data):
-        step = decode_frame(data, offset)
-        if step is None:
-            raise WireError(
-                f"truncated frame at byte {offset}: "
-                f"{len(data) - offset} trailing bytes"
-            )
-        message, seq, offset = step
-        frames.append((message, seq))
-    return frames
-
-
 # ----------------------------------------------------------------------
 # Async stream helpers (duck-typed; no asyncio import)
 

@@ -63,8 +63,6 @@ def run_live_semantic(
         LiveSemanticConfig(
             days=days,
             requests_per_client_per_day=3,
-            strategy=strategy,
-            list_size=list_size,
             seed=seed,
         ),
     )

@@ -25,7 +25,7 @@ from repro.faults.injector import (
     FaultInjector,
 )
 from repro.faults.retry import RetryPolicy
-from repro.faults.schedule import FaultSchedule, FaultWindow, ramping_loss
+from repro.faults.schedule import FaultSchedule, FaultWindow
 from repro.faults.stats import FaultStats
 
 __all__ = [
@@ -39,5 +39,4 @@ __all__ = [
     "FaultStats",
     "FaultWindow",
     "RetryPolicy",
-    "ramping_loss",
 ]

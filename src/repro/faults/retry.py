@@ -8,7 +8,6 @@ but never sleep, so fault runs stay fast and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.util.validation import check_non_negative, check_positive
 
@@ -39,7 +38,3 @@ class RetryPolicy:
         return min(
             self.base_delay * self.multiplier ** (attempt - 1), self.max_delay
         )
-
-    def delays(self) -> List[float]:
-        """The full backoff schedule, one entry per permitted retry."""
-        return [self.delay(i) for i in range(1, self.max_retries + 1)]

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.faults.config import FaultConfig
 
@@ -121,15 +121,6 @@ class FaultSchedule:
         """True when no window carries any override (a strict no-op)."""
         return all(not w.overrides for w in self.windows)
 
-    def horizon(self) -> Optional[int]:
-        """First day after which no window is active (None if open-ended)."""
-        last = 0
-        for window in self.windows:
-            if window.end is None:
-                return None
-            last = max(last, window.end)
-        return last
-
     def config_on(self, day: int, base: FaultConfig) -> FaultConfig:
         """The effective config for ``day``: base + covering overrides.
 
@@ -189,18 +180,3 @@ class FaultSchedule:
         from repro.util.atomic import atomic_write_text
 
         atomic_write_text(path, self.to_json() + "\n")
-
-
-def ramping_loss(
-    steps: List[float], days_per_step: int = 2
-) -> FaultSchedule:
-    """A convenience scenario: loss rate stepping through ``steps``."""
-    windows = [
-        FaultWindow(
-            start=i * days_per_step,
-            end=(i + 1) * days_per_step,
-            overrides={"loss_rate": rate},
-        )
-        for i, rate in enumerate(steps)
-    ]
-    return FaultSchedule(windows=tuple(windows))

@@ -58,8 +58,6 @@ from repro.obs.telemetry import (
     validate_telemetry,
 )
 from repro.obs.report import (
-    ACCEPTED_SCHEMAS,
-    SCHEMA_V1,
     SCHEMA_VERSION,
     RunMetrics,
     render_profile,
@@ -68,7 +66,6 @@ from repro.obs.report import (
 from repro.obs.spans import NULL_OBSERVER, Observer, SpanStat
 
 __all__ = [
-    "ACCEPTED_SCHEMAS",
     "COUNT_BOUNDS",
     "DEFAULT_TOLERANCE_SPEC",
     "FlightRecorder",
@@ -81,7 +78,6 @@ __all__ = [
     "Observer",
     "ResourceSample",
     "RunMetrics",
-    "SCHEMA_V1",
     "SCHEMA_VERSION",
     "SpanStat",
     "TELEMETRY_SCHEMA",

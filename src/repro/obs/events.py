@@ -118,25 +118,19 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # Merging (sharded runs)
 
-    def merge_from(
-        self,
-        other: "TraceRecorder",
-        pid: Optional[int] = None,
-        process_name: Optional[str] = None,
-    ) -> None:
+    def merge_from(self, other: "TraceRecorder") -> None:
         """Fold another recorder's events onto this timeline.
 
         ``other``'s timestamps are re-based through the epoch delta —
         valid because ``time.perf_counter`` is the system-wide
         ``CLOCK_MONOTONIC`` on Linux, so two processes' epochs live on
-        the same clock.  The merged events keep their own ``pid``
-        (overridable), rendering as a separate named process track.
+        the same clock.  The merged events keep their own ``pid``,
+        rendering as a separate named process track.
         """
-        merge_pid = other.pid if pid is None else pid
-        name = process_name
-        if name is None:
-            name = other._process_names.get(other.pid, f"pid {merge_pid}")
-        self._process_names[merge_pid] = name
+        merge_pid = other.pid
+        self._process_names[merge_pid] = other._process_names.get(
+            merge_pid, f"pid {merge_pid}"
+        )
         delta_us = (other.epoch - self.epoch) * 1e6
         for ph, ev_name, cat, ts_us, dur_us, args, _pid in other._events:
             self._append(

@@ -20,12 +20,10 @@ Schema (``repro.metrics/2``) — a single JSON object:
     ``counts`` has one entry per bound plus a final overflow bucket
     (see :class:`~repro.obs.hist.Histogram`).
 
-Version ``/1`` is the same object without the ``histograms`` section;
-the reader still accepts it (such files simply carry no histograms), so
-every pre-histogram metrics file on disk keeps loading.  All numbers
-must be finite: serialisation uses ``allow_nan=False`` (standard JSON
-has no ``Infinity``/``NaN``) and :func:`validate_metrics` reports
-non-finite values as problems.
+All numbers must be finite: serialisation uses ``allow_nan=False``
+(standard JSON has no ``Infinity``/``NaN``) and
+:func:`validate_metrics` reports non-finite values as problems; a
+payload of any other schema, the retired ``/1`` included, is refused.
 
 :func:`validate_metrics` checks a parsed payload against this shape and
 returns a list of problems (empty = valid); :meth:`RunMetrics.from_dict`
@@ -42,10 +40,6 @@ from typing import Dict, List, Optional
 from repro.obs.hist import Histogram
 
 SCHEMA_VERSION = "repro.metrics/2"
-SCHEMA_V1 = "repro.metrics/1"
-
-#: Schemas :func:`validate_metrics` and the readers accept.
-ACCEPTED_SCHEMAS = (SCHEMA_VERSION, SCHEMA_V1)
 
 _SPAN_FIELDS = ("count", "total_s", "min_s", "max_s")
 _HIST_SCALAR_FIELDS = ("count", "sum", "min", "max")
@@ -63,20 +57,16 @@ class RunMetrics:
     schema: str = SCHEMA_VERSION
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "schema": self.schema,
             "run": dict(self.run),
             "spans": {path: dict(stat) for path, stat in self.spans.items()},
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-        }
-        if self.schema != SCHEMA_V1:
-            # A loaded /1 file round-trips byte-compatibly; /2 always
-            # carries the section, even when empty.
-            payload["histograms"] = {
+            "histograms": {
                 name: dict(hist) for name, hist in self.histograms.items()
-            }
-        return payload
+            },
+        }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         # allow_nan=False: standard JSON has no Infinity/NaN, and a
@@ -197,7 +187,7 @@ def _validate_histogram(name: str, hist: object, problems: List[str]) -> None:
 
 
 def validate_metrics(payload: object) -> List[str]:
-    """Check a parsed JSON payload against ``repro.metrics/2`` (or ``/1``).
+    """Check a parsed JSON payload against ``repro.metrics/2``.
 
     Returns a list of human-readable problems; an empty list means the
     payload is valid.  Non-finite numbers anywhere are problems — they
@@ -208,21 +198,14 @@ def validate_metrics(payload: object) -> List[str]:
     if not isinstance(payload, dict):
         return [f"payload must be an object, got {type(payload).__name__}"]
     schema = payload.get("schema")
-    if schema not in ACCEPTED_SCHEMAS:
-        problems.append(
-            f"schema must be one of {list(ACCEPTED_SCHEMAS)}, got {schema!r}"
-        )
+    if schema != SCHEMA_VERSION:
+        problems.append(f"schema must be {SCHEMA_VERSION!r}, got {schema!r}")
     for section in ("run", "spans", "counters", "gauges"):
         if not isinstance(payload.get(section), dict):
             problems.append(f"missing or non-object section {section!r}")
     histograms = payload.get("histograms", {})
     if not isinstance(histograms, dict):
         problems.append("section 'histograms' must be an object")
-    elif schema == SCHEMA_V1 and histograms:
-        problems.append(
-            f"histograms require schema {SCHEMA_VERSION!r}, "
-            f"payload declares {SCHEMA_V1!r}"
-        )
     if problems:
         return problems
     for key, value in payload["run"].items():

@@ -56,12 +56,6 @@ class SpanStat:
         if elapsed_s > self.max_s:
             self.max_s = elapsed_s
 
-    @property
-    def mean_s(self) -> float:
-        if self.count == 0:
-            return 0.0
-        return self.total_s / self.count
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "count": float(self.count),
@@ -257,12 +251,7 @@ class Observer:
     # ------------------------------------------------------------------
     # Merging (sharded runs)
 
-    def merge_from(
-        self,
-        other: "Observer",
-        tracer_pid: Optional[int] = None,
-        tracer_process_name: Optional[str] = None,
-    ) -> None:
+    def merge_from(self, other: "Observer") -> None:
         """Fold another observer's aggregates into this one.
 
         The sharded runner gives each worker its own Observer and folds
@@ -275,8 +264,8 @@ class Observer:
         aggregated yet, so merging would silently drop it — that is a
         caller bug and raises ``ValueError``.  (Open spans on *self* are
         fine; its stack is untouched.)  If both observers carry tracers,
-        ``other``'s events are folded onto this timeline too, labelled
-        with ``tracer_pid``/``tracer_process_name``.
+        ``other``'s events are folded onto this timeline too, under
+        ``other``'s own pid and process name.
         """
         if not self.enabled:
             return
@@ -308,11 +297,7 @@ class Observer:
             and other.tracer is not None
             and other.tracer is not self.tracer
         ):
-            self.tracer.merge_from(
-                other.tracer,
-                pid=tracer_pid,
-                process_name=tracer_process_name,
-            )
+            self.tracer.merge_from(other.tracer)
 
     # ------------------------------------------------------------------
     # Reporting

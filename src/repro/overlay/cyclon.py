@@ -185,14 +185,6 @@ class Cyclon:
     # ------------------------------------------------------------------
     # Diagnostics
 
-    def in_degrees(self) -> Dict[ClientId, int]:
-        """How many views each peer appears in (indegree balance check)."""
-        degrees: Dict[ClientId, int] = {p: 0 for p in self.peers}
-        for view in self.views.values():
-            for entry in view:
-                degrees[entry.peer] += 1
-        return degrees
-
     def is_connected(self) -> bool:
         """Weak connectivity of the union (directed) view graph."""
         adjacency: Dict[ClientId, set] = {p: set() for p in self.peers}

@@ -194,14 +194,3 @@ class Vicinity:
             positive = [c for c in ranked if self.proximity(peer, c) > 0]
             ideal[peer] = positive[: self.config.view_size]
         return ideal
-
-    def mean_view_proximity(self) -> float:
-        """Average proximity of current view entries (rises as the overlay
-        semantically clusters)."""
-        total = 0.0
-        count = 0
-        for peer, view in self.views.items():
-            for other in view:
-                total += self.proximity(peer, other)
-                count += 1
-        return total / count if count else 0.0

@@ -71,6 +71,17 @@ class ServiceConfig:
     grace_s: float = 5.0
     faults: FaultConfig = field(default_factory=FaultConfig)
 
+    def __post_init__(self) -> None:
+        self.server_config()  # the index server's own checks, up front
+
+    def server_config(self) -> ServerConfig:
+        """The :class:`ServerConfig` of the one index server."""
+        return ServerConfig(
+            max_users=self.max_users,
+            reply_limit=self.reply_limit,
+            supports_query_users=self.supports_query_users,
+        )
+
 
 class IndexService:
     """One index server behind an asyncio TCP listener."""
@@ -82,14 +93,7 @@ class IndexService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.obs = obs if obs is not None else NULL_OBSERVER
-        self.server = Server(
-            server_id=0,
-            config=ServerConfig(
-                max_users=self.config.max_users,
-                reply_limit=self.config.reply_limit,
-                supports_query_users=self.config.supports_query_users,
-            ),
-        )
+        self.server = Server(server_id=0, config=self.config.server_config())
         self.handler = ServerProtocolHandler(self.server, obs=self.obs)
         self.faults = FaultInjector(
             self.config.faults, RngStream(self.config.seed, "service-faults")

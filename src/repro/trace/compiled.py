@@ -34,9 +34,7 @@ Invalidation: a compiled trace is a snapshot.  ``StaticTrace.compiled()``
 memoizes it on the instance; every StaticTrace-producing operation
 (``replace_caches``, ``without_clients``, ``without_files``,
 ``Trace.to_static`` — the only mutation paths in the library) returns a
-*new* instance and therefore a fresh compilation.  Code that mutates
-``StaticTrace.caches`` in place (none in this library) must call
-``invalidate_compiled()``.
+*new* instance and therefore a fresh compilation.
 """
 
 from __future__ import annotations
@@ -190,13 +188,6 @@ class CompiledTrace:
         ids = self.file_ids
         return [ids[i] for i in idxs]
 
-    def to_file_indices(self, file_ids: Iterable[FileId]) -> List[FileIdx]:
-        index = self.file_index
-        return [index[f] for f in file_ids]
-
-    def row_of(self, client_id: ClientId) -> int:
-        return self.client_row[client_id]
-
     # ------------------------------------------------------------------
     # Membership and columns
 
@@ -207,10 +198,6 @@ class CompiledTrace:
             return False
         return idx in self.cache_sets[row]
 
-    def cache_set(self, client_id: ClientId) -> FrozenSet[FileIdx]:
-        """The client's static cache as a frozen set of file indices."""
-        return self.cache_sets[self.client_row[client_id]]
-
     def cache_column(self, client_id: ClientId) -> array:
         """The client's static cache as a sorted ``array('i')`` slice."""
         row = self.client_row[client_id]
@@ -218,25 +205,14 @@ class CompiledTrace:
             self.cache_offsets[row] : self.cache_offsets[row + 1]
         ]
 
-    def cache_size(self, client_id: ClientId) -> int:
-        row = self.client_row[client_id]
-        return self.cache_offsets[row + 1] - self.cache_offsets[row]
-
     # ------------------------------------------------------------------
     # Inverted index
-
-    def replica_count(self, idx: FileIdx) -> int:
-        return self.static_counts[idx]
 
     def sharer_rows_of(self, idx: FileIdx) -> array:
         """Rows of the clients sharing file ``idx`` (ascending)."""
         return self.sharer_rows[
             self.sharer_offsets[idx] : self.sharer_offsets[idx + 1]
         ]
-
-    def sharer_ids(self, idx: FileIdx) -> List[ClientId]:
-        ids = self.client_ids
-        return [ids[r] for r in self.sharer_rows_of(idx)]
 
     def replica_counts(self) -> Counter:
         """Counter ``file_id -> replica count`` (string-keyed boundary)."""

@@ -354,17 +354,6 @@ class Trace:
             clients=dict(self.clients),
         )
 
-    def restricted_to_days(self, days: Iterable[int]) -> "Trace":
-        """A new trace containing only snapshots of the given days."""
-        wanted = set(days)
-        out = Trace(files=self.files, clients=self.clients)
-        for day in self.days():
-            if day not in wanted:
-                continue
-            for client_id, cache in self._snapshots[day].items():
-                out.add_snapshot(Snapshot(day, client_id, cache))
-        return out
-
     def restricted_to_clients(self, client_ids: Iterable[ClientId]) -> "Trace":
         """A new trace containing only the given clients (metadata and
         snapshots); file metadata is shared."""
@@ -400,8 +389,7 @@ class StaticTrace:
     files: Dict[FileId, FileMeta] = field(default_factory=dict)
     clients: Dict[ClientId, ClientMeta] = field(default_factory=dict)
     # Memoized derived views.  Every StaticTrace-producing operation in
-    # the library returns a *new* instance, so these never go stale; the
-    # escape hatch for in-place cache mutation is invalidate_compiled().
+    # the library returns a *new* instance, so these never go stale.
     _compiled: Optional["CompiledTrace"] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -420,11 +408,6 @@ class StaticTrace:
 
             self._compiled = CompiledTrace.from_static(self)
         return self._compiled
-
-    def invalidate_compiled(self) -> None:
-        """Drop memoized views after an in-place mutation of ``caches``."""
-        self._compiled = None
-        self._replica_counts = None
 
     @property
     def num_clients(self) -> int:
@@ -461,18 +444,6 @@ class StaticTrace:
         """Number of files shared per client (the paper's *generosity*)."""
         return {c: len(cache) for c, cache in self.caches.items()}
 
-    def shared_bytes(self, client_id: ClientId) -> int:
-        """Total size in bytes of the client's shared files.
-
-        Files without metadata count as size 0 (crawled traces may lack
-        sizes for some ids)."""
-        total = 0
-        for fid in self.caches.get(client_id, frozenset()):
-            meta = self.files.get(fid)
-            if meta is not None:
-                total += meta.size
-        return total
-
     def without_clients(self, client_ids: Iterable[ClientId]) -> "StaticTrace":
         """A copy with the given clients removed entirely."""
         dropped = set(client_ids)
@@ -493,10 +464,6 @@ class StaticTrace:
             files={f: m for f, m in self.files.items() if f not in dropped},
             clients=self.clients,
         )
-
-    def copy_mutable(self) -> Dict[ClientId, Set[FileId]]:
-        """Caches as mutable sets (a copy the caller may mutate freely)."""
-        return {c: set(cache) for c, cache in self.caches.items()}
 
     def replace_caches(
         self, caches: Mapping[ClientId, Iterable[FileId]]
@@ -522,8 +489,3 @@ def overlap(a: Iterable[FileId], b: FrozenSet[FileId]) -> int:
     if len(a_set) > len(b):
         a_set, b = b, a_set  # type: ignore[assignment]
     return sum(1 for f in a_set if f in b)
-
-
-def pair_key(a: ClientId, b: ClientId) -> Tuple[ClientId, ClientId]:
-    """Canonical (sorted) key for an unordered client pair."""
-    return (a, b) if a <= b else (b, a)

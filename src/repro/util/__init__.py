@@ -5,31 +5,18 @@ These helpers are intentionally dependency-light (numpy only) so that every
 other subpackage can use them without import cycles.
 """
 
-from repro.util.atomic import (
-    atomic_replace,
-    atomic_write_bytes,
-    atomic_write_text,
-)
-from repro.util.cdf import (
-    Histogram,
-    Series,
-    empirical_cdf,
-    fraction_at_most,
-    log_bins,
-    quantile,
-)
-from repro.util.rng import RngStream, derive_seed, make_rng
+from repro.util.atomic import atomic_replace, atomic_write_text
+from repro.util.cdf import Series, empirical_cdf
+from repro.util.rng import RngStream, derive_seed
 from repro.util.tables import format_table, render_series
 from repro.util.validation import check_fraction, check_positive
 from repro.util.zipf import ZipfSampler, fit_zipf_slope, zipf_weights
 
 __all__ = [
-    "Histogram",
     "RngStream",
     "Series",
     "ZipfSampler",
     "atomic_replace",
-    "atomic_write_bytes",
     "atomic_write_text",
     "check_fraction",
     "check_positive",
@@ -37,10 +24,6 @@ __all__ = [
     "empirical_cdf",
     "fit_zipf_slope",
     "format_table",
-    "fraction_at_most",
-    "log_bins",
-    "make_rng",
-    "quantile",
     "render_series",
     "zipf_weights",
 ]

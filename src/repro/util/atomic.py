@@ -76,13 +76,6 @@ def atomic_write_text(
             fh.write(text)
 
 
-def atomic_write_bytes(path: PathLike, data: bytes) -> None:
-    """Atomically replace ``path``'s content with ``data``."""
-    with atomic_replace(path) as tmp:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-
-
 def append_line(path: PathLike, line: str) -> None:
     """Append one line to ``path`` crash-safely and multi-writer-safely.
 

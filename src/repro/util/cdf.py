@@ -7,7 +7,6 @@ tests and to render as text series in benchmarks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -42,74 +41,6 @@ def empirical_cdf(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     xs = np.sort(np.asarray(samples, dtype=float))
     ps = np.arange(1, len(xs) + 1, dtype=float) / len(xs)
     return xs, ps
-
-
-def fraction_at_most(samples: Sequence[float], threshold: float) -> float:
-    """Fraction of samples ``<= threshold`` (the CDF evaluated at a point)."""
-    if len(samples) == 0:
-        raise ValueError("cannot evaluate the CDF of an empty sample")
-    arr = np.asarray(samples, dtype=float)
-    return float(np.count_nonzero(arr <= threshold)) / len(arr)
-
-
-def quantile(samples: Sequence[float], q: float) -> float:
-    """The ``q``-quantile of ``samples`` (linear interpolation)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    if len(samples) == 0:
-        raise ValueError("cannot compute a quantile of an empty sample")
-    return float(np.quantile(np.asarray(samples, dtype=float), q))
-
-
-def log_bins(lo: float, hi: float, bins_per_decade: int = 10) -> np.ndarray:
-    """Logarithmically spaced bin edges covering ``[lo, hi]``.
-
-    Used for rank/size histograms where the paper plots on log axes.
-    """
-    if lo <= 0 or hi <= 0:
-        raise ValueError("log bins require strictly positive bounds")
-    if hi < lo:
-        raise ValueError("hi must be >= lo")
-    n_decades = math.log10(hi / lo)
-    n_edges = max(2, int(math.ceil(n_decades * bins_per_decade)) + 1)
-    return np.logspace(math.log10(lo), math.log10(hi), n_edges)
-
-
-@dataclass
-class Histogram:
-    """A labelled histogram with helper constructors.
-
-    ``edges`` has length ``len(counts) + 1``; bin ``i`` covers
-    ``[edges[i], edges[i+1])`` except the last bin which is closed.
-    """
-
-    edges: np.ndarray
-    counts: np.ndarray
-    label: str = ""
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples: Sequence[float],
-        edges: Sequence[float],
-        label: str = "",
-    ) -> "Histogram":
-        counts, out_edges = np.histogram(np.asarray(samples, dtype=float), bins=np.asarray(edges))
-        return cls(edges=out_edges, counts=counts, label=label)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def normalized(self) -> np.ndarray:
-        """Counts as fractions of the total (zeros if the histogram is empty)."""
-        total = self.total
-        if total == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts.astype(float) / total
-
-    def bin_centers(self) -> np.ndarray:
-        return (self.edges[:-1] + self.edges[1:]) / 2.0
 
 
 @dataclass

@@ -36,11 +36,6 @@ def derive_seed(root_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big") & _SEED_MASK
 
 
-def make_rng(root_seed: int, label: str = "") -> random.Random:
-    """Return a ``random.Random`` seeded from ``(root_seed, label)``."""
-    return random.Random(derive_seed(root_seed, label))
-
-
 class RngStream:
     """A labelled bundle of deterministic random sources.
 

@@ -28,9 +28,3 @@ def check_fraction(name: str, value: Number) -> None:
     """Raise ``ValueError`` unless ``0 <= value <= 1``."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-
-
-def check_range(name: str, value: Number, lo: Number, hi: Number) -> None:
-    """Raise ``ValueError`` unless ``lo <= value <= hi``."""
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")

@@ -105,20 +105,6 @@ def fit_zipf_slope(
     return -float(slope), r_squared
 
 
-def harmonic_number(n: int, alpha: float = 1.0) -> float:
-    """Generalized harmonic number ``H_{n,alpha}`` (normalizer for Zipf)."""
-    check_positive("n", n)
-    return float(sum(1.0 / (k**alpha) for k in range(1, n + 1)))
-
-
-def expected_max_rank_share(n: int, alpha: float) -> float:
-    """Probability mass of the single most popular item under pure Zipf.
-
-    Used in tests as a sanity bound on generated popularity skew.
-    """
-    return 1.0 / harmonic_number(n, alpha)
-
-
 def swap_iterations(total_replicas: int) -> int:
     """The appendix's mixing schedule: ``(1/2) * N * ln(N)`` swap attempts.
 

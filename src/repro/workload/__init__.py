@@ -21,7 +21,7 @@ advances — and the downstream analyses must recover the planted structure.
 
 from repro.workload.config import WorkloadConfig
 from repro.workload.filesizes import FileKindModel, sample_size
-from repro.workload.generator import SyntheticWorkloadGenerator, generate_trace
+from repro.workload.generator import SyntheticWorkloadGenerator
 from repro.workload.geo import CountryModel, IpAllocator, default_country_model
 from repro.workload.interests import InterestModel, InterestUniverse
 
@@ -34,6 +34,5 @@ __all__ = [
     "SyntheticWorkloadGenerator",
     "WorkloadConfig",
     "default_country_model",
-    "generate_trace",
     "sample_size",
 ]

@@ -540,17 +540,3 @@ class SyntheticWorkloadGenerator:
             files={m.file_id: m for m in self.files},
             clients={p.meta.client_id: p.meta for p in self.profiles},
         )
-
-
-def generate_trace(
-    config: Optional[WorkloadConfig] = None, seed: int = 0
-) -> Trace:
-    """One-call helper: build a generator and produce the temporal trace."""
-    return SyntheticWorkloadGenerator(config=config, seed=seed).generate()
-
-
-def generate_static_trace(
-    config: Optional[WorkloadConfig] = None, seed: int = 0
-) -> StaticTrace:
-    """One-call helper for the static (Section 5) workload."""
-    return SyntheticWorkloadGenerator(config=config, seed=seed).generate_static()

@@ -12,7 +12,7 @@ meaningful for duplicate filtering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.util.rng import RngStream, stable_choice
 from repro.util.validation import check_fraction
@@ -80,13 +80,6 @@ class CountryModel:
         return stable_choice(
             rng.py, [a.asn for a in table], [a.national_share for a in table]
         )
-
-    def as_name(self, asn: int) -> str:
-        for table in self.as_tables.values():
-            for info in table:
-                if info.asn == asn:
-                    return info.name
-        return f"AS{asn}"
 
 
 def default_country_model() -> CountryModel:
@@ -166,6 +159,3 @@ class IpAllocator:
         self._next_host[asn] = host + 1
         b1, b2 = self._block_prefix(block)
         return f"{b1}.{b2}.{host >> 8}.{host & 0xFF}"
-
-    def blocks_of(self, asn: int) -> Sequence[int]:
-        return tuple(self._blocks.get(asn, ()))

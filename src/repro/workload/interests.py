@@ -131,12 +131,6 @@ class InterestUniverse:
             weights[local_rank > cut] = 0.0
             self._cum_by_category[cat_index] = cumulative_table(weights)
 
-    def files_in(self, category_index: int) -> List[int]:
-        return list(self._files_by_category[category_index])
-
-    def category_sizes(self) -> Dict[int, int]:
-        return {c: len(f) for c, f in self._files_by_category.items()}
-
     def sample_file(self, category_index: int, rng: RngStream) -> Optional[int]:
         """Popularity-weighted draw within a category (``None`` if empty)."""
         members = self._files_by_category.get(category_index)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.contribution import (
-    contribution_cdfs,
     generosity_concentration,
     size_cdf_by_popularity,
 )
@@ -38,27 +37,6 @@ class TestSizeCdf:
         static = build_static({0: ["a"]}, files=[make_file("a", size=2048)])
         series = size_cdf_by_popularity(static, (1,))
         assert series[0].xs[0] == pytest.approx(2.0)
-
-
-class TestContributionCdfs:
-    def test_free_rider_handling(self):
-        static = build_static(
-            {0: ["a", "b"], 1: [], 2: ["a"]},
-            files=[make_file("a", size=MB), make_file("b", size=MB)],
-        )
-        cdfs = contribution_cdfs(static)
-        # full includes the free-rider at 0 files
-        assert cdfs["files_full"].ys[-1] == pytest.approx(1.0)
-        assert min(cdfs["files_full"].xs) == 0.0
-        # sharers-only excludes it
-        assert min(cdfs["files_sharers"].xs) == 1.0
-
-    def test_space_in_gb(self):
-        static = build_static(
-            {0: ["a"]}, files=[make_file("a", size=2 * 1024**3)]
-        )
-        cdfs = contribution_cdfs(static)
-        assert cdfs["space_sharers"].xs[0] == pytest.approx(2.0)
 
 
 class TestGenerosityConcentration:
@@ -128,17 +106,13 @@ class TestTemporalContribution:
         """The temporal (mean observed) view gives smaller per-client
         contributions than the union-over-days static view — the reason
         Figure 7 uses it."""
-        from repro.analysis.contribution import (
-            contribution_cdfs,
-            temporal_contribution_cdfs,
-        )
+        from repro.analysis.contribution import temporal_contribution_cdfs
 
         temporal = temporal_contribution_cdfs(small_temporal_trace)
-        static = contribution_cdfs(small_temporal_trace.to_static())
+        static = small_temporal_trace.to_static()
+        union_sizes = [len(cache) for cache in static.caches.values() if cache]
         mean_temporal = sum(temporal["files_sharers"].xs) / len(
             temporal["files_sharers"].xs
         )
-        mean_static = sum(static["files_sharers"].xs) / len(
-            static["files_sharers"].xs
-        )
+        mean_static = sum(union_sizes) / len(union_sizes)
         assert mean_temporal < mean_static

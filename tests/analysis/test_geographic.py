@@ -5,11 +5,10 @@ import pytest
 from repro.analysis.geographic import (
     country_histogram,
     home_locality_cdf,
-    static_home_locality_cdf,
     top_as_concentration,
     top_as_table,
 )
-from tests.conftest import build_static, build_trace, make_client
+from tests.conftest import build_trace, make_client
 
 
 def geo_trace():
@@ -89,25 +88,6 @@ class TestHomeLocalityCdf:
     def test_bad_level(self):
         with pytest.raises(ValueError):
             home_locality_cdf(geo_trace(), level="continent")
-
-
-class TestStaticHomeLocality:
-    def test_static_variant(self):
-        static = build_static(
-            {0: ["x"], 1: ["x"], 2: ["x"]},
-            clients=[
-                make_client(0, country="FR"),
-                make_client(1, country="FR"),
-                make_client(2, country="DE"),
-            ],
-        )
-        series = static_home_locality_cdf(static, min_sources=2)
-        assert series.xs[-1] == pytest.approx(100 * 2 / 3)
-
-    def test_bad_level(self):
-        static = build_static({0: ["x"]})
-        with pytest.raises(ValueError):
-            static_home_locality_cdf(static, level="nope")
 
 
 class TestGeneratedTraceLocality:

@@ -68,12 +68,6 @@ class TestAsContentCache:
         assert not cache.request("huge", 10 * MB)
         assert cache.used_bytes == 0
 
-    def test_byte_hit_rate(self):
-        cache = AsContentCache(1, capacity_bytes=10 * MB)
-        cache.request("f", 4 * MB)
-        cache.request("f", 4 * MB)
-        assert cache.byte_hit_rate() == pytest.approx(0.5)
-
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             AsContentCache(1, capacity_bytes=0)

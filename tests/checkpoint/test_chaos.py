@@ -8,7 +8,7 @@ from pathlib import Path
 
 import repro
 from repro.checkpoint import Checkpointer
-from repro.edonkey.crawler import Crawler
+from repro.edonkey.crawler import CRAWL_CHECKPOINT_KIND, Crawler
 from repro.obs import RunMetrics
 from repro.obs.telemetry import validate_telemetry
 from tests.checkpoint.test_store import set_header_code
@@ -68,6 +68,27 @@ class TestChaosCampaign:
             for d in (ref_dir, victim_dir)
         ]
         assert invariants[1] == invariants[0]
+
+    def test_sigkilled_lossy_crawl_resumes_byte_identical(self, tmp_path):
+        """Under message loss a timed-out connect can leave a session its
+        client never learnt of, so a checkpoint's network does not pass
+        a clean invariant check.  Resume compares it with the report the
+        checkpointing run recorded, and the crawl finishes as an
+        uninterrupted one does."""
+        crawl = ("crawl", "--seed", "11", "--clients", "150", "--days", "4",
+                 "--loss-rate", "0.1", "--slow-rate", "0.1")
+        reference = _cli(*crawl, "--output", str(tmp_path / "reference.jsonl"))
+        assert reference.returncode == 0, reference.stderr
+        victim = (*crawl, "--checkpoint-dir", str(tmp_path / "ckpt"),
+                  "--output", str(tmp_path / "victim.jsonl"))
+        assert _cli(*victim, "--kill-after-day", "1").returncode != 0
+        restored = Crawler.resume_from(Checkpointer(tmp_path / "ckpt"))
+        assert restored.saved_invariants  # ghost sessions were recorded
+        resumed = _cli(*victim, "--resume")
+        assert resumed.returncode == 0, resumed.stderr
+        assert (tmp_path / "victim.jsonl").read_bytes() == (
+            tmp_path / "reference.jsonl"
+        ).read_bytes()
 
 
 class TestCliResumeGuards:
@@ -130,6 +151,32 @@ class TestCliResumeGuards:
         assert resumed.returncode == 2
         assert "0" * 64 in resumed.stderr
         assert repro.code_identity() in resumed.stderr
+
+    def test_resume_reports_invariant_drift(self, tmp_path):
+        """Resume exits 3 and prints both sides of the difference when
+        the restored network's invariant report is not the recorded one."""
+        ckpt = tmp_path / "ckpt"
+        base = ["crawl", "--clients", "20", "--days", "2", "--seed", "5",
+                "--checkpoint-dir", str(ckpt)]
+        assert _cli(*base, "--kill-after-day", "0").returncode != 0
+        checkpointer = Checkpointer(ckpt)
+        payload, info = checkpointer.load_latest(CRAWL_CHECKPOINT_KIND)
+        crawler = payload["crawler"]
+        server = crawler.network.servers[0]
+        lost = sorted(server._sessions)[0]
+        del crawler.network.clients[lost]
+        crawler.saved_invariants = ["a report only the saving run saw"]
+        checkpointer.save(
+            info.kind, info.step, payload, seed=info.seed, meta=info.meta
+        )
+        resumed = _cli(*base, "--resume")
+        assert resumed.returncode == 3
+        assert (
+            f"  + server 0 has a session for unknown client {lost}"
+            in resumed.stderr
+        )
+        assert "  - a report only the saving run saw" in resumed.stderr
+        assert "Traceback" not in resumed.stderr
 
     def test_resume_warns_when_initial_run_was_unobserved(self, tmp_path):
         # Observability state lives in the checkpoint: asking the

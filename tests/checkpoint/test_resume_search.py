@@ -59,11 +59,8 @@ CONFIGS = {
         evict_dead=True,
         seed=DEFAULT_SEED,
     ),
-    "weighted-history": SearchConfig(
-        list_size=10,
-        strategy="history",
-        weighted_requests=True,
-        seed=DEFAULT_SEED,
+    "plain-history": SearchConfig(
+        list_size=10, strategy="history", seed=DEFAULT_SEED
     ),
     # Random lists carry their draw stream and owner index across the
     # snapshot; evictions re-rank a Popularity list mid-run.

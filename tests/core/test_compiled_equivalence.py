@@ -37,9 +37,8 @@ class TestSearchEquivalence:
 
 
 class TestRequestEquivalence:
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_streams_are_byte_identical(self, weighted):
-        assert_case(f"requests/fixture/{'weighted' if weighted else 'uniform'}")
+    def test_streams_are_byte_identical(self):
+        assert_case("requests/fixture/uniform")
 
 
 class TestRandomizationEquivalence:

@@ -1,7 +1,7 @@
 """The engines reproduce the frozen reference digests at Scale.TINY and
 Scale.SMALL, three seeds each: search (every strategy, one-hop, two-hop
-with load accounting, weighted requests, availability and probe loss)
-and both request streams.  The same two-hop runs without load
+with load accounting, availability and probe loss) and the request
+stream.  The same two-hop runs without load
 accounting must equal the frozen ones in everything but their load.
 
 The fixture-trace cases are checked by the equivalence suites they came

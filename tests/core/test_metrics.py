@@ -30,7 +30,6 @@ class TestLoadTracker:
         load.messages[1] += 2
         load.messages[2] += 1
         assert load.total_messages == 4
-        assert load.num_loaded_clients == 2
         assert load.max_load == 3
         assert load.mean_load() == pytest.approx(2.0)
 
@@ -51,7 +50,3 @@ class TestLoadTracker:
         series = load.rank_series(name="x")
         assert series.name == "x"
         assert series.ys == [7.0, 3.0]
-
-    def test_top_loads(self):
-        load = LoadTracker(Counter({1: 5, 2: 9, 3: 1, 4: 7}))
-        assert load.top_loads(2) == [9, 7]

@@ -56,30 +56,3 @@ class TestOrdering:
         requests = list(generate_requests(trace, RngStream(5)))
         first_half_peers = {r.peer for r in requests[:20]}
         assert first_half_peers == {0, 1}
-
-
-class TestWeightedVariant:
-    def test_same_coverage(self):
-        trace = build_static({0: ["a", "b", "c"], 1: ["d"]})
-        requests = list(
-            generate_requests(trace, RngStream(0), weighted_by_cache=True)
-        )
-        assert len(requests) == 4
-        assert {(r.peer, r.file_id) for r in requests} == {
-            (0, "a"),
-            (0, "b"),
-            (0, "c"),
-            (1, "d"),
-        }
-
-    def test_big_caches_front_loaded(self):
-        """Replica-weighted picking drains large caches faster early on."""
-        trace = build_static(
-            {0: [f"a{i}" for i in range(90)], 1: [f"b{i}" for i in range(10)]}
-        )
-        requests = list(
-            generate_requests(trace, RngStream(1), weighted_by_cache=True)
-        )
-        first_quarter = requests[:25]
-        big_peer_share = sum(1 for r in first_quarter if r.peer == 0) / 25
-        assert big_peer_share > 0.7

@@ -57,19 +57,16 @@ class TestEviction:
                 list_size=4,
                 availability=0.3,
                 evict_dead=True,
-                dead_after=2,
                 seed=5,
             ),
         )
         assert result.evictions > 0
 
     def test_an_answer_clears_the_strikes(self):
-        """Eviction takes ``dead_after`` unanswered probes in a row."""
+        """Eviction takes ``DEAD_AFTER`` (2) unanswered probes in a row."""
         simulator = SearchSimulator(
             clique(),
-            SearchConfig(
-                list_size=3, availability=0.5, evict_dead=True, dead_after=2
-            ),
+            SearchConfig(list_size=3, availability=0.5, evict_dead=True),
         )
         strategy = simulator._strategy_for(0)
         strategy.record_upload(1)
@@ -97,7 +94,6 @@ class TestEviction:
                 list_size=4,
                 probe_loss_rate=0.5,
                 evict_dead=True,
-                dead_after=2,
                 seed=6,
             ),
         )
@@ -115,7 +111,3 @@ class TestValidation:
     def test_loss_rate_is_a_fraction(self):
         with pytest.raises(ValueError):
             SearchConfig(probe_loss_rate=1.5)
-
-    def test_dead_after_positive(self):
-        with pytest.raises(ValueError):
-            SearchConfig(dead_after=0)

@@ -23,22 +23,14 @@ from tests.golden.cases import assert_case
 
 
 class TestRequestStreamEquivalence:
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_streams_byte_identical(self, weighted):
-        assert_case(f"requests/fixture/{'weighted' if weighted else 'uniform'}")
+    def test_streams_byte_identical(self):
+        assert_case("requests/fixture/uniform")
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_pickled_mid_stream_resumes_exactly(
-        self, small_static_trace, weighted
-    ):
+    def test_pickled_mid_stream_resumes_exactly(self, small_static_trace):
         compiled = small_static_trace.compiled()
 
         def stream():
-            return iter_requests_compiled(
-                compiled,
-                RngStream(7, "req"),
-                weighted_by_cache=weighted,
-            )
+            return iter_requests_compiled(compiled, RngStream(7, "req"))
 
         reference = list(stream())
         for cut in (1, 17, len(reference) // 2, len(reference) - 1):
@@ -58,20 +50,15 @@ class TestSearchEquivalence:
         hops = "two" if two_hop else "one"
         assert_case(f"search/fixture/{strategy}/{hops}-hop")
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_availability_loss_and_load(self, weighted):
-        assert_case(
-            "search/fixture/availability-loss/"
-            + ("weighted" if weighted else "uniform")
-        )
+    def test_availability_loss_and_load(self):
+        assert_case("search/fixture/availability-loss/uniform")
 
 
 def test_import_does_not_pull_numpy():
     """Drawing requests and searching must not tax a process with numpy.
 
-    Draining a uniform and a weighted request stream and running a
-    one-hop and a two-hop search on a hand-built trace must leave numpy
-    unimported.
+    Draining a request stream and running a one-hop and a two-hop
+    search on a hand-built trace must leave numpy unimported.
     """
     script = (
         "import sys\n"
@@ -85,11 +72,8 @@ def test_import_does_not_pull_numpy():
         "}\n"
         "trace = StaticTrace(caches=caches)\n"
         "compiled = trace.compiled()\n"
-        "for weighted in (False, True):\n"
-        "    events = list(iter_requests_compiled(\n"
-        "        compiled, RngStream(3, 'req'), weighted_by_cache=weighted\n"
-        "    ))\n"
-        "    assert len(events) == trace.total_replicas(), weighted\n"
+        "events = list(iter_requests_compiled(compiled, RngStream(3, 'req')))\n"
+        "assert len(events) == trace.total_replicas()\n"
         "for two_hop in (False, True):\n"
         "    result = simulate_search(\n"
         "        trace, SearchConfig(list_size=3, two_hop=two_hop, seed=3)\n"

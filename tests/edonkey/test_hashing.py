@@ -6,10 +6,8 @@ from repro.edonkey.hashing import (
     BLOCK_SIZE,
     block_hashes,
     ed2k_hash,
-    ed2k_hash_stream,
     num_blocks,
     root_hash,
-    synthetic_file_id,
 )
 from repro.edonkey.md4 import md4_digest
 
@@ -76,29 +74,3 @@ class TestEd2kHash:
         data = b"\x01" * BLOCK_SIZE + b"\x02" * 100
         swapped = b"\x02" * 100 + b"\x01" * BLOCK_SIZE
         assert ed2k_hash(data) != ed2k_hash(swapped)
-
-    def test_stream_matches_oneshot_small(self):
-        data = b"streaming test data" * 100
-        chunks = [data[i : i + 997] for i in range(0, len(data), 997)]
-        assert ed2k_hash_stream(chunks) == ed2k_hash(data)
-
-    def test_stream_matches_oneshot_multiblock(self):
-        data = bytes(range(256)) * ((BLOCK_SIZE + 5000) // 256 + 1)
-        chunks = [data[i : i + 1_000_003] for i in range(0, len(data), 1_000_003)]
-        assert ed2k_hash_stream(chunks) == ed2k_hash(data)
-
-    def test_stream_empty(self):
-        assert ed2k_hash_stream([]) == ed2k_hash(b"")
-
-
-class TestSyntheticId:
-    def test_stable(self):
-        assert synthetic_file_id("movie:700mb") == synthetic_file_id("movie:700mb")
-
-    def test_distinct(self):
-        assert synthetic_file_id("a") != synthetic_file_id("b")
-
-    def test_looks_like_md4_hex(self):
-        token = synthetic_file_id("anything")
-        assert len(token) == 32
-        int(token, 16)  # parses as hex

@@ -9,9 +9,9 @@ from repro.edonkey.messages import (
     Keyword,
     MessageStats,
     Not,
+    Or,
     SizeRange,
     query_and,
-    query_or,
 )
 
 MP3 = FileDescription(
@@ -96,7 +96,7 @@ class TestCombinators:
         assert not query.matches(MOVIE)
 
     def test_or(self):
-        query = query_or(Keyword("divx"), Keyword("rock", field="tag"))
+        query = Or((Keyword("divx"), Keyword("rock", field="tag")))
         assert query.matches(MP3)
         assert query.matches(MOVIE)
 
@@ -107,12 +107,14 @@ class TestCombinators:
 
     def test_nested(self):
         # (audio AND NOT small) OR divx
-        query = query_or(
-            query_and(
-                Keyword("audio", field="kind"),
-                Not(SizeRange(max_size=1_000_000)),
-            ),
-            Keyword("divx"),
+        query = Or(
+            (
+                query_and(
+                    Keyword("audio", field="kind"),
+                    Not(SizeRange(max_size=1_000_000)),
+                ),
+                Keyword("divx"),
+            )
         )
         assert query.matches(MP3)
         assert query.matches(MOVIE)

@@ -1,4 +1,4 @@
-"""Tests for multi-server search (TCP + UDP spray) and callbacks."""
+"""Tests for search on a multi-server network and callbacks."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.edonkey.messages import (
     CallbackRequest,
     FileDescription,
     Keyword,
-    UdpSearchRequest,
 )
 from repro.edonkey.network import Network, NetworkConfig
 from repro.edonkey.server import Server
@@ -29,64 +28,13 @@ def make_multi_server_network(num_servers=3):
     return network
 
 
-class TestUdpSearch:
-    def test_results_from_remote_servers(self):
-        network = make_multi_server_network()
-        # publisher on server 2, searcher on server 0
-        publisher = Client(1, "pub")
-        publisher.share(desc("remote-file", "unique keyword song"))
-        network.add_client(publisher)
-        publisher.connect(network, 2)
-
-        searcher = Client(2, "seek")
-        network.add_client(searcher)
-        searcher.connect(network, 0)
-
-        local_only = searcher.search(network, Keyword("unique"))
-        assert local_only == []
-        everywhere = searcher.search_all_servers(network, Keyword("unique"))
-        assert [d.file_id for d in everywhere] == ["remote-file"]
-
-    def test_deduplication_across_servers(self):
-        network = make_multi_server_network()
-        for client_id, server_id in ((1, 0), (2, 1), (3, 2)):
-            publisher = Client(client_id, f"pub{client_id}")
-            publisher.share(desc("same-file", "dupe keyword"))
-            network.add_client(publisher)
-            publisher.connect(network, server_id)
-        searcher = Client(9, "seek")
-        network.add_client(searcher)
-        searcher.connect(network, 0)
-        results = searcher.search_all_servers(network, Keyword("dupe"))
-        assert [d.file_id for d in results] == ["same-file"]
-
-    def test_udp_reply_limit(self):
-        network = make_multi_server_network(num_servers=2)
-        publisher = Client(1, "pub")
-        for i in range(80):
-            publisher.share(desc(f"f{i}", "bulk keyword"))
-        network.add_client(publisher)
-        publisher.connect(network, 1)
-        reply = network.to_server(
-            1, UdpSearchRequest(client_id=9, query=Keyword("bulk"))
-        )
-        assert len(reply.results) == 50  # UDP budget
-        assert reply.truncated
-
+class TestSearch:
     def test_search_before_connect(self):
         network = make_multi_server_network()
         client = Client(5, "x")
         network.add_client(client)
         with pytest.raises(RuntimeError):
             client.search(network, Keyword("x"))
-
-    def test_unknown_server_ignored(self):
-        network = make_multi_server_network(num_servers=1)
-        searcher = Client(2, "seek")
-        network.add_client(searcher)
-        searcher.connect(network, 0)
-        searcher.known_servers.add(99)  # stale server-list entry
-        assert searcher.search_all_servers(network, Keyword("whatever")) == []
 
 
 class TestCallback:
@@ -107,11 +55,7 @@ class TestCallback:
         )
         assert granted is False
 
-    def test_message_stats_count_udp_and_callbacks(self):
+    def test_message_stats_count_callbacks(self):
         network = make_multi_server_network(num_servers=1)
         network.to_server(0, CallbackRequest(requester_id=1, target_id=2))
-        network.to_server(
-            0, UdpSearchRequest(client_id=1, query=Keyword("x"))
-        )
         assert network.stats.sent["CallbackRequest"] == 1
-        assert network.stats.sent["UdpSearchRequest"] == 1

@@ -11,7 +11,6 @@ from repro.edonkey.semantic_client import (
     LiveSemanticConfig,
     LiveSemanticSimulation,
     SemanticClient,
-    SemanticStats,
 )
 from repro.edonkey.server import Server
 from repro.workload.config import WorkloadConfig
@@ -99,11 +98,6 @@ class TestSemanticClient:
         assert requester.locate_and_download(network, desc())
         # the probe found the reachable neighbour
         assert requester.semantic_stats.semantic_hits == 1
-
-    def test_stats_avoidance(self):
-        stats = SemanticStats(lookups=10, semantic_hits=4)
-        assert stats.server_avoidance == pytest.approx(0.4)
-        assert SemanticStats().server_avoidance == 0.0
 
 
 class TestLiveSimulation:

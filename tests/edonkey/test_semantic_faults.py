@@ -1,10 +1,8 @@
-"""Dead-neighbour detection and fault handling in the semantic client."""
-
-import dataclasses
+"""Fault handling in the semantic client: unanswered probes and orphaning."""
 
 from repro.edonkey.client import Client, ClientConfig
 from repro.edonkey.messages import FileDescription
-from repro.edonkey.network import Network, NetworkConfig, build_network
+from repro.edonkey.network import Network, NetworkConfig
 from repro.edonkey.semantic_client import SemanticClient
 from repro.edonkey.server import Server
 from repro.faults import FaultConfig
@@ -30,36 +28,8 @@ def make_network(*clients, faults=None):
     return network
 
 
-class TestDeadNeighbourDetection:
-    def test_unreachable_neighbour_evicted_after_strikes(self):
-        dead = Client(1, "dead", ClientConfig(firewalled=True))
-        requester = SemanticClient(2, "dst", list_size=4, dead_after=2)
-        network = make_network(dead, requester)
-        requester.neighbour_list.record_upload(1)
-
-        requester.locate_and_download(network, desc("x"))  # strike 1
-        assert 1 in requester.neighbour_list.ordered()
-        requester.locate_and_download(network, desc("y"))  # strike 2: out
-        assert 1 not in requester.neighbour_list.ordered()
-        assert requester.semantic_stats.neighbours_evicted == 1
-        assert requester.semantic_stats.probe_failures == 2
-
-    def test_any_answer_clears_strikes(self):
-        source = Client(1, "src")
-        requester = SemanticClient(2, "dst", list_size=4, dead_after=2)
-        network = make_network(source, requester)
-        requester.neighbour_list.record_upload(1)
-
-        network.offline.add(1)
-        requester.locate_and_download(network, desc("x"))  # strike 1
-        network.offline.discard(1)
-        requester.locate_and_download(network, desc("y"))  # answers: reset
-        network.offline.add(1)
-        requester.locate_and_download(network, desc("z"))  # strike 1 again
-        assert 1 in requester.neighbour_list.ordered()
-        assert requester.semantic_stats.neighbours_evicted == 0
-
-    def test_detection_off_by_default(self):
+class TestProbeFailures:
+    def test_unreachable_neighbour_stays_listed(self):
         dead = Client(1, "dead", ClientConfig(firewalled=True))
         requester = SemanticClient(2, "dst", list_size=4)
         network = make_network(dead, requester)
@@ -67,19 +37,19 @@ class TestDeadNeighbourDetection:
         for name in ("a", "b", "c", "d"):
             requester.locate_and_download(network, desc(name))
         assert 1 in requester.neighbour_list.ordered()
-        assert requester.semantic_stats.neighbours_evicted == 0
+        assert requester.semantic_stats.probe_failures == 4
 
-    def test_lost_probes_count_strikes(self):
+    def test_lost_probes_count_as_probe_failures(self):
         source = Client(1, "src")
-        requester = SemanticClient(2, "dst", list_size=4, dead_after=3)
+        requester = SemanticClient(2, "dst", list_size=4)
         network = make_network(
             source, requester, faults=FaultConfig(loss_rate=1.0)
         )
         requester.neighbour_list.record_upload(1)
         for name in ("a", "b", "c"):
             requester.locate_and_download(network, desc(name))
-        assert 1 not in requester.neighbour_list.ordered()
-        assert requester.semantic_stats.neighbours_evicted == 1
+        assert 1 in requester.neighbour_list.ordered()
+        assert requester.semantic_stats.probe_failures == 3
 
 
 class TestOrphanedClient:
@@ -89,25 +59,3 @@ class TestOrphanedClient:
         requester.server_id = None  # its server crashed, nobody survived
         assert not requester.locate_and_download(network, desc("x"))
         assert requester.semantic_stats.downloads_failed == 1
-
-
-class TestNetworkWiring:
-    def test_build_network_threads_dead_after(self):
-        workload = dataclasses.replace(
-            WorkloadConfig().small(),
-            num_clients=20, num_files=300, days=3, mainstream_pool_size=20,
-        )
-        network = build_network(
-            NetworkConfig(
-                workload=workload,
-                semantic_clients=True,
-                semantic_dead_after=4,
-            ),
-            seed=1,
-        )
-        semantic = [
-            c for c in network.clients.values()
-            if isinstance(c, SemanticClient)
-        ]
-        assert semantic
-        assert all(c.dead_after == 4 for c in semantic)

@@ -12,7 +12,6 @@ from repro.edonkey.messages import (
     QueryUsers,
     SearchRequest,
     ServerListRequest,
-    UdpSearchRequest,
     query_and,
 )
 from repro.edonkey.server import Server, ServerConfig
@@ -302,52 +301,6 @@ class TestQueryUsers:
         assert server.handle_query_users(QueryUsers(pattern="zq")).users == [
             (1, "zq", False)
         ]
-
-
-class TestUdpSearch:
-    def _populated(self, n=60):
-        server = Server(0)
-        connect(server, 1, nickname="sharer")
-        publish(
-            server,
-            1,
-            *[desc(file_id=f"f{i}", name=f"common tune {i}") for i in range(n)],
-        )
-        return server
-
-    def test_same_index_as_tcp_search(self):
-        server = self._populated(n=10)
-        udp = server.handle_udp_search(
-            UdpSearchRequest(client_id=9, query=Keyword("common"), limit=200)
-        )
-        tcp = server.handle_search(
-            SearchRequest(client_id=9, query=Keyword("common"), limit=200)
-        )
-        assert udp == tcp
-
-    def test_default_limit_is_50(self):
-        server = self._populated(n=60)
-        reply = server.handle_udp_search(
-            UdpSearchRequest(client_id=9, query=Keyword("common"))
-        )
-        assert len(reply.results) == 50
-        assert reply.truncated
-
-    def test_requester_needs_no_session(self):
-        # UDP queries come from clients connected to *other* servers.
-        server = self._populated(n=1)
-        reply = server.handle_udp_search(
-            UdpSearchRequest(client_id=424242, query=Keyword("common"))
-        )
-        assert len(reply.results) == 1
-
-    def test_no_match_is_empty_not_truncated(self):
-        server = self._populated(n=5)
-        reply = server.handle_udp_search(
-            UdpSearchRequest(client_id=9, query=Keyword("nosuchword"))
-        )
-        assert reply.results == []
-        assert not reply.truncated
 
 
 class TestServerList:

@@ -23,7 +23,6 @@ from repro.edonkey.wire import (
     WIRE_SCHEMA,
     WireError,
     decode_frame,
-    decode_frames,
     decode_payload,
     encode_frame,
     encode_payload,
@@ -47,7 +46,7 @@ _DESC = m.FileDescription(
 
 _QUERY = m.query_and(
     m.Keyword("stairway"),
-    m.query_or(m.Keyword("rock", field="tag"), m.Keyword("audio", field="kind")),
+    m.Or((m.Keyword("rock", field="tag"), m.Keyword("audio", field="kind"))),
     m.SizeRange(min_size=1_000, max_size=10_000_000),
     m.AvailabilityRange(min_avail=2),
     m.BitrateRange(min_rate=128),
@@ -59,7 +58,7 @@ _EXAMPLES = {
     "Keyword": m.Keyword("zeppelin", field="tag"),
     "SizeRange": m.SizeRange(min_size=None, max_size=4096),
     "And": m.query_and(m.Keyword("a"), m.Keyword("b")),
-    "Or": m.query_or(m.Keyword("a"), m.SizeRange(min_size=7)),
+    "Or": m.Or((m.Keyword("a"), m.SizeRange(min_size=7))),
     "Not": m.Not(m.Keyword("bootleg")),
     "ConnectRequest": m.ConnectRequest(
         client_id=7, nickname="darkwolf42", firewalled=True
@@ -69,7 +68,6 @@ _EXAMPLES = {
     ),
     "PublishFiles": m.PublishFiles(client_id=7, files=[_DESC]),
     "SearchRequest": m.SearchRequest(client_id=7, query=_QUERY, limit=50),
-    "UdpSearchRequest": m.UdpSearchRequest(client_id=7, query=_QUERY),
     "SearchReply": m.SearchReply(results=[_DESC], truncated=True),
     "QuerySources": m.QuerySources(client_id=7, file_id="f0000abc"),
     "SourcesReply": m.SourcesReply(file_id="f0000abc", sources=[1, 2, 3]),
@@ -195,11 +193,13 @@ def test_multiple_frames_in_one_buffer():
     data = encode_frame(m.Ack(), seq=0) + encode_frame(
         m.QueryUsers(pattern="abc"), seq=1
     )
-    frames = decode_frames(data)
-    assert [(type(msg).__name__, seq) for msg, seq in frames] == [
+    first = decode_frame(data)
+    second = decode_frame(data, first[2])
+    assert [(type(msg).__name__, seq) for msg, seq, _ in (first, second)] == [
         ("Ack", 0),
         ("QueryUsers", 1),
     ]
+    assert second[2] == len(data)
 
 
 def test_decode_frame_incomplete_returns_none():
@@ -287,12 +287,6 @@ def test_oversized_frame_rejected():
 def test_zero_length_frame_rejected():
     with pytest.raises(WireError, match="zero-length"):
         frame_length(struct.pack(">I", 0))
-
-
-def test_trailing_garbage_rejected_by_decode_frames():
-    data = encode_frame(m.Ack()) + b"\x00\x00"
-    with pytest.raises(WireError, match="truncated frame"):
-        decode_frames(data)
 
 
 def test_unencodable_object_raises():

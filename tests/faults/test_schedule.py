@@ -13,7 +13,6 @@ from repro.faults import (
     FaultInjector,
     FaultSchedule,
     FaultWindow,
-    ramping_loss,
 )
 from repro.trace.io import dumps_trace
 from repro.util.rng import RngStream
@@ -72,13 +71,13 @@ class TestConfigOn:
         assert schedule.config_on(1, FaultConfig()).loss_rate == 0.1
         assert schedule.config_on(3, FaultConfig()).loss_rate == 0.4
 
-    def test_empty_and_horizon(self):
+    def test_empty(self):
         no_op = FaultSchedule(windows=(FaultWindow(start=0, end=4),))
         assert no_op.empty
-        storm = ramping_loss([0.1, 0.2], days_per_step=3)
+        storm = FaultSchedule(
+            windows=(FaultWindow(start=0, end=3, overrides={"loss_rate": 0.1}),)
+        )
         assert not storm.empty
-        assert storm.horizon() == 6
-        assert FaultSchedule(windows=(FaultWindow(start=0),)).horizon() is None
 
 
 class TestJsonRoundTrip:
@@ -92,7 +91,12 @@ class TestJsonRoundTrip:
         assert FaultSchedule.from_json(schedule.to_json()) == schedule
 
     def test_save_load(self, tmp_path):
-        schedule = ramping_loss([0.1, 0.3])
+        schedule = FaultSchedule(
+            windows=(
+                FaultWindow(start=0, end=2, overrides={"loss_rate": 0.1}),
+                FaultWindow(start=2, end=4, overrides={"loss_rate": 0.3}),
+            )
+        )
         path = tmp_path / "storm.json"
         schedule.save(path)
         assert FaultSchedule.load(path) == schedule
@@ -111,7 +115,12 @@ class TestJsonRoundTrip:
 
 class TestInjectorWiring:
     def test_schedule_changes_effective_config_per_day(self):
-        schedule = ramping_loss([0.2, 0.6], days_per_step=1)
+        schedule = FaultSchedule(
+            windows=(
+                FaultWindow(start=0, end=1, overrides={"loss_rate": 0.2}),
+                FaultWindow(start=1, end=2, overrides={"loss_rate": 0.6}),
+            )
+        )
         injector = FaultInjector(
             FaultConfig(), RngStream(0, "faults"), schedule=schedule
         )
@@ -158,7 +167,12 @@ class TestDeterminismContracts:
         assert _crawl(schedule=no_op) == _crawl(schedule=None)
 
     def test_ramping_loss_reproduces_under_fixed_seed(self):
-        storm = ramping_loss([0.1, 0.3], days_per_step=2)
+        storm = FaultSchedule(
+            windows=(
+                FaultWindow(start=0, end=2, overrides={"loss_rate": 0.1}),
+                FaultWindow(start=2, end=4, overrides={"loss_rate": 0.3}),
+            )
+        )
         first = _crawl(schedule=storm)
         second = _crawl(schedule=storm)
         assert first == second

@@ -165,20 +165,12 @@ def _search_case(name: str, trace: Callable, **config) -> None:
     _register(name, run)
 
 
-def _requests_case(
-    name: str, trace: Callable, seed: int, label: str, weighted: bool
-) -> None:
+def _requests_case(name: str, trace: Callable, seed: int, label: str) -> None:
     def run(**flags):
-        stream = generate_requests(
-            trace(), RngStream(seed, label), weighted_by_cache=weighted, **flags
-        )
+        stream = generate_requests(trace(), RngStream(seed, label), **flags)
         return [(r.peer, r.file_id) for r in stream]
 
     _register(name, run)
-
-
-def _draw(weighted: bool) -> str:
-    return "weighted" if weighted else "uniform"
 
 
 for _strategy in STRATEGIES:
@@ -196,15 +188,11 @@ _search_case(
     "search/fixture/rare-exchanges", fixture_static,
     list_size=10, rare_cutoff=3, track_exchanges=True, seed=5,
 )
-for _weighted in (False, True):
-    _search_case(
-        f"search/fixture/availability-loss/{_draw(_weighted)}", fixture_static,
-        list_size=10, availability=0.7, probe_loss_rate=0.1,
-        weighted_requests=_weighted, track_load=True, seed=5,
-    )
-    _requests_case(
-        f"requests/fixture/{_draw(_weighted)}", fixture_static, 3, "req", _weighted
-    )
+_search_case(
+    "search/fixture/availability-loss/uniform", fixture_static,
+    list_size=10, availability=0.7, probe_loss_rate=0.1, track_load=True, seed=5,
+)
+_requests_case("requests/fixture/uniform", fixture_static, 3, "req")
 
 # Scale.TINY and Scale.SMALL, three seeds each (trace and search seed).
 # "two-hop" probes with load accounting; the same runs without it must
@@ -221,18 +209,10 @@ for _scale in SCALES:
                 two_hop=True, **_base,
             )
         _search_case(
-            f"search/{_prefix}/weighted", _trace,
-            list_size=10, weighted_requests=True, seed=_seed,
-        )
-        _search_case(
             f"search/{_prefix}/availability-loss", _trace,
             list_size=10, availability=0.7, probe_loss_rate=0.1, seed=_seed,
         )
-        for _weighted in (False, True):
-            _requests_case(
-                f"requests/{_prefix}/{_draw(_weighted)}", _trace,
-                _seed, "requests", _weighted,
-            )
+        _requests_case(f"requests/{_prefix}/uniform", _trace, _seed, "requests")
 
 
 def _randomize(**flags):

@@ -132,15 +132,15 @@ def test_tracer_merge_rides_along_with_pid_label():
     b = Observer(tracer=theirs)
     with b.span("work"):
         pass
-    a.merge_from(b, tracer_pid=5, tracer_process_name="relabelled")
+    a.merge_from(b)
     chrome = mine.to_chrome()
     events = chrome["traceEvents"]
     meta = [e for e in events if e["ph"] == "M"]
     assert {(e["pid"], e["args"]["name"]) for e in meta} == {
-        (1, "repro"), (5, "relabelled")
+        (1, "repro"), (2, "shard 0")
     }
     spans = [e for e in events if e["ph"] == "X"]
-    assert [e["pid"] for e in spans] == [5]
+    assert [e["pid"] for e in spans] == [2]
 
 
 def test_merge_without_tracers_is_fine():

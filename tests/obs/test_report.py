@@ -6,7 +6,6 @@ import math
 import pytest
 
 from repro.obs import (
-    SCHEMA_V1,
     SCHEMA_VERSION,
     Histogram,
     Observer,
@@ -83,29 +82,14 @@ class TestValidation:
             RunMetrics.from_dict(payload)
 
 
-class TestSchemaV1Compat:
-    def v1_payload(self) -> dict:
+class TestSchemaVersion:
+    def test_v1_payload_is_refused(self):
         payload = sample_metrics().to_dict()
-        payload["schema"] = SCHEMA_V1
+        payload["schema"] = "repro.metrics/1"
         del payload["histograms"]
-        return payload
-
-    def test_v1_payload_still_loads(self):
-        metrics = RunMetrics.from_dict(self.v1_payload())
-        assert metrics.schema == SCHEMA_V1
-        assert metrics.histograms == {}
-
-    def test_v1_round_trips_without_histograms_section(self):
-        metrics = RunMetrics.from_dict(self.v1_payload())
-        assert "histograms" not in metrics.to_dict()
-        assert RunMetrics.from_json(metrics.to_json()).to_dict() == (
-            metrics.to_dict()
-        )
-
-    def test_v1_with_histograms_is_invalid(self):
-        payload = sample_metrics().to_dict()
-        payload["schema"] = SCHEMA_V1
-        assert any("histograms" in p for p in validate_metrics(payload))
+        assert validate_metrics(payload) == [
+            "schema must be 'repro.metrics/2', got 'repro.metrics/1'"
+        ]
 
     def test_v2_round_trips_histograms(self):
         metrics = sample_metrics()

@@ -53,7 +53,6 @@ class TestSpans:
         assert stat.total_s == pytest.approx(9.0)
         assert stat.min_s == pytest.approx(3.0)
         assert stat.max_s == pytest.approx(3.0)
-        assert stat.mean_s == pytest.approx(3.0)
 
     def test_record_span_respects_current_stack(self):
         obs = Observer(clock=FakeClock())

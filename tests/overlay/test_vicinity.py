@@ -94,13 +94,6 @@ class TestConvergence:
         assert after > before
         assert after > 0.9
 
-    def test_mean_proximity_rises(self):
-        caches = community_caches()
-        vicinity = build(caches, seed=4)
-        before = vicinity.mean_view_proximity()
-        vicinity.run(10)
-        assert vicinity.mean_view_proximity() >= before
-
 
 class TestIdealViews:
     def test_only_positive_proximity(self):

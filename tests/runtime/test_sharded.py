@@ -14,8 +14,7 @@ Also covered: workers that receive the trace by pickle (``spawn``,
 start more workers than it has tasks, a streamed crawl must land the
 same store segments as an in-memory one, an experiment run in a
 ``run-all`` worker must write the manifest its in-process run writes,
-and the CLI must refuse worker pools it cannot run (worker counts below
-1, sequential-only experiments) with exit code 2.
+and the CLI must refuse worker counts below 1 with exit code 2.
 """
 
 import filecmp

@@ -100,20 +100,6 @@ class TestTcpTransport:
 
         run(scenario())
 
-    def test_client_to_client_unroutable(self):
-        async def scenario():
-            service, port = await _start_service()
-            transport = await TcpTransport.open("127.0.0.1", port)
-            with pytest.raises(TransportError, match="server-mediated"):
-                await transport.to_client(5, Ack())
-            with pytest.raises(TransportError, match="server-mediated"):
-                await transport.callback_to_client(5, Ack())
-            await transport.aclose()
-            service.request_stop()
-            await service.serve_until_stopped()
-
-        run(scenario())
-
     def test_peer_wire_error_fails_pending_requests(self):
         async def scenario():
             # A server that answers any frame with garbage bytes.

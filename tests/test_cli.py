@@ -120,8 +120,7 @@ class TestSearchCommand:
             pytest.fail("the trace was generated before the config check")
 
         monkeypatch.setattr(SyntheticWorkloadGenerator, "generate_static", refuse)
-        with pytest.raises(ValueError, match="availability"):
-            main(["search", "--availability", "1.5"])
+        assert main(["search", "--availability", "1.5"]) == 2
 
 
 class TestExperimentCommand:
@@ -284,6 +283,34 @@ class TestNonPositiveSizes:
         assert result.returncode == 2, result.stderr
         assert f"{argv[1]}: must be >= 1" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+class TestOutOfRangeFlags:
+    """A value its config refuses is one ``error:`` line and exit 2,
+    before any work: the config's own check, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["crawl", "--loss-rate", "2"], "loss_rate must be in [0, 1]"),
+            (["crawl", "--timeout", "-1"], "deadline must be > 0"),
+            (["crawl", "--server-crash-day", "-1"],
+             "server_crash_day must be >= 0"),
+            (["crawl", "--retries", "-3"], "max_retries must be >= 0"),
+            (["serve", "--reply-limit", "0"], "reply_limit must be > 0"),
+            (["search", "--availability", "0.5", "--two-hop"],
+             "availability modelling is one-hop only"),
+        ],
+        ids=["loss-rate", "timeout", "crash-day", "retries", "reply-limit",
+             "two-hop-availability"],
+    )
+    def test_exits_two_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 #: Each rejected interval and the bound its message names: a thread

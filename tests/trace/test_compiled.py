@@ -45,7 +45,7 @@ class TestInterning:
             assert compiled.file_idx(fid) == idx
             assert compiled.file_id(idx) == fid
         ids = ["delta", "alpha"]
-        assert compiled.to_file_ids(compiled.to_file_indices(ids)) == ids
+        assert compiled.to_file_ids([compiled.file_idx(f) for f in ids]) == ids
 
     def test_unknown_file_raises(self, compiled):
         with pytest.raises(KeyError):
@@ -54,7 +54,7 @@ class TestInterning:
     def test_client_rows_keep_caches_order(self, trace, compiled):
         assert list(compiled.client_ids) == list(trace.caches)
         for cid in trace.caches:
-            assert compiled.client_ids[compiled.row_of(cid)] == cid
+            assert compiled.client_ids[compiled.client_row[cid]] == cid
 
 
 class TestColumns:
@@ -68,8 +68,8 @@ class TestColumns:
             column = compiled.cache_column(cid)
             assert list(column) == sorted(column)
             assert compiled.to_file_ids(column) == sorted(cache)
-            assert compiled.cache_size(cid) == len(cache)
-            assert compiled.cache_set(cid) == set(column)
+            assert len(column) == len(cache)
+            assert compiled.cache_sets[compiled.client_row[cid]] == set(column)
 
     def test_shares_matches_caches(self, trace, compiled):
         for cid, cache in trace.caches.items():
@@ -89,10 +89,10 @@ class TestInvertedIndex:
             expected = sorted(
                 c for c, cache in trace.caches.items() if fid in cache
             )
-            assert sorted(compiled.sharer_ids(idx)) == expected
-            assert compiled.replica_count(idx) == len(expected)
             rows = list(compiled.sharer_rows_of(idx))
             assert rows == sorted(rows)
+            assert sorted(compiled.client_ids[r] for r in rows) == expected
+            assert compiled.static_counts[idx] == len(expected)
 
     def test_replica_counts_boundary(self, trace, compiled):
         expected = Counter()
@@ -167,15 +167,10 @@ class TestPickle:
         compiled = small_static_trace.compiled()
         clone = self._round_trip(compiled)
 
-        def draws(trace, weighted):
-            return list(
-                iter_requests_compiled(
-                    trace, RngStream(3, "pickle"), weighted_by_cache=weighted
-                )
-            )
+        def draws(trace):
+            return list(iter_requests_compiled(trace, RngStream(3, "pickle")))
 
-        for weighted in (False, True):
-            assert draws(clone, weighted) == draws(compiled, weighted), weighted
+        assert draws(clone) == draws(compiled)
 
     def test_empty_trace_round_trips(self):
         compiled = StaticTrace(caches={}).compiled()
@@ -191,13 +186,6 @@ class TestPickle:
 class TestMemoization:
     def test_compiled_is_cached_on_the_instance(self, trace):
         assert trace.compiled() is trace.compiled()
-
-    def test_invalidate_compiled_recompiles(self, trace):
-        first = trace.compiled()
-        trace.invalidate_compiled()
-        second = trace.compiled()
-        assert second is not first
-        assert second.file_ids == first.file_ids
 
     def test_derived_traces_compile_fresh(self, trace):
         derived = trace.without_clients([0])

@@ -11,9 +11,8 @@ from repro.trace.model import (
     StaticTrace,
     Trace,
     overlap,
-    pair_key,
 )
-from tests.conftest import build_static, build_trace, make_client, make_file
+from tests.conftest import build_static, build_trace, make_client
 
 
 class TestFileMeta:
@@ -124,12 +123,6 @@ class TestDerivedIndexes:
 
 
 class TestRestrictions:
-    def test_restricted_to_days(self):
-        trace = build_trace({1: {0: ["a"]}, 2: {0: ["b"]}, 3: {0: ["c"]}})
-        sub = trace.restricted_to_days([1, 3])
-        assert sub.days() == [1, 3]
-        assert sub.static_cache(0) == {"a", "c"}
-
     def test_restricted_to_clients(self):
         trace = build_trace({1: {0: ["a"], 1: ["b"]}})
         sub = trace.restricted_to_clients([0])
@@ -164,19 +157,6 @@ class TestStaticTrace:
         static = build_static({0: ["a", "b"], 1: []})
         assert static.generosity() == {0: 2, 1: 0}
 
-    def test_shared_bytes(self):
-        static = build_static(
-            {0: ["a", "b"]},
-            files=[make_file("a", size=10), make_file("b", size=5)],
-        )
-        assert static.shared_bytes(0) == 15
-        assert static.shared_bytes(99) == 0
-
-    def test_shared_bytes_missing_meta(self):
-        static = build_static({0: ["a"]})
-        del static.files["a"]
-        assert static.shared_bytes(0) == 0
-
     def test_without_clients(self):
         static = build_static({0: ["a"], 1: ["b"]})
         out = static.without_clients([0])
@@ -198,12 +178,6 @@ class TestStaticTrace:
         assert out.caches[0] == frozenset({"b"})
         assert static.caches[0] == frozenset({"a"})
 
-    def test_copy_mutable_is_independent(self):
-        static = build_static({0: ["a"]})
-        mutable = static.copy_mutable()
-        mutable[0].add("zzz")
-        assert "zzz" not in static.caches[0]
-
 
 class TestHelpers:
     def test_overlap(self):
@@ -216,8 +190,3 @@ class TestHelpers:
     )
     def test_overlap_matches_set_intersection(self, a, b):
         assert overlap(a, frozenset(b)) == len(a & b)
-
-    def test_pair_key_canonical(self):
-        assert pair_key(3, 1) == (1, 3)
-        assert pair_key(1, 3) == (1, 3)
-        assert pair_key(2, 2) == (2, 2)

@@ -99,15 +99,6 @@ class TestStaticTraceMemo:
         assert static.replica_counts() == first
         assert cache.iterations == iterations
 
-    def test_invalidate_compiled_drops_the_memo(self):
-        cache = CountingFrozenset({"a"})
-        static = StaticTrace(caches={1: cache})
-        static.replica_counts()
-        iterations = cache.iterations
-        static.invalidate_compiled()
-        static.replica_counts()
-        assert cache.iterations > iterations
-
     def test_matches_compiled_counts(self):
         static = StaticTrace(
             caches={1: frozenset({"a", "b"}), 2: frozenset({"b"})}

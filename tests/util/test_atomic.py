@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.util.atomic import atomic_replace, atomic_write_bytes, atomic_write_text
+from repro.util.atomic import atomic_replace, atomic_write_text
 
 
 class MidWriteCrash(Exception):
@@ -64,11 +64,6 @@ class TestHelpers:
         target = tmp_path / "t.txt"
         atomic_write_text(target, "héllo\n")
         assert target.read_text(encoding="utf-8") == "héllo\n"
-
-    def test_atomic_write_bytes(self, tmp_path):
-        target = tmp_path / "b.bin"
-        atomic_write_bytes(target, b"\x00\x01")
-        assert target.read_bytes() == b"\x00\x01"
 
     def test_relative_path_without_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

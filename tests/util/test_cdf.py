@@ -1,19 +1,11 @@
-"""Tests for CDF / histogram / series helpers."""
+"""Tests for CDF / series helpers."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.cdf import (
-    Histogram,
-    Series,
-    empirical_cdf,
-    fraction_at_most,
-    log_bins,
-    mean,
-    quantile,
-)
+from repro.util.cdf import Series, empirical_cdf, mean
 
 
 class TestEmpiricalCdf:
@@ -33,65 +25,6 @@ class TestEmpiricalCdf:
         assert (np.diff(ps) >= 0).all()
         assert ps[-1] == pytest.approx(1.0)
         assert ps[0] > 0
-
-
-class TestFractionAtMost:
-    def test_values(self):
-        assert fraction_at_most([1, 2, 3, 4], 2) == 0.5
-        assert fraction_at_most([1, 2, 3, 4], 0) == 0.0
-        assert fraction_at_most([1, 2, 3, 4], 10) == 1.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            fraction_at_most([], 1)
-
-
-class TestQuantile:
-    def test_median(self):
-        assert quantile([1, 2, 3], 0.5) == 2
-
-    def test_bad_q(self):
-        with pytest.raises(ValueError):
-            quantile([1], 1.5)
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            quantile([], 0.5)
-
-
-class TestLogBins:
-    def test_cover_range(self):
-        edges = log_bins(1, 1000)
-        assert edges[0] == pytest.approx(1)
-        assert edges[-1] == pytest.approx(1000)
-        assert (np.diff(np.log(edges)) > 0).all()
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            log_bins(0, 10)
-
-    def test_rejects_inverted(self):
-        with pytest.raises(ValueError):
-            log_bins(10, 1)
-
-
-class TestHistogram:
-    def test_from_samples(self):
-        h = Histogram.from_samples([1, 2, 3, 10], [0, 5, 20], label="t")
-        assert list(h.counts) == [3, 1]
-        assert h.total == 4
-
-    def test_normalized_sums_to_one(self):
-        h = Histogram.from_samples([1, 2, 3], [0, 2, 4])
-        assert h.normalized().sum() == pytest.approx(1.0)
-
-    def test_normalized_empty(self):
-        h = Histogram.from_samples([], [0, 1, 2])
-        assert h.normalized().sum() == 0.0
-
-    def test_bin_centers(self):
-        h = Histogram.from_samples([1], [0, 2, 4])
-        assert list(h.bin_centers()) == [1.0, 3.0]
 
 
 class TestSeries:

@@ -12,7 +12,6 @@ from repro.util.rng import (
     RngStream,
     cumulative_table,
     derive_seed,
-    make_rng,
     stable_choice,
     weighted_index,
 )
@@ -126,31 +125,26 @@ class TestWeightedIndex:
             assert weighted_index(rng, table, table[-1]) == expected
 
 
-class TestMakeRng:
-    def test_matches_stream(self):
-        assert make_rng(9, "lbl").random() == RngStream(9, "lbl").py.random()
-
-
 class TestStableChoice:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            stable_choice(make_rng(0), [])
+            stable_choice(RngStream(0, "").py, [])
 
     def test_mismatched_weights_raise(self):
         with pytest.raises(ValueError):
-            stable_choice(make_rng(0), [1, 2], [1.0])
+            stable_choice(RngStream(0, "").py, [1, 2], [1.0])
 
     def test_zero_weights_raise(self):
         with pytest.raises(ValueError):
-            stable_choice(make_rng(0), [1, 2], [0.0, 0.0])
+            stable_choice(RngStream(0, "").py, [1, 2], [0.0, 0.0])
 
     def test_unweighted_uniformish(self):
-        rng = make_rng(0)
+        rng = RngStream(0, "").py
         seen = {stable_choice(rng, ["a", "b", "c"]) for _ in range(100)}
         assert seen == {"a", "b", "c"}
 
     def test_respects_weights(self):
-        rng = make_rng(0)
+        rng = RngStream(0, "").py
         picks = [stable_choice(rng, ["x", "y"], [99.0, 1.0]) for _ in range(300)]
         assert picks.count("x") > 250
 

@@ -6,7 +6,6 @@ from repro.util.validation import (
     check_fraction,
     check_non_negative,
     check_positive,
-    check_range,
 )
 
 
@@ -39,13 +38,3 @@ class TestCheckFraction:
     def test_rejects(self, value):
         with pytest.raises(ValueError, match="f"):
             check_fraction("f", value)
-
-
-class TestCheckRange:
-    def test_accepts_bounds(self):
-        check_range("r", 5, 5, 10)
-        check_range("r", 10, 5, 10)
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError, match="r"):
-            check_range("r", 11, 5, 10)

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from repro.util.rng import RngStream
 from repro.util.zipf import (
     ZipfSampler,
-    expected_max_rank_share,
     fit_zipf_slope,
-    harmonic_number,
     swap_iterations,
     zipf_weights,
 )
@@ -93,15 +91,6 @@ class TestFitZipfSlope:
         values = [10, 5, 0, 2, 1]
         slope, _ = fit_zipf_slope(ranks, values)
         assert slope > 0
-
-
-class TestHarmonics:
-    def test_harmonic_number(self):
-        assert harmonic_number(3) == pytest.approx(1 + 0.5 + 1 / 3)
-
-    def test_expected_max_rank_share(self):
-        assert expected_max_rank_share(1, 1.0) == pytest.approx(1.0)
-        assert expected_max_rank_share(100, 1.0) < 0.25
 
 
 class TestSwapIterations:

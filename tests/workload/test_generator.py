@@ -347,21 +347,3 @@ class TestCrawlerOutage:
         outage_mean = sum(by_day[d] for d in outage_days) / len(outage_days)
         normal_mean = sum(by_day[d] for d in normal_days) / len(normal_days)
         assert outage_mean < 0.6 * normal_mean
-
-
-class TestModuleHelpers:
-    def test_generate_trace_helper(self, small_config):
-        from repro.workload.generator import generate_trace
-
-        trace = generate_trace(config=small_config, seed=7)
-        direct = SyntheticWorkloadGenerator(config=small_config, seed=7).generate()
-        assert trace.num_snapshots == direct.num_snapshots
-
-    def test_generate_static_trace_helper(self, small_config):
-        from repro.workload.generator import generate_static_trace
-
-        static = generate_static_trace(config=small_config, seed=7)
-        direct = SyntheticWorkloadGenerator(
-            config=small_config, seed=7
-        ).generate_static()
-        assert static.caches == direct.caches

@@ -62,11 +62,6 @@ class TestCountryModel:
             asn = model.sample_asn("DE", rng)
             assert asn in {a.asn for a in model.as_tables["DE"]}
 
-    def test_as_name_lookup(self):
-        model = default_country_model()
-        assert model.as_name(3320) == "Deutsche Telekom AG"
-        assert model.as_name(999999) == "AS999999"
-
 
 class TestDefaultModel:
     def test_paper_country_shares(self):
@@ -122,9 +117,12 @@ class TestIpAllocator:
 
     def test_block_overflow_allocates_new_block(self):
         alloc = IpAllocator()
-        for _ in range(65537):
-            alloc.allocate(7)
-        assert len(alloc.blocks_of(7)) == 2
+        first = alloc.allocate(7)
+        for _ in range(65535):
+            last_in_block = alloc.allocate(7)
+        overflow = alloc.allocate(7)
+        assert last_in_block.split(".")[:2] == first.split(".")[:2]
+        assert overflow.split(".")[:2] != first.split(".")[:2]
 
     def test_valid_dotted_quads(self):
         alloc = IpAllocator()

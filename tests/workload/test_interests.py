@@ -37,12 +37,6 @@ class TestInterestUniverse:
         with pytest.raises(ValueError):
             InterestUniverse([Category(0, None, 1.0)], catalog_fraction=0.0)
 
-    def test_membership(self):
-        universe = build_universe()
-        assert 0 in universe.files_in(0)
-        assert 1 not in universe.files_in(0)
-        assert universe.category_sizes()[0] == 10
-
     def test_sample_respects_membership(self):
         universe = build_universe()
         rng = RngStream(0)
