@@ -30,7 +30,6 @@ not a number to equal.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 
 import pytest
@@ -40,7 +39,7 @@ from repro.core.search import SearchConfig, simulate_search
 from repro.edonkey.crawler import Crawler, CrawlerConfig
 from repro.edonkey.network import NetworkConfig, build_network
 from repro.runtime.cache import SHARED_TRACE_CACHE
-from repro.runtime.scale import DEFAULT_SEED, Scale, workload_config
+from repro.runtime.scale import DEFAULT_SEED, Scale, crawl_workload
 from repro.obs import Observer, RunMetrics, validate_metrics
 
 #: An infrastructure bench, not a paper result: the ``paper-results``
@@ -70,15 +69,10 @@ def profile_workload(
 ) -> RunMetrics:
     """Run the standard crawl + search workload under one observer."""
     obs = Observer(tracer=tracer)
-    workload = dataclasses.replace(
-        workload_config(Scale.SMALL),
-        num_clients=clients,
-        num_files=max(clients * 15, 500),
-        days=days,
-        mainstream_pool_size=min(clients, max(clients * 15, 500)),
-    )
     network = build_network(
-        NetworkConfig(workload=workload), seed=seed, obs=obs
+        NetworkConfig(workload=crawl_workload(clients, days)),
+        seed=seed,
+        obs=obs,
     )
     crawler = Crawler(network, CrawlerConfig(days=days), seed=seed)
     trace = crawler.crawl()

@@ -110,7 +110,7 @@ def main() -> None:
     print("\nBaselines on rare files (messages until found):")
     rare_files = sorted(f for f, c in counts.items() if c == 2)
     rng = RngStream(args.seed, "baseline-queries")
-    flooding = FloodingSearch(static, FloodingConfig(degree=4, ttl=30), seed=args.seed)
+    flooding = FloodingSearch(static, FloodingConfig(degree=4), seed=args.seed)
     walker = RandomWalkSearch(
         static, RandomWalkConfig(walkers=4, steps=128), seed=args.seed
     )
@@ -130,7 +130,7 @@ def main() -> None:
         format_table(
             ("baseline", "hit rate", "mean msgs/query"),
             [
-                ("flooding (TTL 30)", percent(len(flood_costs) / n_queries), f"{mean_flood:.0f}"),
+                ("flooding (until hit)", percent(len(flood_costs) / n_queries), f"{mean_flood:.0f}"),
                 ("random walk (4x128)", percent(walk_hits / n_queries), "<= 512"),
             ],
         )

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.trace.model import StaticTrace
-from repro.util.cdf import Series, empirical_cdf
+from repro.util.cdf import Series, empirical_cdf, spaced_indices
 
 
 def size_cdf_by_popularity(
@@ -37,8 +35,8 @@ def size_cdf_by_popularity(
         series = Series(name=f"popularity >= {threshold}")
         if sizes_kb:
             xs, ps = empirical_cdf(sizes_kb)
-            for x, p in _downsample(xs, ps, max_points):
-                series.append(x, p)
+            for i in spaced_indices(len(xs), max_points):
+                series.append(xs[i], ps[i])
         out.append(series)
     return out
 
@@ -84,8 +82,8 @@ def temporal_contribution_cdfs(trace, max_points: int = 200) -> Dict[str, Series
         series = Series(name=name)
         if samples:
             xs, ps = empirical_cdf(samples)
-            for x, p in _downsample(xs, ps, max_points):
-                series.append(x, p)
+            for i in spaced_indices(len(xs), max_points):
+                series.append(xs[i], ps[i])
         return series
 
     return {
@@ -107,15 +105,3 @@ def generosity_concentration(trace: StaticTrace, top_fraction: float = 0.15) -> 
     total = sum(generosity)
     k = max(1, int(round(top_fraction * len(generosity))))
     return sum(generosity[:k]) / total
-
-
-def _downsample(xs: np.ndarray, ps: np.ndarray, max_points: int):
-    """Evenly thin a CDF to ``max_points`` (keeps first and last points)."""
-    n = len(xs)
-    if n <= max_points:
-        idxs = range(n)
-    else:
-        step = (n - 1) / (max_points - 1)
-        idxs = sorted({int(round(i * step)) for i in range(max_points)})
-    for i in idxs:
-        yield float(xs[i]), float(ps[i])

@@ -1,6 +1,7 @@
 """Baseline search mechanisms the paper compares against (implicitly or
-explicitly): Gnutella-style flooding over an unstructured overlay, random
-walks, and centralized server lookup (eDonkey's own first tier).
+explicitly): Gnutella-style flooding over an unstructured overlay and
+random walks.  The central server (eDonkey's own first tier) is the
+protocol's :class:`~repro.edonkey.server.Server`.
 
 Section 3 of the paper derives that with the most popular file held by
 under 0.7% of peers, a flooding search must contact ~143 peers on average;
@@ -16,14 +17,12 @@ from repro.baselines.flooding import (
     expected_contacts,
 )
 from repro.baselines.random_walk import RandomWalkConfig, RandomWalkSearch
-from repro.baselines.server_search import ServerLookup
 
 __all__ = [
     "FloodingConfig",
     "FloodingSearch",
     "RandomWalkConfig",
     "RandomWalkSearch",
-    "ServerLookup",
     "build_overlay",
     "expected_contacts",
 ]

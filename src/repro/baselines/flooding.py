@@ -1,17 +1,18 @@
 """Gnutella-style flooding search over a random unstructured overlay.
 
-Peers form a random regular-ish graph; a query floods breadth-first with a
-TTL, contacting every reached peer.  The figures of merit are the hit rate
-and the number of peers contacted — for a file replicated on a fraction
-``p`` of peers, roughly ``1/p`` contacts are needed (the paper's "143 peers
-must be contacted" estimate for its most popular file at 0.7% spread).
+Peers form a random regular-ish graph; a query floods breadth-first and
+counts the peers it contacts until the first replica answers.  The figures
+of merit are the hit rate and the number of peers contacted — for a file
+replicated on a fraction ``p`` of peers, roughly ``1/p`` contacts are
+needed (the paper's "143 peers must be contacted" estimate for its most
+popular file at 0.7% spread).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.trace.model import ClientId, FileId, StaticTrace
 from repro.util.rng import RngStream
@@ -20,14 +21,12 @@ from repro.util.validation import check_positive
 
 @dataclass
 class FloodingConfig:
-    """Overlay degree and flood TTL."""
+    """Overlay degree."""
 
     degree: int = 4
-    ttl: int = 5
 
     def __post_init__(self) -> None:
         check_positive("degree", self.degree)
-        check_positive("ttl", self.ttl)
 
 
 def build_overlay(
@@ -63,13 +62,6 @@ def build_overlay(
     return {p: sorted(neigh) for p, neigh in adjacency.items()}
 
 
-@dataclass
-class FloodResult:
-    hit: bool
-    contacted: int
-    hops_to_hit: Optional[int]
-
-
 class FloodingSearch:
     """Flood queries over a fixed overlay built from a static trace.
 
@@ -99,55 +91,19 @@ class FloodingSearch:
             peer: sets[row[peer]] for peer in self.peers
         }
 
-    def _file_key(self, file_id: FileId) -> Optional[int]:
-        """Interned probe key (None — matching nothing — if unknown)."""
-        return self._file_index.get(file_id)
-
-    def search(self, start: ClientId, file_id: FileId) -> FloodResult:
-        """BFS flood from ``start`` with the configured TTL.
-
-        Every visited peer (except the requester) counts as contacted,
-        whether or not it holds the file — flooding does not stop early,
-        but we do report the hop at which the first replica was found.
-        """
-        lookup = self._lookup
-        file_key = self._file_key(file_id)
-        visited: Set[ClientId] = {start}
-        queue: deque = deque([(start, 0)])
-        contacted = 0
-        hops_to_hit: Optional[int] = None
-        while queue:
-            peer, depth = queue.popleft()
-            if depth >= self.config.ttl:
-                continue
-            for neighbour in self.overlay.get(peer, ()):
-                if neighbour in visited:
-                    continue
-                visited.add(neighbour)
-                contacted += 1
-                if hops_to_hit is None and file_key in lookup.get(
-                    neighbour, frozenset()
-                ):
-                    hops_to_hit = depth + 1
-                queue.append((neighbour, depth + 1))
-        return FloodResult(
-            hit=hops_to_hit is not None,
-            contacted=contacted,
-            hops_to_hit=hops_to_hit,
-        )
-
     def contacts_until_hit(
         self, start: ClientId, file_id: FileId, max_contacts: int = 100_000
     ) -> Tuple[bool, int]:
         """Contacts made until the first replica is reached (expanding-ring
         style accounting: the flood is cut as soon as the file is found)."""
         lookup = self._lookup
-        file_key = self._file_key(file_id)
+        # Interned probe key (None, matching nothing, if unknown).
+        file_key = self._file_index.get(file_id)
         visited: Set[ClientId] = {start}
-        queue: deque = deque([(start, 0)])
+        queue: deque = deque([start])
         contacted = 0
         while queue:
-            peer, depth = queue.popleft()
+            peer = queue.popleft()
             for neighbour in self.overlay.get(peer, ()):
                 if neighbour in visited:
                     continue
@@ -157,7 +113,7 @@ class FloodingSearch:
                     return True, contacted
                 if contacted >= max_contacts:
                     return False, contacted
-                queue.append((neighbour, depth + 1))
+                queue.append(neighbour)
         return False, contacted
 
 
@@ -174,28 +130,52 @@ def measure_flooding(
     config: Optional[FloodingConfig] = None,
     seed: int = 0,
 ) -> Dict[str, float]:
-    """Monte-Carlo estimate of flooding cost on a static trace.
-
-    Queries pick a random requester and a random file held by someone else,
-    then measure contacts-until-hit.  Returns hit rate and mean contacts.
-    """
+    """Monte-Carlo estimate of flooding cost on a static trace: hit rate
+    and mean contacts-until-hit (see :func:`measure_queries`)."""
     search = FloodingSearch(trace, config=config, seed=seed)
-    rng = RngStream(seed, "flooding-queries")
-    sharers = [c for c, cache in trace.caches.items() if cache]
-    if not sharers:
-        raise ValueError("trace has no sharers")
+    return measure_queries(
+        trace,
+        search.peers,
+        search.contacts_until_hit,
+        num_queries,
+        RngStream(seed, "flooding-queries"),
+        "trace has no sharers",
+    )
+
+
+def measure_queries(
+    trace: StaticTrace,
+    peers: List[ClientId],
+    probe: Callable[[ClientId, FileId], Tuple[bool, int]],
+    num_queries: int,
+    rng: RngStream,
+    empty_error: str,
+) -> Dict[str, float]:
+    """Hit rate and mean contacts of ``num_queries`` drawn queries.
+
+    Each query draws a replica slot (a file and a peer holding it) and a
+    requester from ``peers``; ``probe(requester, file_id)`` returns
+    ``(hit, contacts)``.  A requester that drew its own replica is
+    skipped but still counts in the means.  A trace without replicas
+    raises ``ValueError(empty_error)``.
+    """
     replica_slots: List[Tuple[ClientId, FileId]] = [
-        (peer, fid) for peer in sharers for fid in sorted(trace.caches[peer])
+        (peer, fid)
+        for peer, cache in trace.caches.items()
+        if cache
+        for fid in sorted(cache)
     ]
+    if not replica_slots:
+        raise ValueError(empty_error)
     hits = 0
     total_contacts = 0
     for _ in range(num_queries):
         owner, file_id = replica_slots[rng.py.randrange(len(replica_slots))]
-        requester = search.peers[rng.py.randrange(len(search.peers))]
+        requester = peers[rng.py.randrange(len(peers))]
         if requester == owner:
             continue
-        ok, contacts = search.contacts_until_hit(requester, file_id)
-        hits += int(ok)
+        hit, contacts = probe(requester, file_id)
+        hits += int(hit)
         total_contacts += contacts
     return {
         "queries": float(num_queries),

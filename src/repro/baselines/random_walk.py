@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.baselines.flooding import build_overlay
+from repro.baselines.flooding import build_overlay, measure_queries
 from repro.trace.model import ClientId, FileId, StaticTrace
 from repro.util.rng import RngStream
 from repro.util.validation import check_positive
@@ -87,29 +87,19 @@ def measure_random_walk(
     config: Optional[RandomWalkConfig] = None,
     seed: int = 0,
 ) -> Dict[str, float]:
-    """Monte-Carlo hit rate / contact cost of random-walk search."""
+    """Monte-Carlo hit rate / contact cost of random-walk search (see
+    :func:`~repro.baselines.flooding.measure_queries`)."""
     search = RandomWalkSearch(trace, config=config, seed=seed)
-    rng = RngStream(seed, "walk-queries")
-    replica_slots: list[Tuple[ClientId, FileId]] = [
-        (peer, fid)
-        for peer, cache in trace.caches.items()
-        if cache
-        for fid in sorted(cache)
-    ]
-    if not replica_slots:
-        raise ValueError("trace has no replicas")
-    hits = 0
-    total_contacts = 0
-    for _ in range(num_queries):
-        owner, file_id = replica_slots[rng.py.randrange(len(replica_slots))]
-        requester = search.peers[rng.py.randrange(len(search.peers))]
-        if requester == owner:
-            continue
+
+    def probe(requester: ClientId, file_id: FileId) -> Tuple[bool, int]:
         result = search.search(requester, file_id)
-        hits += int(result.hit)
-        total_contacts += result.contacted
-    return {
-        "queries": float(num_queries),
-        "hit_rate": hits / num_queries,
-        "mean_contacts": total_contacts / num_queries,
-    }
+        return result.hit, result.contacted
+
+    return measure_queries(
+        trace,
+        search.peers,
+        probe,
+        num_queries,
+        RngStream(seed, "walk-queries"),
+        "trace has no replicas",
+    )

@@ -77,7 +77,7 @@ class Checkpointer:
 
     One directory holds one run's checkpoints; files are named
     ``{kind}-{step:08d}.ckpt`` so lexicographic order is step order and
-    ``latest()`` needs no header reads.
+    finding the newest needs no header reads.
     """
 
     def __init__(self, directory) -> None:
@@ -200,21 +200,6 @@ class Checkpointer:
         pattern = f"{kind}-*{_SUFFIX}" if kind else f"*{_SUFFIX}"
         return sorted(self.directory.glob(pattern))
 
-    def latest(self, kind: str) -> Optional[Path]:
-        """The highest-step *readable* checkpoint of ``kind``, or None.
-
-        Corrupt or truncated files (e.g. a snapshot half-written by a
-        dying machine without atomic-rename semantics) are skipped, so a
-        resume always starts from the newest intact state.
-        """
-        for path in reversed(self.list(kind)):
-            try:
-                self.inspect(path)
-            except CheckpointError:
-                continue
-            return path
-        return None
-
     def load_latest(self, kind: str) -> Tuple[object, CheckpointInfo]:
         """Load the newest fully-intact checkpoint of ``kind`` (or raise).
 
@@ -234,3 +219,18 @@ class Checkpointer:
         raise CheckpointError(
             f"no intact {kind!r} checkpoint found in {self.directory}"
         )
+
+    def restore(
+        self, kind: str, key: str, cls: type
+    ) -> Tuple[object, CheckpointInfo]:
+        """Resume a live simulator: the object :meth:`load_latest`'s
+        payload holds under ``key``, checked to be a ``cls``, and the info
+        of the file it was restored from."""
+        payload, info = self.load_latest(kind)
+        restored = payload[key]
+        if not isinstance(restored, cls):
+            raise TypeError(
+                f"checkpoint payload holds {type(restored).__name__}, "
+                f"expected {cls.__name__}"
+            )
+        return restored, info

@@ -33,26 +33,7 @@ from threading import TIMEOUT_MAX
 from typing import List, Optional
 
 from repro.obs.telemetry import TelemetrySpec, record_telemetry
-from repro.runtime import DEFAULT_SEED, Scale, workload_config
-
-
-_SCALES = {
-    "tiny": Scale.TINY,
-    "small": Scale.SMALL,
-    "default": Scale.DEFAULT,
-    "large": Scale.LARGE,
-    "huge": Scale.HUGE,
-}
-_SCALE_CHOICES = ["tiny", "small", "default", "large", "huge"]
-
-
-def _scale(name: str) -> Scale:
-    try:
-        return _SCALES[name]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"unknown scale {name!r}; choose from {', '.join(sorted(_SCALES))}"
-        ) from None
+from repro.runtime import DEFAULT_SEED, RunContext, Scale, crawl_workload
 
 
 def _positive_int(text: str) -> int:
@@ -89,7 +70,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
         "--scale",
-        choices=_SCALE_CHOICES,
+        choices=[scale.value for scale in Scale],
         default="small",
         help="workload scale preset",
     )
@@ -220,19 +201,17 @@ def _observed(args: argparse.Namespace, obs, run_info: dict):
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from repro.trace.io import save_trace
-    from repro.workload.generator import SyntheticWorkloadGenerator
-
     from repro.obs.log import get_log
+    from repro.trace.io import save_trace
 
-    config = workload_config(_scale(args.scale))
-    generator = SyntheticWorkloadGenerator(config=config, seed=args.seed)
+    ctx = RunContext(seed=args.seed, scale=Scale(args.scale))
+    config = ctx.workload()
     get_log().info(
         f"Generating {args.scale} trace "
         f"({config.num_clients} clients, {config.num_files} files, "
         f"{config.days} days)..."
     )
-    trace = generator.generate()
+    trace = ctx.temporal_trace()
     if args.anonymize:
         from repro.trace.io import anonymize
 
@@ -293,13 +272,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.trace.filtering import filter_duplicates
     from repro.trace.io import load_trace
     from repro.util.tables import format_table, percent, render_series
-    from repro.workload.generator import SyntheticWorkloadGenerator
 
     if args.trace:
         trace = load_trace(args.trace)
     else:
-        config = workload_config(_scale(args.scale))
-        trace = SyntheticWorkloadGenerator(config=config, seed=args.seed).generate()
+        trace = RunContext(seed=args.seed, scale=Scale(args.scale)).temporal_trace()
     filtered = filter_duplicates(trace)
 
     rows = [
@@ -323,7 +300,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     from repro.core.search import SearchConfig, simulate_search
-    from repro.runtime import RunContext
     from repro.trace.filtering import filter_duplicates
     from repro.trace.io import load_trace
     from repro.util.tables import format_table, percent
@@ -349,7 +325,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.trace:
         static = filter_duplicates(load_trace(args.trace)).to_static()
     else:
-        static = RunContext(seed=args.seed, scale=_scale(args.scale)).static_trace()
+        static = RunContext(seed=args.seed, scale=Scale(args.scale)).static_trace()
 
     obs = _observer(args)
     run_info = {
@@ -419,7 +395,7 @@ def _render_experiment_list() -> str:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.runtime import RunContext, UnknownExperimentError
+    from repro.runtime import UnknownExperimentError
     from repro.runtime.registry import get as get_spec, load_all
 
     load_all()
@@ -432,7 +408,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     obs = _observer(args)
-    ctx = RunContext(seed=args.seed, scale=_scale(args.scale), obs=obs)
+    ctx = RunContext(seed=args.seed, scale=Scale(args.scale), obs=obs)
     run_info = {"command": "experiment", "id": args.id, "scale": args.scale}
     with _observed(args, obs, run_info):
         with obs.span(f"experiment/{args.id}"):
@@ -447,13 +423,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_run_all(args: argparse.Namespace) -> int:
     from repro.obs.log import get_log
-    from repro.runtime import RunContext, Runner, UnknownExperimentError
+    from repro.runtime import Runner, UnknownExperimentError
 
     if args.workers > 1:
         return _run_all_parallel(args)
 
     runner = Runner(
-        ctx=RunContext(seed=args.seed, scale=_scale(args.scale)),
+        ctx=RunContext(seed=args.seed, scale=Scale(args.scale)),
         results_dir=args.results_dir,
         force=args.force,
         write_metrics=args.metrics_out,
@@ -533,7 +509,7 @@ def _run_all_parallel(args: argparse.Namespace) -> int:
     outcomes = run_experiments_parallel(
         [spec.name for spec in specs],
         seed=args.seed,
-        scale=_scale(args.scale),
+        scale=Scale(args.scale),
         results_dir=args.results_dir,
         workers=args.workers,
         force=args.force,
@@ -754,13 +730,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         calibration_report,
         render_report,
     )
-    from repro.workload.generator import SyntheticWorkloadGenerator
 
     if args.trace:
         trace = load_trace(args.trace)
     else:
-        config = workload_config(_scale(args.scale))
-        trace = SyntheticWorkloadGenerator(config=config, seed=args.seed).generate()
+        trace = RunContext(seed=args.seed, scale=Scale(args.scale)).temporal_trace()
     checks = calibration_report(trace)
     print(render_report(checks))
     return 0 if all_passed(checks) else 1
@@ -858,14 +832,8 @@ def cmd_trace_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_crawl(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.checkpoint import CheckpointError, Checkpointer
-    from repro.edonkey.crawler import (
-        CRAWL_CHECKPOINT_KIND,
-        Crawler,
-        CrawlerConfig,
-    )
+    from repro.edonkey.crawler import Crawler, CrawlerConfig
     from repro.edonkey.network import NetworkConfig, build_network
     from repro.faults import FaultConfig, FaultSchedule, RetryPolicy
 
@@ -874,7 +842,6 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         faults = FaultConfig(
             loss_rate=args.loss_rate,
             slow_rate=args.slow_rate,
-            deadline=args.timeout,
             malformed_rate=args.malformed_rate,
             peer_downtime=args.peer_downtime,
             server_crash_day=args.server_crash_day,
@@ -926,9 +893,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
             )
             return 2
         try:
-            crawler = Crawler.resume_from(checkpointer)
-            latest = checkpointer.latest(CRAWL_CHECKPOINT_KIND)
-            info = checkpointer.inspect(latest)
+            crawler, info = Crawler.resume_from(checkpointer)
         except CheckpointError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -999,13 +964,6 @@ def cmd_crawl(args: argparse.Namespace) -> int:
             f"from {info.path.name}..."
         )
     else:
-        workload = dataclasses.replace(
-            workload_config(Scale.SMALL),
-            num_clients=args.clients,
-            num_files=max(args.clients * 15, 500),
-            days=args.days,
-            mainstream_pool_size=min(args.clients, max(args.clients * 15, 500)),
-        )
         schedule = None
         if args.fault_schedule:
             try:
@@ -1018,7 +976,9 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         obs = _observer(args)
         network = build_network(
             NetworkConfig(
-                workload=workload, faults=faults, fault_schedule=schedule
+                workload=crawl_workload(args.clients, args.days),
+                faults=faults,
+                fault_schedule=schedule,
             ),
             seed=args.seed,
             obs=obs,
@@ -1387,7 +1347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss-rate", type=float, default=0.0,
                    help="probability any message is silently dropped")
     p.add_argument("--slow-rate", type=float, default=0.0,
-                   help="probability a reply is slower than the deadline")
+                   help="probability a reply is too slow and lost (a timeout)")
     p.add_argument("--malformed-rate", type=float, default=0.0,
                    help="probability a reply comes back with an empty payload")
     p.add_argument("--peer-downtime", type=float, default=0.0,
@@ -1400,8 +1360,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="days the crashed server stays down")
     p.add_argument("--retries", type=int, default=0,
                    help="crawler retries per failed request (0 disables)")
-    p.add_argument("--timeout", type=float, default=5.0,
-                   help="reply deadline in seconds (slow replies miss it)")
     p.add_argument("--fault-schedule", metavar="PATH",
                    help="JSON fault schedule (repro.faults.schedule/1) "
                    "applying per-day FaultConfig overrides")
@@ -1469,13 +1427,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sessions", type=int, default=8,
                    help="concurrent client connections (default: 8)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", choices=_SCALE_CHOICES, default="tiny",
+    p.add_argument("--scale", choices=[scale.value for scale in Scale], default="tiny",
                    help="trace scale the request mix is derived from")
     p.add_argument("--timeout", type=float, default=30.0,
                    help="per-request reply deadline in seconds")
     p.add_argument("--connect-retries", type=int, default=25,
-                   help="connection attempts before giving up (covers "
-                   "the serve startup race)")
+                   help="retries of the connection (covers the serve "
+                   "startup race) and of an unanswered connect request")
     _add_obs_flags(p)
     p.set_defaults(func=cmd_loadgen)
 

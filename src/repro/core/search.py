@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.checkpoint import Checkpointer
+    from repro.checkpoint import CheckpointInfo, Checkpointer
 
 from repro.core.metrics import HitRateAccumulator, LoadTracker
 from repro.core.neighbours import (
@@ -525,42 +525,31 @@ class SearchSimulator:
     def save_checkpoint(self, checkpointer: "Checkpointer") -> None:
         """Snapshot the whole simulator (run state included).
 
-        The observer's live span stack is excluded from the snapshot (a
-        resumed process opens its own spans), and the save counter is
-        bumped *before* pickling so the snapshot carries the save it
-        belongs to — a resumed run continues the counter exactly where
-        an uninterrupted checkpointing run would be.
+        The save counter is bumped *before* pickling so the snapshot
+        carries the save it belongs to — a resumed run continues the
+        counter exactly where an uninterrupted checkpointing run would be.
         """
         if self._run_state is None:
             raise ValueError("nothing to checkpoint: run() has not started")
         self.obs.count("checkpoint/saves")
-        stack = self.obs._stack
-        self.obs._stack = []
-        try:
-            checkpointer.save(
-                SEARCH_CHECKPOINT_KIND,
-                self._run_state.processed,
-                {"simulator": self},
-                seed=self.config.seed,
-                meta={
-                    "processed": self._run_state.processed,
-                    "strategy": self.config.strategy,
-                },
-            )
-        finally:
-            self.obs._stack = stack
+        checkpointer.save(
+            SEARCH_CHECKPOINT_KIND,
+            self._run_state.processed,
+            {"simulator": self},
+            seed=self.config.seed,
+            meta={
+                "processed": self._run_state.processed,
+                "strategy": self.config.strategy,
+            },
+        )
 
     @classmethod
-    def resume_from(cls, checkpointer: "Checkpointer") -> "SearchSimulator":
-        """Rebuild a mid-run simulator from the latest checkpoint."""
-        payload, _info = checkpointer.load_latest(SEARCH_CHECKPOINT_KIND)
-        simulator = payload["simulator"]
-        if not isinstance(simulator, cls):
-            raise TypeError(
-                f"checkpoint payload holds {type(simulator).__name__}, "
-                f"expected {cls.__name__}"
-            )
-        return simulator
+    def resume_from(
+        cls, checkpointer: "Checkpointer"
+    ) -> Tuple["SearchSimulator", "CheckpointInfo"]:
+        """Rebuild a mid-run simulator from the newest intact checkpoint;
+        returns it with the info of the file it came from."""
+        return checkpointer.restore(SEARCH_CHECKPOINT_KIND, "simulator", cls)
 
     def run(
         self,

@@ -24,16 +24,16 @@ import itertools
 import os
 import string
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.checkpoint import Checkpointer
+    from repro.checkpoint import CheckpointInfo, Checkpointer
 
 from repro.edonkey.messages import BrowseRequest, QueryUsers, ServerListRequest
 from repro.edonkey.network import Network
 from repro.faults import RetryPolicy
 from repro.obs import Observer
-from repro.trace.model import ClientMeta, FileMeta, Trace
+from repro.trace.model import Trace
 from repro.util.rng import RngStream
 from repro.util.validation import check_positive
 
@@ -302,14 +302,7 @@ class Crawler:
             self._ensure_client_meta(trace, client_id)
             for desc in reply.files:
                 if desc.file_id not in trace.files:
-                    trace.add_file(
-                        FileMeta(
-                            file_id=desc.file_id,
-                            size=desc.size,
-                            kind=desc.kind,
-                            name=desc.name,
-                        )
-                    )
+                    trace.add_file(desc.to_meta())
             trace.observe(day, client_id, (d.file_id for d in reply.files))
             successes += 1
             self.stats.browse_succeeded += 1
@@ -321,17 +314,7 @@ class Crawler:
         # The real crawler records the IP it connected to and resolves the
         # country / AS with a GeoIP database; here the generator's profile
         # plays the role of that database.
-        profile = self._profiles_by_id[client_id]
-        trace.add_client(
-            ClientMeta(
-                client_id=client_id,
-                uid=profile.meta.uid,
-                ip=profile.meta.ip,
-                country=profile.meta.country,
-                asn=profile.meta.asn,
-                nickname=profile.meta.nickname,
-            )
-        )
+        trace.add_client(self._profiles_by_id[client_id].meta)
 
     def _append_store_day(self, day: int, trace: Trace) -> None:
         """Append ``day``'s snapshots to the on-disk trace store.
@@ -358,46 +341,32 @@ class Crawler:
         """Snapshot the whole crawler (network, trace and RNGs included).
 
         The snapshot carries :attr:`saved_invariants`, the network's
-        invariant report at save time.  The observer's live span stack
-        is excluded: the snapshot is taken between days, and the resumed
-        process opens its own spans — a restored half-open stack would
-        corrupt its span paths.
+        invariant report at save time.
         """
         # Counted *before* pickling so the snapshot itself carries the
         # save it belongs to; a resumed run then continues the counter
         # exactly where an uninterrupted checkpointing run would be.
         self.obs.count("checkpoint/saves")
         self.saved_invariants = sorted(self.network.check_invariants())
-        stack = self.obs._stack
-        self.obs._stack = []
-        try:
-            checkpointer.save(
-                CRAWL_CHECKPOINT_KIND,
-                self._next_day_offset,
-                {"crawler": self},
-                seed=self.rng.seed,
-                meta={
-                    "day": self._next_day_offset,
-                    "network_day": self.network.day,
-                    "snapshots": (
-                        self._trace.num_snapshots if self._trace else 0
-                    ),
-                },
-            )
-        finally:
-            self.obs._stack = stack
+        checkpointer.save(
+            CRAWL_CHECKPOINT_KIND,
+            self._next_day_offset,
+            {"crawler": self},
+            seed=self.rng.seed,
+            meta={
+                "day": self._next_day_offset,
+                "network_day": self.network.day,
+                "snapshots": self._trace.num_snapshots if self._trace else 0,
+            },
+        )
 
     @classmethod
-    def resume_from(cls, checkpointer: "Checkpointer") -> "Crawler":
-        """Rebuild a mid-crawl crawler from the latest checkpoint."""
-        payload, _info = checkpointer.load_latest(CRAWL_CHECKPOINT_KIND)
-        crawler = payload["crawler"]
-        if not isinstance(crawler, cls):
-            raise TypeError(
-                f"checkpoint payload holds {type(crawler).__name__}, "
-                f"expected {cls.__name__}"
-            )
-        return crawler
+    def resume_from(
+        cls, checkpointer: "Checkpointer"
+    ) -> Tuple["Crawler", "CheckpointInfo"]:
+        """Rebuild a mid-crawl crawler from the newest intact checkpoint;
+        returns it with the info of the file it came from."""
+        return checkpointer.restore(CRAWL_CHECKPOINT_KIND, "crawler", cls)
 
     @property
     def next_day_offset(self) -> int:

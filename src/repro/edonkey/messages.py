@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.trace import model as trace_model
+
 # ----------------------------------------------------------------------
 # Published file descriptions
 
@@ -44,6 +46,24 @@ class FileDescription:
         toks.extend(t.lower() for t in self.tags)
         toks.append(self.kind.lower())
         return toks
+
+    @classmethod
+    def of(cls, meta: trace_model.FileMeta) -> "FileDescription":
+        """What a client publishes for a trace file; a file without a name
+        is published under its id."""
+        return cls(
+            file_id=meta.file_id,
+            name=meta.name or meta.file_id,
+            size=meta.size,
+            kind=meta.kind,
+        )
+
+    def to_meta(self) -> trace_model.FileMeta:
+        """The trace metadata a crawler records from a browsed
+        description (the interest category is unknown to it)."""
+        return trace_model.FileMeta(
+            file_id=self.file_id, size=self.size, kind=self.kind, name=self.name
+        )
 
 
 # ----------------------------------------------------------------------

@@ -359,7 +359,7 @@ class Network:
         """The one description object of file ``index``."""
         desc = self._descriptions.get(index)
         if desc is None:
-            desc = _to_description(self.generator.file_meta(index))
+            desc = FileDescription.of(self.generator.file_meta(index))
             self._descriptions[index] = desc
         return desc
 
@@ -441,15 +441,6 @@ class Network:
             self._sync_client_cache(client, cache)
             if client.server_id is not None:
                 client.publish(self)
-
-
-def _to_description(meta) -> FileDescription:
-    return FileDescription(
-        file_id=meta.file_id,
-        name=meta.name or meta.file_id,
-        size=meta.size,
-        kind=meta.kind,
-    )
 
 
 def build_network(

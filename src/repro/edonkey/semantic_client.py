@@ -199,13 +199,7 @@ class LiveSemanticSimulation:
         index = generator.draw_request(profile, day, rng, exclude)
         if index is None:
             return None
-        meta = generator.file_meta(index)
-        return FileDescription(
-            file_id=meta.file_id,
-            name=meta.name or meta.file_id,
-            size=meta.size,
-            kind=meta.kind,
-        )
+        return FileDescription.of(generator.file_meta(index))
 
     def run(self) -> LiveSemanticResult:
         avoidance = Series(name="server avoidance (%)")

@@ -6,8 +6,6 @@ from __future__ import annotations
 from repro.analysis.popularity import max_spread_fraction
 from repro.baselines.flooding import expected_contacts, measure_flooding
 from repro.baselines.random_walk import measure_random_walk
-from repro.baselines.server_search import ServerLookup
-
 from repro.core.search import SearchConfig, simulate_search
 from repro.experiments.result import ExperimentResult
 from repro.runtime import RunContext, experiment
@@ -76,7 +74,6 @@ def run_mechanism_comparison(
     )
     flood = measure_flooding(static, num_queries=300, seed=seed)
     walk = measure_random_walk(static, num_queries=300, seed=seed)
-    lookup = ServerLookup.from_trace(static)
     # Central server: every request for a shared file hits, cost 1 message.
     server_hit_rate = 1.0
 
@@ -102,7 +99,8 @@ def run_mechanism_comparison(
         metrics={
             "semantic_hit_rate": semantic.hit_rate,
             "flooding_mean_contacts": flood["mean_contacts"],
-            "server_index_entries": float(lookup.index_size()),
+            # A central index holds one (file, source) entry per replica.
+            "server_index_entries": float(static.total_replicas()),
         },
         notes="semantic search answers a large share of queries with "
         f"{list_size} messages and no server state",

@@ -20,7 +20,6 @@ Two sweeps, one per subsystem:
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Optional, Sequence
 
 from repro.core.search import SearchConfig, simulate_search
@@ -29,7 +28,7 @@ from repro.edonkey.network import NetworkConfig, build_network
 from repro.experiments.result import ExperimentResult
 from repro.faults import FaultConfig, FaultSchedule, FaultWindow, RetryPolicy
 from repro.obs import Observer
-from repro.runtime import RunContext, Scale, experiment, workload_config
+from repro.runtime import RunContext, Scale, crawl_workload, experiment
 from repro.util.cdf import Series
 
 DEFAULT_LOSS_RATES = (0.0, 0.01, 0.05, 0.20)
@@ -46,15 +45,12 @@ def _crawl_once(
     schedule: Optional[FaultSchedule] = None,
 ):
     """One crawl run; returns ``(crawler, trace)``."""
-    workload = dataclasses.replace(
-        workload_config(scale),
-        num_clients=num_clients,
-        num_files=max(num_clients * 15, 500),
-        days=days,
-        mainstream_pool_size=min(num_clients, max(num_clients * 15, 500)),
-    )
     network = build_network(
-        NetworkConfig(workload=workload, faults=faults, fault_schedule=schedule),
+        NetworkConfig(
+            workload=crawl_workload(num_clients, days, scale),
+            faults=faults,
+            fault_schedule=schedule,
+        ),
         seed=seed,
         obs=obs,
     )

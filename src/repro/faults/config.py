@@ -10,11 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.util.validation import (
-    check_fraction,
-    check_non_negative,
-    check_positive,
-)
+from repro.util.validation import check_fraction, check_non_negative
 
 
 @dataclass(frozen=True)
@@ -26,9 +22,9 @@ class FaultConfig:
 
     - ``loss_rate`` — probability a message is dropped in flight (the
       request never reaches its target);
-    - ``slow_rate`` — probability a reply is slower than ``deadline``
-      simulated seconds; the request *is* processed but the sender gives
-      up waiting, so the reply is lost (a timeout);
+    - ``slow_rate`` — probability a reply is too slow: the request *is*
+      processed but the sender gives up waiting, so the reply is lost
+      (a timeout);
     - ``malformed_rate`` — probability a reply arrives garbled: list
       payloads (files, sources, users, …) are emptied, which models the
       partial/empty answers real crawls are full of.
@@ -50,7 +46,6 @@ class FaultConfig:
 
     loss_rate: float = 0.0
     slow_rate: float = 0.0
-    deadline: float = 5.0  # simulated seconds a sender waits for a reply
     malformed_rate: float = 0.0
     peer_downtime: float = 0.0
     server_crash_day: Optional[int] = None
@@ -60,7 +55,6 @@ class FaultConfig:
     def __post_init__(self) -> None:
         check_fraction("loss_rate", self.loss_rate)
         check_fraction("slow_rate", self.slow_rate)
-        check_positive("deadline", self.deadline)
         check_fraction("malformed_rate", self.malformed_rate)
         check_fraction("peer_downtime", self.peer_downtime)
         if self.server_crash_day is not None:

@@ -137,6 +137,14 @@ class Observer:
         self.histograms: Dict[str, Histogram] = {}
         self._stack: List[str] = []
 
+    def __getstate__(self):
+        # A snapshot carries no open span.  Checkpoints are pickled
+        # mid-span, and the resumed process opens its own spans: a
+        # restored half-open stack would corrupt its span paths.
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_stack"] = []
+        return None, state
+
     # ------------------------------------------------------------------
     # Spans
 

@@ -27,7 +27,12 @@ from repro.runtime.registry import (
     experiment,
     load_all,
 )
-from repro.runtime.scale import DEFAULT_SEED, Scale, workload_config
+from repro.runtime.scale import (
+    DEFAULT_SEED,
+    Scale,
+    crawl_workload,
+    workload_config,
+)
 from repro.runtime.cache import SHARED_TRACE_CACHE, TraceCache
 from repro.runtime.context import RunContext
 from repro.runtime.runner import (
@@ -51,6 +56,7 @@ __all__ = [
     "TraceCache",
     "UnknownExperimentError",
     "all_experiments",
+    "crawl_workload",
     "experiment",
     "load_all",
     "validate_manifest",

@@ -86,3 +86,19 @@ def workload_config(scale: Scale = Scale.DEFAULT) -> WorkloadConfig:
             ),
         )
     raise ValueError(f"unknown scale {scale!r}")
+
+
+def crawl_workload(
+    clients: int, days: int, scale: Scale = Scale.SMALL
+) -> WorkloadConfig:
+    """The workload of a crawl of ``clients`` clients over ``days`` days:
+    ``scale``'s preset with 15 files per client (at least 500), and every
+    client in the mainstream pool."""
+    num_files = max(clients * 15, 500)
+    return dataclasses.replace(
+        workload_config(scale),
+        num_clients=clients,
+        num_files=num_files,
+        days=days,
+        mainstream_pool_size=min(clients, num_files),
+    )

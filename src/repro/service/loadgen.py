@@ -76,7 +76,7 @@ class LoadGenConfig:
     seed: int = 0
     scale: str = "tiny"  # trace the request mix is derived from
     timeout_s: float = 30.0
-    connect_retries: int = 25  # covers the serve-process startup race
+    connect_retries: int = 25  # the startup race, and unanswered connects
 
     def __post_init__(self) -> None:
         if self.requests <= 0:
@@ -114,15 +114,6 @@ class LoadPlan:
     mix: Dict[str, int] = field(default_factory=dict)
 
 
-def _to_description(meta) -> FileDescription:
-    return FileDescription(
-        file_id=meta.file_id,
-        name=meta.name or meta.file_id,
-        size=meta.size,
-        kind=meta.kind,
-    )
-
-
 def build_plan(config: LoadGenConfig) -> LoadPlan:
     """Derive the deterministic request plan from the compiled trace."""
     from repro.runtime import SHARED_TRACE_CACHE, Scale
@@ -154,7 +145,7 @@ def build_plan(config: LoadGenConfig) -> LoadPlan:
         row = sharer_rows[index % len(sharer_rows)]
         client_id = compiled.client_ids[row]
         files = [
-            _to_description(static.files[compiled.file_ids[idx]])
+            FileDescription.of(static.files[compiled.file_ids[idx]])
             for idx in sorted(compiled.cache_sets[row])
         ]
         sessions.append(
@@ -268,14 +259,20 @@ async def run_loadgen(
                 retries=config.connect_retries,
             )
             transports.append(transport)
-            reply = await transport.request(
-                ConnectRequest(
-                    client_id=session.client_id,
-                    nickname=session.nickname,
-                    firewalled=False,
-                ),
-                timeout=config.timeout_s,
+            connect = ConnectRequest(
+                client_id=session.client_id,
+                nickname=session.nickname,
+                firewalled=False,
             )
+            # A lossy service drops or delays some replies: resend an
+            # unanswered connect.  The server unpublishes a live session
+            # before it re-connects it, so a repeat is harmless.
+            for _ in range(config.connect_retries + 1):
+                reply = await transport.request(
+                    connect, timeout=config.timeout_s
+                )
+                if reply is not None:
+                    break
             if reply is None or not getattr(reply, "accepted", False):
                 raise TransportError(
                     f"session {session.client_id}: connect rejected ({reply})"

@@ -21,7 +21,14 @@ import json
 import os
 from typing import Dict, IO, Iterable, Iterator, Set, Union
 
-from repro.trace.model import ClientMeta, FileMeta, Snapshot, Trace
+from repro.trace.model import (
+    ClientMeta,
+    FileMeta,
+    Snapshot,
+    Trace,
+    from_record,
+    to_record,
+)
 from repro.util.atomic import atomic_replace
 
 FORMAT_VERSION = 1
@@ -89,34 +96,9 @@ def _write_records(trace: Trace, fh: IO[str]) -> None:
     }
     fh.write(json.dumps(header) + "\n")
     for meta in trace.files.values():
-        fh.write(
-            json.dumps(
-                {
-                    "type": "file",
-                    "id": meta.file_id,
-                    "size": meta.size,
-                    "kind": meta.kind,
-                    "category": meta.category,
-                    "name": meta.name,
-                }
-            )
-            + "\n"
-        )
+        fh.write(json.dumps({"type": "file", **to_record(meta)}) + "\n")
     for meta in trace.clients.values():
-        fh.write(
-            json.dumps(
-                {
-                    "type": "client",
-                    "id": meta.client_id,
-                    "uid": meta.uid,
-                    "ip": meta.ip,
-                    "country": meta.country,
-                    "asn": meta.asn,
-                    "nickname": meta.nickname,
-                }
-            )
-            + "\n"
-        )
+        fh.write(json.dumps({"type": "client", **to_record(meta)}) + "\n")
     for snap in trace.iter_snapshots():
         fh.write(
             json.dumps(
@@ -199,22 +181,9 @@ def _iter_records(lines: Iterable[str]) -> Iterator[Record]:
                 f"{rtype!r} record before the header (line {lineno})"
             )
         if rtype == "file":
-            yield FileMeta(
-                file_id=record["id"],
-                size=record["size"],
-                kind=record.get("kind", "unknown"),
-                category=record.get("category", -1),
-                name=record.get("name", ""),
-            )
+            yield from_record(FileMeta, record)
         elif rtype == "client":
-            yield ClientMeta(
-                client_id=record["id"],
-                uid=record["uid"],
-                ip=record["ip"],
-                country=record["country"],
-                asn=record["asn"],
-                nickname=record.get("nickname", ""),
-            )
+            yield from_record(ClientMeta, record)
         elif rtype == "snapshot":
             yield Snapshot(
                 day=record["day"],

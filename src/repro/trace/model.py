@@ -88,6 +88,50 @@ class ClientMeta:
             raise ValueError("country must be non-empty")
 
 
+def to_record(meta: FileMeta | ClientMeta) -> Dict[str, object]:
+    """The JSON record of one file or client: a trace file's ``file`` and
+    ``client`` lines (after their ``type`` key) and a trace store's
+    ``files.jsonl``/``clients.jsonl`` lines.  Key order is part of both
+    formats' bytes."""
+    if isinstance(meta, FileMeta):
+        return {
+            "id": meta.file_id,
+            "size": meta.size,
+            "kind": meta.kind,
+            "category": meta.category,
+            "name": meta.name,
+        }
+    return {
+        "id": meta.client_id,
+        "uid": meta.uid,
+        "ip": meta.ip,
+        "country": meta.country,
+        "asn": meta.asn,
+        "nickname": meta.nickname,
+    }
+
+
+def from_record(cls, record: Mapping[str, object]) -> FileMeta | ClientMeta:
+    """The inverse of :func:`to_record` for ``cls`` (:class:`FileMeta` or
+    :class:`ClientMeta`); keys a record omits take the field defaults."""
+    if cls is FileMeta:
+        return FileMeta(
+            file_id=record["id"],
+            size=record["size"],
+            kind=record.get("kind", "unknown"),
+            category=record.get("category", -1),
+            name=record.get("name", ""),
+        )
+    return ClientMeta(
+        client_id=record["id"],
+        uid=record["uid"],
+        ip=record["ip"],
+        country=record["country"],
+        asn=record["asn"],
+        nickname=record.get("nickname", ""),
+    )
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """One successful browse of one client's cache on one day."""

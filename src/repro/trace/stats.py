@@ -9,7 +9,7 @@ rows of Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple  # noqa: F401
+from typing import Set, Tuple
 
 from repro.trace.model import FileId, Trace
 from repro.util.cdf import Series
@@ -108,46 +108,3 @@ def new_files_per_client_per_day(trace: Trace) -> float:
     if total_clients == 0:
         return 0.0
     return total_new / total_clients
-
-
-def mean_cache_size_series(trace: Trace, sharers_only: bool = True) -> Series:
-    """Mean observed cache size per day.
-
-    The paper's conclusion: "clients share a roughly constant number of
-    files over time, but the turnover is high" — this series is the flat
-    line behind the first half of that sentence.  ``sharers_only`` skips
-    empty caches (free-riders would drag the mean toward zero).
-    """
-    series = Series(name="mean cache size")
-    for day in trace.days():
-        sizes = [
-            len(cache)
-            for cache in trace.snapshots_on(day).values()
-            if cache or not sharers_only
-        ]
-        if sizes:
-            series.append(day, sum(sizes) / len(sizes))
-    return series
-
-
-def cache_turnover(trace: Trace) -> Dict[int, float]:
-    """Mean per-client cache replacement per day.
-
-    For each pair of consecutive observations of the same client, counts the
-    files added, normalized by the gap in days; returns day -> mean adds.
-    Used to validate the "about 5 cache replacements per client per day"
-    observation of Section 4.2.2.
-    """
-    per_day_adds: Dict[int, List[float]] = {}
-    for client_id in trace.clients:
-        days = trace.observation_days(client_id)
-        for prev_day, next_day in zip(days, days[1:]):
-            prev_cache = trace.cache(client_id, prev_day)
-            next_cache = trace.cache(client_id, next_day)
-            assert prev_cache is not None and next_cache is not None
-            gap = next_day - prev_day
-            added = len(next_cache - prev_cache) / gap
-            per_day_adds.setdefault(next_day, []).append(added)
-    return {
-        day: (sum(vals) / len(vals)) for day, vals in per_day_adds.items() if vals
-    }

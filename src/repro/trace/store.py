@@ -64,7 +64,16 @@ from typing import (
     Union,
 )
 
-from repro.trace.model import ClientId, ClientMeta, FileId, FileMeta, Snapshot, Trace
+from repro.trace.model import (
+    ClientId,
+    ClientMeta,
+    FileId,
+    FileMeta,
+    Snapshot,
+    Trace,
+    from_record,
+    to_record,
+)
 from repro.util.atomic import atomic_replace, atomic_write_text
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -108,54 +117,6 @@ def _segment_name(day: int) -> str:
 
 def _pad_to_8(n: int) -> int:
     return (-n) % 8
-
-
-def _file_record(meta: FileMeta) -> str:
-    return json.dumps(
-        {
-            "id": meta.file_id,
-            "size": meta.size,
-            "kind": meta.kind,
-            "category": meta.category,
-            "name": meta.name,
-        }
-    )
-
-
-def _client_record(meta: ClientMeta) -> str:
-    return json.dumps(
-        {
-            "id": meta.client_id,
-            "uid": meta.uid,
-            "ip": meta.ip,
-            "country": meta.country,
-            "asn": meta.asn,
-            "nickname": meta.nickname,
-        }
-    )
-
-
-def _parse_file_record(line: str) -> FileMeta:
-    record = json.loads(line)
-    return FileMeta(
-        file_id=record["id"],
-        size=record["size"],
-        kind=record.get("kind", "unknown"),
-        category=record.get("category", -1),
-        name=record.get("name", ""),
-    )
-
-
-def _parse_client_record(line: str) -> ClientMeta:
-    record = json.loads(line)
-    return ClientMeta(
-        client_id=record["id"],
-        uid=record["uid"],
-        ip=record["ip"],
-        country=record["country"],
-        asn=record["asn"],
-        nickname=record.get("nickname", ""),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +246,7 @@ class TraceStoreWriter:
             # A fresh id sorts before an interned one: the global intern
             # order is no longer the sorted string order.
             self._manifest["sorted_intern"] = False
-        self._append_table(FILES_NAME, "files", fresh, _file_record)
+        self._append_table(FILES_NAME, "files", fresh)
         for meta in fresh:
             self._file_index[meta.file_id] = len(self._file_index)
         last = fresh[-1].file_id
@@ -301,15 +262,15 @@ class TraceStoreWriter:
         )
         if not fresh:
             return
-        self._append_table(CLIENTS_NAME, "clients", fresh, _client_record)
+        self._append_table(CLIENTS_NAME, "clients", fresh)
         for meta in fresh:
             self._client_row[meta.client_id] = len(self._client_row)
 
-    def _append_table(self, name, count_key, metas, render) -> None:
+    def _append_table(self, name, count_key, metas) -> None:
         table_path = os.path.join(self.path, name)
         with open(table_path, "a", encoding="utf-8") as fh:
             for meta in metas:
-                fh.write(render(meta) + "\n")
+                fh.write(json.dumps(to_record(meta)) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         self._manifest[count_key] = self._manifest[count_key] + len(metas)
@@ -569,7 +530,7 @@ class TraceStore:
             lines = self._read_table(
                 FILES_NAME, self.num_files, self.manifest["files_bytes"]
             )
-            metas = [_parse_file_record(line) for line in lines]
+            metas = [from_record(FileMeta, json.loads(line)) for line in lines]
             self._file_metas = {m.file_id: m for m in metas}
         return self._file_metas
 
@@ -588,7 +549,7 @@ class TraceStore:
             lines = self._read_table(
                 CLIENTS_NAME, self.num_clients, self.manifest["clients_bytes"]
             )
-            metas = [_parse_client_record(line) for line in lines]
+            metas = [from_record(ClientMeta, json.loads(line)) for line in lines]
             self._client_metas = {m.client_id: m for m in metas}
         return self._client_metas
 

@@ -8,25 +8,10 @@ tests and to render as text series in benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-
-class _LazyNumpy:
-    """Defer the numpy import to first use (annotations are strings here).
-
-    ``repro.util`` is imported by store-only tools and the CLI's help
-    paths, which never evaluate a CDF; rebinding the module-global ``np``
-    on first attribute access keeps their baseline RSS numpy-free.
-    """
-
-    def __getattr__(self, name):
-        import numpy
-
-        globals()["np"] = numpy
-        return getattr(numpy, name)
-
-
-np = _LazyNumpy()
+if TYPE_CHECKING:  # annotations only; functions import numpy when called
+    import numpy as np
 
 
 def empirical_cdf(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -38,6 +23,8 @@ def empirical_cdf(samples: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     """
     if len(samples) == 0:
         raise ValueError("cannot compute the CDF of an empty sample")
+    import numpy as np
+
     xs = np.sort(np.asarray(samples, dtype=float))
     ps = np.arange(1, len(xs) + 1, dtype=float) / len(xs)
     return xs, ps
@@ -73,9 +60,11 @@ class Series:
         return dict(zip(self.xs, self.ys))
 
 
-def mean(values: Iterable[float]) -> float:
-    """Arithmetic mean with an explicit error on empty input."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("mean of empty sequence")
-    return float(sum(vals)) / len(vals)
+def spaced_indices(n: int, max_points: int) -> Sequence[int]:
+    """Indices of at most ``max_points`` evenly spaced points of an
+    ``n``-point series, the first and last included (all ``n`` when they
+    fit)."""
+    if n <= max_points:
+        return range(n)
+    step = (n - 1) / (max_points - 1)
+    return sorted({int(round(i * step)) for i in range(max_points)})

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
+from repro.util.cdf import spaced_indices
+
 
 def format_table(
     headers: Sequence[str],
@@ -63,13 +65,9 @@ def render_series(series_list, title: str = "", max_points: int = 24) -> str:
         if n == 0:
             lines.append(f"  {series.name}: <empty>")
             continue
-        if n <= max_points:
-            idxs = range(n)
-        else:
-            step = (n - 1) / (max_points - 1)
-            idxs = sorted({int(round(i * step)) for i in range(max_points)})
         points = ", ".join(
-            f"({series.xs[i]:.4g}, {series.ys[i]:.4g})" for i in idxs
+            f"({series.xs[i]:.4g}, {series.ys[i]:.4g})"
+            for i in spaced_indices(n, max_points)
         )
         lines.append(f"  {series.name} [{n} pts]: {points}")
     return "\n".join(lines)

@@ -10,23 +10,13 @@ observed data so tests and benchmarks can assert the shape holds.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from repro.util.rng import cumulative_table, weighted_index
 from repro.util.validation import check_positive
 
-
-class _LazyNumpy:
-    """Defer the numpy import to first use (see ``repro.util.cdf``)."""
-
-    def __getattr__(self, name):
-        import numpy
-
-        globals()["np"] = numpy
-        return getattr(numpy, name)
-
-
-np = _LazyNumpy()
+if TYPE_CHECKING:  # annotations only; functions import numpy when called
+    import numpy as np
 
 
 def zipf_weights(n: int, alpha: float, flat_head: int = 0) -> np.ndarray:
@@ -38,6 +28,8 @@ def zipf_weights(n: int, alpha: float, flat_head: int = 0) -> np.ndarray:
     check_positive("n", n)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
+    import numpy as np
+
     ranks = np.arange(1, n + 1, dtype=float)
     weights = ranks**-alpha
     if flat_head > 0:
@@ -69,6 +61,8 @@ class ZipfSampler:
 
     def weights(self) -> np.ndarray:
         """Every ``weight(i)`` at once, in index order."""
+        import numpy as np
+
         return np.diff(np.frombuffer(self._cum), prepend=0.0)
 
     def probability(self, index: int) -> float:
@@ -90,6 +84,8 @@ def fit_zipf_slope(
     number for a decaying power law.  Zero values are dropped (they cannot be
     log-transformed); ``skip_head`` drops the flat head before fitting.
     """
+    import numpy as np
+
     r = np.asarray(ranks, dtype=float)[skip_head:]
     v = np.asarray(values, dtype=float)[skip_head:]
     mask = (r > 0) & (v > 0)

@@ -21,32 +21,17 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.trace.model import ClientMeta, FileMeta, StaticTrace, Trace
 from repro.util.rng import RngStream, cumulative_table, weighted_index
 from repro.util.zipf import ZipfSampler
 from repro.workload.config import WorkloadConfig
 from repro.workload.geo import CountryModel, IpAllocator, default_country_model
-
-
-class _LazyNumpy:
-    """Defer the numpy import to first use (annotations are strings here).
-
-    ``repro.workload`` sits on the CLI's help/import path (via
-    ``repro.runtime.scale``); rebinding the module-global ``np`` on first
-    attribute access keeps that baseline RSS numpy-free.
-    """
-
-    def __getattr__(self, name):
-        import numpy
-
-        globals()["np"] = numpy
-        return getattr(numpy, name)
-
-
-np = _LazyNumpy()
 from repro.workload.interests import InterestUniverse, poisson_draw
+
+if TYPE_CHECKING:  # annotations only; functions import numpy when called
+    import numpy as np
 
 _NICKNAME_POOL = [
     "darkstar", "muse", "pingu", "rider", "shadow", "neo", "zorro", "pixel",
@@ -95,6 +80,8 @@ class SyntheticWorkloadGenerator:
         seed: int = 0,
         country_model: Optional[CountryModel] = None,
     ) -> None:
+        import numpy as np
+
         self.config = config or WorkloadConfig()
         self.seed = seed
         self.rng = RngStream(seed, "workload")
@@ -366,6 +353,8 @@ class SyntheticWorkloadGenerator:
     def _compute_shock_tables(self, day: int):
         if not self.shocks:
             return 0.0, None
+        import numpy as np
+
         attractions = np.array([s.attraction(day) for s in self.shocks])
         total = float(attractions.sum())
         if total <= 0:

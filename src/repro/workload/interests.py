@@ -23,29 +23,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.util.rng import RngStream, cumulative_table, stable_choice, weighted_index
 from repro.util.validation import check_fraction, check_positive
 from repro.util.zipf import zipf_weights
 
-
-class _LazyNumpy:
-    """Defer the numpy import to first use (annotations are strings here).
-
-    ``repro.workload`` sits on the CLI's help/import path (via
-    ``repro.runtime.scale``); rebinding the module-global ``np`` on first
-    attribute access keeps that baseline RSS numpy-free.
-    """
-
-    def __getattr__(self, name):
-        import numpy
-
-        globals()["np"] = numpy
-        return getattr(numpy, name)
-
-
-np = _LazyNumpy()
+if TYPE_CHECKING:  # annotations only; functions import numpy when called
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -102,6 +87,8 @@ class InterestUniverse:
         popularity distribution a multi-replica body (files the whole
         community holds) on top of the singleton tail.
         """
+        import numpy as np
+
         file_weights = np.asarray(file_weights, dtype=float)
         for cat_index, members in self._files_by_category.items():
             if not members:

@@ -57,28 +57,15 @@ class TestFloodingSearch:
         caches[7] = ["target"]
         return build_static(caches)
 
-    def test_finds_with_enough_ttl(self):
-        search = FloodingSearch(self.trace(), FloodingConfig(degree=4, ttl=10))
-        result = search.search(0, "target")
-        assert result.hit
-        assert result.hops_to_hit is not None
-        assert result.contacted >= result.hops_to_hit
-
-    def test_ttl_zero_like_behaviour(self):
-        search = FloodingSearch(self.trace(), FloodingConfig(degree=4, ttl=1))
-        result = search.search(0, "target")
-        # With TTL 1 only direct neighbours are contacted.
-        assert result.contacted <= len(search.overlay[0])
-
     def test_contacts_until_hit_stops_early(self):
         trace = build_static({i: ["everywhere"] for i in range(30)})
-        search = FloodingSearch(trace, FloodingConfig(degree=4, ttl=10))
+        search = FloodingSearch(trace, FloodingConfig(degree=4))
         ok, contacts = search.contacts_until_hit(0, "everywhere")
         assert ok
         assert contacts == 1
 
     def test_missing_file_not_found(self):
-        search = FloodingSearch(self.trace(), FloodingConfig(degree=4, ttl=10))
+        search = FloodingSearch(self.trace(), FloodingConfig(degree=4))
         ok, contacts = search.contacts_until_hit(0, "nowhere")
         assert not ok
         assert contacts == 19  # everyone contacted
@@ -107,7 +94,7 @@ class TestMeasureFlooding:
         caches = {i: ["common"] if i % 2 == 0 else [] for i in range(60)}
         caches[1] = ["rare"]
         trace = build_static(caches)
-        search = FloodingSearch(trace, FloodingConfig(degree=4, ttl=30), seed=1)
+        search = FloodingSearch(trace, FloodingConfig(degree=4), seed=1)
         common_costs = []
         rare_costs = []
         for start in range(10, 30):

@@ -64,7 +64,7 @@ class TestChaosCampaign:
                 ref_metrics, section
             ), section
         invariants = [
-            Crawler.resume_from(Checkpointer(d / "ckpt")).network.check_invariants()
+            Crawler.resume_from(Checkpointer(d / "ckpt"))[0].network.check_invariants()
             for d in (ref_dir, victim_dir)
         ]
         assert invariants[1] == invariants[0]
@@ -82,7 +82,7 @@ class TestChaosCampaign:
         victim = (*crawl, "--checkpoint-dir", str(tmp_path / "ckpt"),
                   "--output", str(tmp_path / "victim.jsonl"))
         assert _cli(*victim, "--kill-after-day", "1").returncode != 0
-        restored = Crawler.resume_from(Checkpointer(tmp_path / "ckpt"))
+        restored, _ = Crawler.resume_from(Checkpointer(tmp_path / "ckpt"))
         assert restored.saved_invariants  # ghost sessions were recorded
         resumed = _cli(*victim, "--resume")
         assert resumed.returncode == 0, resumed.stderr
@@ -117,6 +117,24 @@ class TestCliResumeGuards:
         )
         assert proc.returncode == 2
         assert "no intact" in proc.stderr
+
+    def test_resume_names_the_checkpoint_it_restored(self, tmp_path):
+        """A corrupt newest payload makes resume fall back to the older
+        file; the resume line names that file, not the corrupt one."""
+        ckpt = tmp_path / "ckpt"
+        base = ["crawl", "--clients", "20", "--days", "3", "--seed", "3",
+                "--checkpoint-dir", str(ckpt)]
+        assert _cli(*base, "--kill-after-day", "1").returncode != 0
+        newest = ckpt / "crawl-00000002.ckpt"
+        data = bytearray(newest.read_bytes())
+        data[-1] ^= 0xFF
+        newest.write_bytes(bytes(data))
+        resumed = _cli(*base, "--resume")
+        assert resumed.returncode == 0, resumed.stderr
+        assert (
+            "Resuming crawl at day 1/3 from crawl-00000001.ckpt"
+            in resumed.stderr
+        )
 
     def test_resume_refuses_mismatched_flags(self, tmp_path):
         ckpt = str(tmp_path / "ckpt")

@@ -99,7 +99,7 @@ def test_killed_and_resumed_run_is_byte_identical(
     # The dead run wrote one checkpoint per completed day.
     assert len(store.list(CRAWL_CHECKPOINT_KIND)) == kill_day + 1
 
-    resumed = Crawler.resume_from(store)
+    resumed, _ = Crawler.resume_from(store)
     assert resumed is not crawler  # a fresh object graph from disk
     assert resumed.next_day_offset == kill_day + 1
     trace = resumed.crawl(checkpointer=store)
@@ -149,7 +149,7 @@ def test_kill_and_resume_equals_run_over_generated_seeds(
 
         with pytest.raises(SimulatedCrash):
             crawler.crawl(checkpointer=store, on_day_end=crash)
-        resumed = Crawler.resume_from(store)
+        resumed, _ = Crawler.resume_from(store)
         assert resumed.next_day_offset == kill_day + 1
         trace = resumed.crawl(checkpointer=store)
 
@@ -180,7 +180,7 @@ def test_resume_after_every_day_of_a_run(tmp_path):
     for expected_progress in range(1, days + 1):
         with pytest.raises(SimulatedCrash):
             crawler.crawl(checkpointer=store, on_day_end=crash_immediately)
-        crawler = Crawler.resume_from(store)
+        crawler, _ = Crawler.resume_from(store)
         assert crawler.next_day_offset == expected_progress
     # Every day is done; the last resume just assembles the final trace.
     trace = crawler.crawl(checkpointer=store)
@@ -193,7 +193,7 @@ def test_resume_from_mid_run_checkpoint_reruns_only_the_tail(tmp_path):
     crawler = build_crawler(scale, days)
     crawler.crawl(checkpointer=store)
 
-    resumed = Crawler.resume_from(store)
+    resumed, _ = Crawler.resume_from(store)
     assert resumed.next_day_offset == days
     # Nothing left to do: the resumed crawl immediately returns the
     # completed trace without advancing the network.

@@ -97,7 +97,7 @@ def test_resumed_run_matches_uninterrupted(name, static_trace, tmp_path):
     # resumed simulator must replay the tail identically.
     for path in saves[1:]:
         path.unlink()
-    resumed = SearchSimulator.resume_from(store)
+    resumed, _ = SearchSimulator.resume_from(store)
     assert resumed is not victim
     result = resumed.run()
 
@@ -110,8 +110,7 @@ def test_resume_mid_run_state_is_from_disk(static_trace, tmp_path):
     simulator = SearchSimulator(static_trace, config)
     simulator.run(checkpointer=store, checkpoint_every=500)
 
-    resumed = SearchSimulator.resume_from(store)
-    _, info = store.load_latest(SEARCH_CHECKPOINT_KIND)
+    resumed, info = SearchSimulator.resume_from(store)
     assert info.meta["processed"] == info.step
     assert resumed._run_state.processed == info.step
 

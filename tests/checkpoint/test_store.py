@@ -114,7 +114,9 @@ class TestCorruption:
         good = store.save("crawl", 1, {"x": 1}, seed=0)
         bad = store.save("crawl", 2, {"x": 2}, seed=0)
         bad.write_bytes(b"not a checkpoint at all")
-        assert store.latest("crawl") == good
+        loaded, info = store.load_latest("crawl")
+        assert loaded == {"x": 1}
+        assert info.path == good
 
     def test_load_latest_falls_back_past_corrupt_payload(self, store):
         store.save("crawl", 1, {"step": 1}, seed=0)
@@ -179,3 +181,16 @@ class TestListing:
 
     def test_list_on_missing_directory(self, tmp_path):
         assert Checkpointer(tmp_path / "nope").list() == []
+
+
+class TestRestore:
+    def test_returns_the_object_and_the_file_it_came_from(self, store):
+        path = store.save("crawl", 1, {"sim": [1, 2]}, seed=0)
+        restored, info = store.restore("crawl", "sim", list)
+        assert restored == [1, 2]
+        assert info.path == path
+
+    def test_refuses_an_object_of_another_type(self, store):
+        store.save("crawl", 1, {"sim": [1, 2]}, seed=0)
+        with pytest.raises(TypeError, match="holds list, expected dict"):
+            store.restore("crawl", "sim", dict)

@@ -7,11 +7,9 @@ pins that by counting how often the profile list is iterated during a
 crawl that discovers well over 100 clients.
 """
 
-import dataclasses
-
 from repro.edonkey.crawler import Crawler, CrawlerConfig
 from repro.edonkey.network import NetworkConfig, build_network
-from repro.runtime.scale import Scale, workload_config
+from repro.runtime.scale import crawl_workload
 
 
 class CountingList(list):
@@ -27,14 +25,9 @@ class CountingList(list):
 
 
 def build_counting_network(num_clients: int, days: int, seed: int = 0):
-    workload = dataclasses.replace(
-        workload_config(Scale.SMALL),
-        num_clients=num_clients,
-        num_files=max(num_clients * 15, 500),
-        days=days,
-        mainstream_pool_size=num_clients,
+    network = build_network(
+        NetworkConfig(workload=crawl_workload(num_clients, days)), seed=seed
     )
-    network = build_network(NetworkConfig(workload=workload), seed=seed)
     network.generator.profiles = CountingList(network.generator.profiles)
     return network
 

@@ -19,10 +19,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             FaultConfig(**{field: -0.1})
 
-    def test_deadline_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FaultConfig(deadline=0)
-
     def test_server_crash_day_must_be_non_negative(self):
         with pytest.raises(ValueError):
             FaultConfig(server_crash_day=-1)
@@ -43,10 +39,6 @@ class TestEnabled:
     )
     def test_any_knob_enables(self, kwargs):
         assert FaultConfig(**kwargs).enabled
-
-    def test_deadline_alone_does_not_enable(self):
-        # A deadline only matters when something is slow.
-        assert not FaultConfig(deadline=1.0).enabled
 
 
 class TestServerKnobValidation:

@@ -30,7 +30,6 @@ from typing import Callable, Dict
 from repro.analysis import popularity, semantic
 from repro.baselines.flooding import measure_flooding
 from repro.baselines.random_walk import measure_random_walk
-from repro.baselines.server_search import ServerLookup
 from repro.core.randomization import randomization_schedule, randomize_trace
 from repro.core.requests import generate_requests
 from repro.core.search import SearchConfig, simulate_search
@@ -233,23 +232,6 @@ def _search_randomized(**flags):
     return search_payload(result)
 
 
-def _server_lookup(**flags):
-    static = fixture_static()
-    lookup = ServerLookup.from_trace(static, **flags)
-    probes = sorted(static.distinct_files())[:20] + ["unknown-file"]
-    out = {
-        "index_size": lookup.index_size(),
-        "lookups": [lookup.lookup(fid) for fid in probes],
-    }
-    # Ids unknown to the intern table publish and unpublish too.
-    lookup.publish(999, "unknown-file")
-    out["published"] = lookup.lookup("unknown-file")
-    lookup.unpublish(999, "unknown-file")
-    out["unpublished"] = lookup.lookup("unknown-file")
-    out["stats"] = lookup.stats
-    return out
-
-
 def _overlay(jaccard: bool):
     def run(**flags):
         config = OverlayConfig(rounds=5, seed=3)
@@ -283,7 +265,6 @@ _register(
         fixture_static(), num_queries=50, seed=2, **flags
     ),
 )
-_register("server-lookup/fixture", _server_lookup)
 _register("overlay/fixture/overlap", _overlay(False))
 _register("overlay/fixture/jaccard", _overlay(True))
 # "compiled" cases take the CompiledTrace input, "cache-map" cases the

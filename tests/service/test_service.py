@@ -432,6 +432,35 @@ class TestLoadGen:
             assert metrics.counters[f"loadgen/sent/{kind}"] == n
             assert metrics.counters[f"loadgen/ok/{kind}"] == n
 
+    def test_an_unanswered_connect_is_resent(self):
+        # At this seed the lossy service loses the first session's
+        # ConnectRequest: loadgen resends it instead of aborting the run.
+        async def scenario():
+            obs = Observer()
+            service = IndexService(
+                ServiceConfig(seed=3, faults=FaultConfig(loss_rate=0.1)),
+                obs=obs,
+            )
+            port = await service.start()
+            result = await run_loadgen(
+                LoadGenConfig(
+                    port=port,
+                    requests=50,
+                    rate=2000.0,
+                    sessions=4,
+                    seed=3,
+                    timeout_s=0.2,
+                ),
+                obs=obs,
+            )
+            await _stop(service)
+            return result, obs.report()
+
+        result, metrics = run(scenario())
+        assert result.ok + result.errors + result.timeouts == 50
+        assert result.timeouts > 0
+        assert metrics.histograms["loadgen/latency_s"]["count"] == 50
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             LoadGenConfig(requests=0)

@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import argparse
 import subprocess
 import sys
 import threading
@@ -8,8 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _scale, build_parser, main
-from repro.runtime.scale import Scale
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -38,16 +36,6 @@ class TestParser:
 
 
 class TestScaleArg:
-    def test_known_scales(self):
-        assert _scale("tiny") is Scale.TINY
-        assert _scale("small") is Scale.SMALL
-        assert _scale("default") is Scale.DEFAULT
-        assert _scale("large") is Scale.LARGE
-
-    def test_unknown_scale_is_an_argparse_error(self):
-        with pytest.raises(argparse.ArgumentTypeError, match="unknown scale"):
-            _scale("medium")
-
     def test_unknown_scale_rejected_at_the_command_line(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["search", "--scale", "medium"])
@@ -293,7 +281,6 @@ class TestOutOfRangeFlags:
         "argv, message",
         [
             (["crawl", "--loss-rate", "2"], "loss_rate must be in [0, 1]"),
-            (["crawl", "--timeout", "-1"], "deadline must be > 0"),
             (["crawl", "--server-crash-day", "-1"],
              "server_crash_day must be >= 0"),
             (["crawl", "--retries", "-3"], "max_retries must be >= 0"),
@@ -301,7 +288,7 @@ class TestOutOfRangeFlags:
             (["search", "--availability", "0.5", "--two-hop"],
              "availability modelling is one-hop only"),
         ],
-        ids=["loss-rate", "timeout", "crash-day", "retries", "reply-limit",
+        ids=["loss-rate", "crash-day", "retries", "reply-limit",
              "two-hop-availability"],
     )
     def test_exits_two_with_one_line(self, argv, message, capsys):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.trace.stats import (
-    cache_turnover,
     daily_counts,
     discovery_curve,
     general_characteristics,
@@ -74,58 +73,3 @@ class TestNewFilesRate:
     def test_positive_on_generated_trace(self, small_temporal_trace):
         assert new_files_per_client_per_day(small_temporal_trace) > 0
 
-
-class TestCacheTurnover:
-    def test_adds_per_day(self):
-        trace = build_trace({1: {0: ["a"]}, 3: {0: ["a", "b", "c"]}})
-        turnover = cache_turnover(trace)
-        # 2 files added over a 2-day gap -> 1 add/day attributed to day 3.
-        assert turnover[3] == pytest.approx(1.0)
-
-    def test_no_pairs(self):
-        trace = build_trace({1: {0: ["a"]}})
-        assert cache_turnover(trace) == {}
-
-    def test_generated_turnover_near_config(
-        self, small_temporal_trace, small_config
-    ):
-        turnover = cache_turnover(small_temporal_trace)
-        assert turnover, "expected consecutive observations"
-        mean_adds = sum(turnover.values()) / len(turnover)
-        # Mean daily additions should be in the ballpark of the configured
-        # churn rate; free-riders (74% of clients, zero adds) and evictions
-        # inside observation gaps drag the observable mean well below the
-        # configured per-sharer rate.
-        assert 0.05 * small_config.daily_adds_mean < mean_adds
-        assert mean_adds < 2.0 * small_config.daily_adds_mean
-
-
-class TestMeanCacheSize:
-    def test_per_day_means(self):
-        from repro.trace.stats import mean_cache_size_series
-
-        trace = build_trace(
-            {1: {0: ["a", "b"], 1: ["c"], 2: []}, 2: {0: ["a"], 2: []}}
-        )
-        series = mean_cache_size_series(trace)
-        assert series.as_dict() == {1.0: 1.5, 2.0: 1.0}
-
-    def test_include_free_riders(self):
-        from repro.trace.stats import mean_cache_size_series
-
-        trace = build_trace({1: {0: ["a", "b"], 1: []}})
-        series = mean_cache_size_series(trace, sharers_only=False)
-        assert series.ys == [1.0]
-
-    def test_roughly_constant_on_generated_trace(self, small_temporal_trace):
-        """The conclusion's claim: cache sizes stay roughly constant even
-        though content turns over."""
-        from repro.trace.stats import mean_cache_size_series
-
-        series = mean_cache_size_series(small_temporal_trace)
-        assert len(series) > 5
-        # Ignore the first days (initial fill ramps); the steady-state
-        # mean never drifts by more than 50% around its own average.
-        steady = series.ys[2:]
-        mid = sum(steady) / len(steady)
-        assert all(0.5 * mid < y < 1.5 * mid for y in steady)

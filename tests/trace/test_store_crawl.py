@@ -65,7 +65,7 @@ def test_killed_and_resumed_crawl_store_is_byte_identical(tmp_path, kill_day):
     with pytest.raises(SimulatedCrash):
         crawler.crawl(checkpointer=checkpoints, on_day_end=crash)
 
-    resumed = Crawler.resume_from(checkpoints)
+    resumed, _ = Crawler.resume_from(checkpoints)
     assert resumed.store_dir == str(store_dir)  # travels in the checkpoint
     resumed.crawl(checkpointer=checkpoints)
 
@@ -93,10 +93,10 @@ def test_crash_before_checkpoint_is_replayed_idempotently(tmp_path):
 
     with pytest.raises(SimulatedCrash):
         crawler.crawl(checkpointer=checkpoints, on_day_end=crash)
-    newest = checkpoints.latest("crawl")
+    newest = checkpoints.list("crawl")[-1]
     newest.unlink()
 
-    resumed = Crawler.resume_from(checkpoints)
+    resumed, _ = Crawler.resume_from(checkpoints)
     assert resumed.next_day_offset == 1  # day 1 will be replayed
     resumed.crawl(checkpointer=checkpoints)
 

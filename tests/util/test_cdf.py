@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.cdf import Series, empirical_cdf, mean
+from repro.util.cdf import Series, empirical_cdf
 
 
 class TestEmpiricalCdf:
@@ -44,11 +44,3 @@ class TestSeries:
         with pytest.raises(KeyError):
             s.y_at(99)
 
-
-class TestMean:
-    def test_value(self):
-        assert mean([1, 2, 3]) == 2
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            mean([])
