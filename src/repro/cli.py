@@ -134,8 +134,7 @@ def _check_out_parents(args: argparse.Namespace) -> Optional[str]:
     """An error message when an output flag's parent directory is missing.
 
     Checked up front so a long run cannot fail at write time, hours in,
-    over a typo'd path.  (``run-all``'s ``--metrics-out`` is a boolean
-    and is skipped by the ``isinstance`` guard.)
+    over a typo'd path.
     """
     for attr, flag in (
         ("metrics_out", "--metrics-out"),
@@ -143,7 +142,7 @@ def _check_out_parents(args: argparse.Namespace) -> Optional[str]:
         ("telemetry_out", "--telemetry-out"),
     ):
         path = getattr(args, attr, None)
-        if not isinstance(path, str) or not path:
+        if not path:
             continue
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
@@ -432,7 +431,6 @@ def cmd_run_all(args: argparse.Namespace) -> int:
         ctx=RunContext(seed=args.seed, scale=Scale(args.scale)),
         results_dir=args.results_dir,
         force=args.force,
-        write_metrics=args.metrics_out,
         telemetry=_telemetry_spec(args),
     )
     report = _run_all_reporter(args)
@@ -513,7 +511,6 @@ def _run_all_parallel(args: argparse.Namespace) -> int:
         results_dir=args.results_dir,
         workers=args.workers,
         force=args.force,
-        write_metrics=args.metrics_out,
         on_outcome=_run_all_reporter(args),
         telemetry=_telemetry_spec(args),
     )
@@ -1250,12 +1247,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print each executed experiment's profile after its run",
     )
     p.add_argument(
-        "--metrics-out",
-        action="store_true",
-        help="write <name>.metrics.json next to each manifest "
-        "(recorded in the manifest's metrics_file field)",
-    )
-    p.add_argument(
         "--workers",
         type=_positive_int,
         default=1,
@@ -1433,7 +1424,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-request reply deadline in seconds")
     p.add_argument("--connect-retries", type=int, default=25,
                    help="retries of the connection (covers the serve "
-                   "startup race) and of an unanswered connect request")
+                   "startup race) and of an unanswered connect or publish")
     _add_obs_flags(p)
     p.set_defaults(func=cmd_loadgen)
 

@@ -40,19 +40,20 @@ from repro.util.validation import check_positive
 #: Checkpoint kind tag for crawler snapshots.
 CRAWL_CHECKPOINT_KIND = "crawl"
 
+#: Nickname-substring length of the sweep: the paper's ``aaa`` .. ``zzz``.
+QUERY_LENGTH = 3
+
 
 @dataclass
 class CrawlerConfig:
     """Crawler behaviour.
 
-    ``query_length`` is the nickname-substring length of the sweep (3 in the
-    paper: ``aaa`` .. ``zzz``).  ``browse_budget_start``/``_end`` bound the
-    number of browse attempts per day, decaying linearly (the paper's
-    tightening bandwidth constraints).  ``days`` is the crawl duration.
+    ``browse_budget_start``/``_end`` bound the number of browse attempts
+    per day, decaying linearly (the paper's tightening bandwidth
+    constraints).  ``days`` is the crawl duration.
     """
 
     days: int = 56
-    query_length: int = 3
     browse_budget_start: int = 10_000
     browse_budget_end: int = 5_000
     refresh_users_every: int = 1  # days between nickname sweeps
@@ -64,7 +65,6 @@ class CrawlerConfig:
 
     def __post_init__(self) -> None:
         check_positive("days", self.days)
-        check_positive("query_length", self.query_length)
         check_positive("browse_budget_start", self.browse_budget_start)
         check_positive("browse_budget_end", self.browse_budget_end)
         check_positive("refresh_users_every", self.refresh_users_every)
@@ -206,7 +206,7 @@ class Crawler:
         patterns = (
             "".join(letters)
             for letters in itertools.product(
-                string.ascii_lowercase, repeat=self.config.query_length
+                string.ascii_lowercase, repeat=QUERY_LENGTH
             )
         )
         server_ids = sorted(self.known_servers)

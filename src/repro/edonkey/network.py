@@ -41,10 +41,6 @@ class NetworkConfig:
     semantic_clients: bool = False
     semantic_strategy: str = "lru"
     semantic_list_size: int = 10
-    # Session churn: clients go offline/online daily according to their
-    # availability profile (the turnover the Overnet study measures).
-    # Offline clients are unreachable and unpublished from their server.
-    session_churn: bool = False
     # Failure injection: fraction of clients whose uploads are corrupted
     # (bad block checksums).  Downloaders detect the corruption via the
     # MD4 block hashes and retry other sources.
@@ -101,8 +97,6 @@ class Network:
         # sharing the file, so re-publishes compare descriptions by identity
         self._descriptions: Dict[int, FileDescription] = {}
         self._churn_rng = generator.rng.child("network-churn")
-        self._session_rng = generator.rng.child("network-sessions")
-        self.offline: Set[int] = set()
         self.faults = FaultInjector(
             config.faults,
             generator.rng.child("network-faults"),
@@ -160,8 +154,6 @@ class Network:
         client = self.clients.get(client_id)
         if client is None or client.config.firewalled:
             return None
-        if client_id in self.offline:
-            return None
         return self._deliver_to_client(client, message)
 
     def callback_to_client(self, client_id: int, message):
@@ -171,7 +163,7 @@ class Network:
             self.obs.count("network/callback_hops")
             self.obs.instant(type(message).__name__, cat="hop")
         client = self.clients.get(client_id)
-        if client is None or client_id in self.offline:
+        if client is None:
             return None
         return self._deliver_to_client(client, message)
 
@@ -192,9 +184,8 @@ class Network:
 
     def advance_day(self) -> None:
         """Advance the clock one day: apply the fault schedule (crashes,
-        recoveries, transient peer downtime), then session churn
-        (optional), then churn every online sharer's cache and republish
-        to its server."""
+        recoveries, transient peer downtime), then churn every sharer's
+        cache and republish to its server."""
         with self.obs.span("network/advance_day"):
             self.day += 1
             self._day_index += 1
@@ -204,13 +195,9 @@ class Network:
             if self.faults.active:
                 self._apply_fault_schedule()
             profiles = {p.meta.client_id: p for p in self.generator.profiles}
-            if self.config.session_churn:
-                self._apply_session_churn(profiles)
             for client_id, client in self.clients.items():
                 profile = profiles.get(client_id)
                 if profile is None or profile.free_rider:
-                    continue
-                if client_id in self.offline:
                     continue
                 cache = self._caches.setdefault(client_id, set())
                 before = set(cache)
@@ -271,7 +258,7 @@ class Network:
                 client.server_id = None
 
     def _reconnect_orphans(self) -> None:
-        """Re-home online clients that lost their server to a crash."""
+        """Re-home clients that lost their server to a crash."""
         survivors = [
             sid for sid in sorted(self.servers) if sid not in self.down_servers
         ]
@@ -279,40 +266,12 @@ class Network:
             return
         for client_id in sorted(self.clients):
             client = self.clients[client_id]
-            if client.server_id is not None or client_id in self.offline:
+            if client.server_id is not None:
                 continue
             for server_id in survivors:
                 if client.connect(self, server_id):
                     self.faults.stats.clients_reassigned += 1
                     break
-
-    def _apply_session_churn(self, profiles) -> None:
-        """Draw each client's online status for the new day.
-
-        Going offline disconnects the client from its server (unpublishing
-        its files and removing it from the nickname index); coming back
-        reconnects and republishes.
-        """
-        for client_id, client in self.clients.items():
-            profile = profiles.get(client_id)
-            if profile is None:
-                continue
-            online = self._session_rng.py.random() < profile.online_prob
-            was_offline = client_id in self.offline
-            if online and was_offline:
-                self.offline.discard(client_id)
-                if client.server_id is not None and not client.connect(
-                    self, client.server_id
-                ):
-                    # The reconnect was lost: orphan the client, as a
-                    # crash does, so a later day re-homes it.
-                    client.server_id = None
-            elif not online and not was_offline:
-                self.offline.add(client_id)
-                if client.server_id is not None:
-                    server = self.servers.get(client.server_id)
-                    if server is not None:
-                        server.handle_disconnect(client_id)
 
     def _apply_churn(
         self, client: Client, before: Set[int], after: Set[int]
@@ -371,10 +330,10 @@ class Network:
         without its client, a cache set disagreeing with the client's
         shared dict) surfaces here instead of as a silently divergent
         trace.  Only the *forward* session direction is checked: every
-        session must belong to an online client that points at its
-        server.  A client whose reconnect is lost is orphaned
-        (``server_id`` None) rather than left pointing at a server
-        without its session, but a connect that timed out after the
+        session must belong to a known client that points at its
+        server.  An orphan whose connect is lost stays orphaned
+        (``server_id`` None) rather than pointing at a server without
+        its session, but a connect that timed out after the
         server accepted it leaves a session its client never learnt of,
         which this check reports.
         """
@@ -400,11 +359,6 @@ class Network:
                     problems.append(
                         f"client {client_id} has a session on server "
                         f"{server_id} but points at {client.server_id}"
-                    )
-                if client_id in self.offline:
-                    problems.append(
-                        f"offline client {client_id} still has a session "
-                        f"on server {server_id}"
                     )
         for client_id, indices in self._caches.items():
             client = self.clients.get(client_id)

@@ -33,7 +33,7 @@ class FaultConfig:
 
     - ``peer_downtime`` — per-day probability that a client is
       transiently unreachable for that whole day (mid-session
-      disconnects, on top of the availability-profile session churn).
+      disconnects: the crawler loses that client's daily snapshot).
 
     Server-level faults:
 

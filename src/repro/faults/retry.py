@@ -11,30 +11,25 @@ from dataclasses import dataclass
 
 from repro.util.validation import check_non_negative, check_positive
 
+#: Backoff before the first retry, its growth per retry, and its cap.
+BACKOFF_FIRST_S = 1.0
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_S = 60.0
+
 
 @dataclass
 class RetryPolicy:
-    """Bounded exponential backoff: ``base * multiplier**(attempt-1)``,
-    capped at ``max_delay``, for at most ``max_retries`` retries."""
+    """Bounded exponential backoff: ``1 s * 2**(attempt-1)``, capped at
+    60 s, for at most ``max_retries`` retries."""
 
     max_retries: int = 3
-    base_delay: float = 1.0
-    multiplier: float = 2.0
-    max_delay: float = 60.0
 
     def __post_init__(self) -> None:
         check_non_negative("max_retries", self.max_retries)
-        check_positive("base_delay", self.base_delay)
-        if self.multiplier < 1.0:
-            raise ValueError(
-                f"multiplier must be >= 1 (backoff never shrinks), "
-                f"got {self.multiplier!r}"
-            )
-        check_positive("max_delay", self.max_delay)
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based)."""
         check_positive("attempt", attempt)
         return min(
-            self.base_delay * self.multiplier ** (attempt - 1), self.max_delay
+            BACKOFF_FIRST_S * BACKOFF_FACTOR ** (attempt - 1), BACKOFF_CAP_S
         )

@@ -14,7 +14,7 @@ The subsystem has four parts:
   ring of structured events exportable as Chrome ``trace_event`` JSON
   (``--trace-out``, loadable in ``chrome://tracing``/Perfetto).
 - :mod:`repro.obs.report` — :class:`RunMetrics`, the JSON-serialisable
-  report (schema ``repro.metrics/2``; ``/1`` still loads) an
+  report (schema ``repro.metrics/2``) an
   :class:`Observer` produces, plus its validator and the ``--profile``
   renderer — and :mod:`repro.obs.diff`, the metrics diff/regression
   gate behind ``repro metrics diff``.

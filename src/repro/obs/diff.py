@@ -1,7 +1,7 @@
 """Comparing two run-metrics files: the perf-regression gate.
 
 ``repro metrics diff BASELINE CURRENT [--fail-on SPEC]`` loads two
-:class:`~repro.obs.report.RunMetrics` files (either schema version) and
+:class:`~repro.obs.report.RunMetrics` files (``repro.metrics/2``) and
 compares them metric by metric.  The committed
 ``benchmarks/results/bench-profile.json`` baseline only earns its keep
 if something *fails* when a change regresses it — this module is that

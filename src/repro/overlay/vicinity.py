@@ -9,8 +9,7 @@ the union of: their own view, the partner's semantic view, and the
 partner's Cyclon view, keeping the top ``k`` by proximity.
 
 The proximity function is the paper's own clustering metric: cache
-overlap (number of common files), with a Jaccard variant available for
-workloads with very uneven cache sizes.
+overlap (number of common files).
 """
 
 from __future__ import annotations
@@ -26,38 +25,29 @@ from repro.util.validation import check_fraction, check_positive
 CacheMap = Mapping[ClientId, FrozenSet[FileId]]
 
 
-def cache_proximity(
-    caches: CacheMap, a: ClientId, b: ClientId, jaccard: bool = False
-) -> float:
-    """Semantic proximity of two peers: cache overlap (or Jaccard).
+#: Entries of each side's semantic view sent in one gossip exchange.
+GOSSIP_LENGTH = 10
+
+
+def cache_proximity(caches: CacheMap, a: ClientId, b: ClientId) -> float:
+    """Semantic proximity of two peers: their cache overlap.
 
     Works on any cache map whose values support set intersection — the
     public string-keyed caches or an interned int-set view; both give
     the same value (only sizes enter the formula).
     """
-    cache_a = caches[a]
-    cache_b = caches[b]
-    if not cache_a or not cache_b:
-        return 0.0
-    common = len(cache_a & cache_b)
-    if not jaccard:
-        return float(common)
-    union = len(cache_a) + len(cache_b) - common
-    return common / union if union else 0.0
+    return float(len(caches[a] & caches[b]))
 
 
 @dataclass
 class VicinityConfig:
-    """Semantic view size, gossip subset size and exploration rate."""
+    """Semantic view size and exploration rate."""
 
     view_size: int = 10
-    gossip_length: int = 10
     explore_probability: float = 0.2  # gossip with a Cyclon peer instead
-    jaccard: bool = False
 
     def __post_init__(self) -> None:
         check_positive("view_size", self.view_size)
-        check_positive("gossip_length", self.gossip_length)
         check_fraction("explore_probability", self.explore_probability)
 
 
@@ -101,9 +91,7 @@ class Vicinity:
         key = (a, b) if a <= b else (b, a)
         value = self._proximity_cache.get(key)
         if value is None:
-            value = cache_proximity(
-                self._prox_caches, a, b, jaccard=self.config.jaccard
-            )
+            value = cache_proximity(self._prox_caches, a, b)
             self._proximity_cache[key] = value
         return value
 
@@ -138,12 +126,12 @@ class Vicinity:
         # Candidate material both sides exchange: semantic view + cyclon
         # view + themselves.
         mine = (
-            self.views[initiator][: self.config.gossip_length]
+            self.views[initiator][:GOSSIP_LENGTH]
             + self.cyclon.view_of(initiator)
             + [initiator]
         )
         theirs = (
-            self.views[partner][: self.config.gossip_length]
+            self.views[partner][:GOSSIP_LENGTH]
             + self.cyclon.view_of(partner)
             + [partner]
         )

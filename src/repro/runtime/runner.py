@@ -17,11 +17,7 @@ Schema (``repro.manifest/1``) — a single JSON object:
 - ``wall_time_s`` — wall-clock duration of the run;
 - ``metrics``     — the experiment's headline scalars
   (:attr:`ExperimentResult.metrics`);
-- ``run_metrics`` — the full ``repro.metrics/2`` observability blob;
-- ``metrics_file`` — optional: the standalone metrics JSON written next
-  to this manifest (``Runner(write_metrics=True)``, the CLI's
-  ``repro run-all --metrics-out``), for feeding ``repro metrics diff``
-  without extracting the embedded blob.
+- ``run_metrics`` — the full ``repro.metrics/2`` observability blob.
 
 ``Runner.run`` skips an experiment when its manifest already exists with a
 matching ``config_hash`` (``force`` re-runs anyway), which is what makes
@@ -66,11 +62,10 @@ class RunManifest:
     wall_time_s: float
     metrics: Dict[str, float] = field(default_factory=dict)
     run_metrics: Dict[str, object] = field(default_factory=dict)
-    metrics_file: Optional[str] = None
     schema: str = MANIFEST_SCHEMA
 
     def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "schema": self.schema,
             "experiment": self.experiment,
             "artefact": self.artefact,
@@ -81,9 +76,6 @@ class RunManifest:
             "metrics": dict(self.metrics),
             "run_metrics": dict(self.run_metrics),
         }
-        if self.metrics_file is not None:
-            payload["metrics_file"] = self.metrics_file
-        return payload
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -104,7 +96,6 @@ class RunManifest:
             wall_time_s=float(payload["wall_time_s"]),
             metrics={k: float(v) for k, v in payload["metrics"].items()},
             run_metrics=dict(payload["run_metrics"]),
-            metrics_file=payload.get("metrics_file"),
             schema=payload["schema"],
         )
 
@@ -129,7 +120,7 @@ def validate_manifest(payload: object) -> List[str]:
 
     Returns human-readable problems; empty means valid.  The embedded
     ``run_metrics`` blob is validated against its own schema
-    (``repro.metrics/2``, or legacy ``/1``) when non-empty.
+    (``repro.metrics/2``) when non-empty.
     """
     problems: List[str] = []
     if not isinstance(payload, dict):
@@ -145,9 +136,6 @@ def validate_manifest(payload: object) -> List[str]:
         problems.append("missing or non-numeric field 'seed'")
     if not _is_number(payload.get("wall_time_s")):
         problems.append("missing or non-numeric field 'wall_time_s'")
-    metrics_file = payload.get("metrics_file")
-    if metrics_file is not None and not isinstance(metrics_file, str):
-        problems.append("'metrics_file' must be a string when present")
     if not isinstance(payload.get("metrics"), dict):
         problems.append("missing or non-object section 'metrics'")
     else:
@@ -187,16 +175,11 @@ class Runner:
         ctx: Optional[RunContext] = None,
         results_dir="results",
         force: bool = False,
-        write_metrics: bool = False,
         telemetry=None,
     ) -> None:
         self.ctx = ctx if ctx is not None else RunContext()
         self.results_dir = Path(results_dir)
         self.force = force
-        #: When set, each executed experiment also writes its
-        #: observability blob as ``<name>.metrics.json`` next to the
-        #: manifest (which records the filename in ``metrics_file``).
-        self.write_metrics = write_metrics
         #: Optional :class:`~repro.obs.telemetry.TelemetrySpec`: each
         #: executed experiment flight-records into the shared JSONL,
         #: ``source``-tagged with its name.
@@ -210,9 +193,6 @@ class Runner:
 
     def csv_path(self, name: str) -> Path:
         return self.results_dir / f"{name}.csv"
-
-    def metrics_path(self, name: str) -> Path:
-        return self.results_dir / f"{name}.metrics.json"
 
     def expected_hash(self, spec, overrides: Dict[str, object]) -> str:
         return config_hash(
@@ -271,10 +251,6 @@ class Runner:
             }
         )
         self.results_dir.mkdir(parents=True, exist_ok=True)
-        metrics_file = None
-        if self.write_metrics:
-            metrics_file = self.metrics_path(spec.name).name
-            report.write(str(self.metrics_path(spec.name)))
         manifest = RunManifest(
             experiment=spec.name,
             artefact=spec.artefact,
@@ -284,7 +260,6 @@ class Runner:
             wall_time_s=wall,
             metrics=dict(getattr(result, "metrics", {}) or {}),
             run_metrics=report.to_dict(),
-            metrics_file=metrics_file,
         )
         manifest.write(path)
         if hasattr(result, "write_csv"):

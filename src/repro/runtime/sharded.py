@@ -149,7 +149,6 @@ def _run_all_worker(
     scale_value: str,
     results_dir: str,
     force: bool,
-    write_metrics: bool,
     name: str,
     telemetry: Optional[TelemetrySpec] = None,
 ):
@@ -163,7 +162,6 @@ def _run_all_worker(
         ctx=RunContext(seed=seed, scale=Scale(scale_value)),
         results_dir=results_dir,
         force=force,
-        write_metrics=write_metrics,
         telemetry=telemetry,
     )
     try:
@@ -183,7 +181,6 @@ def run_experiments_parallel(
     results_dir: str,
     workers: int,
     force: bool = False,
-    write_metrics: bool = False,
     on_outcome=None,
     telemetry: Optional[TelemetrySpec] = None,
 ):
@@ -201,7 +198,6 @@ def run_experiments_parallel(
                 scale.value,
                 results_dir,
                 force,
-                write_metrics,
                 name,
                 telemetry,
             )

@@ -76,7 +76,7 @@ class LoadGenConfig:
     seed: int = 0
     scale: str = "tiny"  # trace the request mix is derived from
     timeout_s: float = 30.0
-    connect_retries: int = 25  # the startup race, and unanswered connects
+    connect_retries: int = 25  # the startup race, unanswered connects/publishes
 
     def __post_init__(self) -> None:
         if self.requests <= 0:
@@ -244,6 +244,23 @@ def _percentile_ms(latencies_s: List[float], q: float) -> float:
     return ordered[rank] * 1000.0
 
 
+async def _answered(transport: TcpTransport, message, config: LoadGenConfig):
+    """The reply to a session set-up ``message``, resent up to
+    ``connect_retries`` more times while a lossy service leaves it
+    unanswered.
+
+    Both set-up messages are safe to repeat: the server unpublishes a
+    live session before it re-connects it, and re-publishes a file list
+    by difference."""
+    for _ in range(config.connect_retries + 1):
+        reply = await transport.request(message, timeout=config.timeout_s)
+        if reply is not None:
+            return reply
+    raise TransportError(
+        f"session {message.client_id}: {type(message).__name__} unanswered"
+    )
+
+
 async def run_loadgen(
     config: LoadGenConfig, obs: Optional[Observer] = None
 ) -> LoadGenResult:
@@ -259,27 +276,23 @@ async def run_loadgen(
                 retries=config.connect_retries,
             )
             transports.append(transport)
-            connect = ConnectRequest(
-                client_id=session.client_id,
-                nickname=session.nickname,
-                firewalled=False,
+            reply = await _answered(
+                transport,
+                ConnectRequest(
+                    client_id=session.client_id,
+                    nickname=session.nickname,
+                    firewalled=False,
+                ),
+                config,
             )
-            # A lossy service drops or delays some replies: resend an
-            # unanswered connect.  The server unpublishes a live session
-            # before it re-connects it, so a repeat is harmless.
-            for _ in range(config.connect_retries + 1):
-                reply = await transport.request(
-                    connect, timeout=config.timeout_s
-                )
-                if reply is not None:
-                    break
-            if reply is None or not getattr(reply, "accepted", False):
+            if not getattr(reply, "accepted", False):
                 raise TransportError(
                     f"session {session.client_id}: connect rejected ({reply})"
                 )
-            ack = await transport.request(
+            ack = await _answered(
+                transport,
                 PublishFiles(client_id=session.client_id, files=session.files),
-                timeout=config.timeout_s,
+                config,
             )
             if isinstance(ack, ErrorReply):
                 raise TransportError(

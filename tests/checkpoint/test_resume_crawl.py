@@ -47,15 +47,10 @@ def build_crawler(
     days: int,
     seed: int = DEFAULT_SEED,
     faults: FaultConfig = FaultConfig(),
-    session_churn: bool = False,
     retry: Optional[RetryPolicy] = None,
 ) -> Crawler:
     network = build_network(
-        NetworkConfig(
-            workload=workload_config(scale),
-            faults=faults,
-            session_churn=session_churn,
-        ),
+        NetworkConfig(workload=workload_config(scale), faults=faults),
         seed=seed,
         obs=Observer(),
     )
@@ -117,12 +112,11 @@ def test_killed_and_resumed_run_is_byte_identical(
     loss_rate=st.floats(0.0, 0.3),
     peer_downtime=st.floats(0.0, 0.2),
     retries=st.integers(0, 3),
-    session_churn=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=8, deadline=None)
 def test_kill_and_resume_equals_run_over_generated_seeds(
-    seed, days, loss_rate, peer_downtime, retries, session_churn, data
+    seed, days, loss_rate, peer_downtime, retries, data
 ):
     """Run ≡ kill+resume at TINY for a drawn seed, day count, kill day
     before the last and fault knobs: the resumed crawl ends with the
@@ -132,7 +126,6 @@ def test_kill_and_resume_equals_run_over_generated_seeds(
     kill_day = data.draw(st.integers(0, days - 2), label="kill_day")
     knobs = dict(
         faults=FaultConfig(loss_rate=loss_rate, peer_downtime=peer_downtime),
-        session_churn=session_churn,
         retry=RetryPolicy(max_retries=retries) if retries else None,
     )
     with tempfile.TemporaryDirectory() as tmp:

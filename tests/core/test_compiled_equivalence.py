@@ -84,9 +84,8 @@ class TestBaselineEquivalence:
 
 
 class TestOverlayEquivalence:
-    @pytest.mark.parametrize("jaccard", [False, True])
-    def test_overlay_series(self, jaccard):
-        assert_case(f"overlay/fixture/{'jaccard' if jaccard else 'overlap'}")
+    def test_overlay_series(self):
+        assert_case("overlay/fixture/overlap")
 
 
 class TestAnalysisEquivalence:

@@ -18,9 +18,7 @@ DAYS = 4
 
 CONFIGS = {
     "faults-off": {},
-    "session-churn": {"session_churn": True},
-    "session-churn-and-crash": {
-        "session_churn": True,
+    "server-crash": {
         "faults": FaultConfig(server_crash_day=1, server_downtime_days=2),
     },
 }
@@ -97,15 +95,13 @@ def test_every_day_matches_a_full_sync(options):
     # sync, and churn did move files.
     assert synced == []
     assert changed > 0
-    if options.get("session_churn"):
-        assert network.offline
     if "faults" in options:
         assert network.faults.stats.server_crashes == 1
         assert network.faults.stats.clients_reassigned > 0
 
 
 def _download_pair(network):
-    """(downloader, source, index): two online, connected sharers, the
+    """(downloader, source, index): two connected sharers, the
     source reachable, and a file index only the source caches."""
     caches = network._caches
     sharers = sorted(

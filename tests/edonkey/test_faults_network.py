@@ -164,6 +164,44 @@ class TestHostileCrawl:
         assert network.faults.stats.peer_unreachable > 0
         assert trace.num_snapshots > 0
 
+    @staticmethod
+    def downtime_crawl(seed):
+        _, _, trace = run_crawl(
+            tiny_network_config(faults=FaultConfig(peer_downtime=0.3)),
+            CrawlerConfig(days=8, browse_budget_start=500, browse_budget_end=500),
+            seed=seed,
+            days=8,
+        )
+        return trace
+
+    @staticmethod
+    def gapped_share(trace):
+        """Share of clients seen on two or more days whose days have a gap."""
+        spans = [trace.observation_days(c) for c in trace.clients]
+        spans = [days for days in spans if len(days) >= 2]
+        gapped = [days for days in spans if days[-1] - days[0] + 1 > len(days)]
+        return len(gapped) / len(spans) if spans else 0.0
+
+    def test_crawler_sees_downtime_gaps(self):
+        """A peer down for a day leaves a gap in its observations."""
+        trace = self.downtime_crawl(seed=14)
+        assert trace.num_snapshots > 0
+        assert self.gapped_share(trace) > 0.3
+
+    def test_extrapolation_fills_downtime_gaps(self):
+        """Extrapolating a crawled trace with downtime gaps fills the gaps
+        with snapshots."""
+        from repro.trace.extrapolation import ExtrapolationConfig, extrapolate
+
+        trace = self.downtime_crawl(seed=15)
+        assert self.gapped_share(trace) > 0.3
+        extrapolated = extrapolate(
+            trace, ExtrapolationConfig(min_connections=3, min_span_days=4)
+        )
+        assert extrapolated.num_snapshots > sum(
+            len(trace.observation_days(c)) for c in extrapolated.clients
+        )
+
     def test_malformed_replies_empty_the_browse(self):
         faults = FaultConfig(malformed_rate=1.0)
         network, crawler, trace = run_crawl(tiny_network_config(faults=faults))

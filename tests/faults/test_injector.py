@@ -183,10 +183,9 @@ class TestEdgeCases:
         assert network.down_servers == {0}
         assert network.check_invariants() == []
 
-    def test_downtime_interacts_with_session_churn(self):
-        """A peer can be flaky-offline and session-offline at once; the
-        daily redraw never resurrects a churned-out session, and dropping
-        downtime to zero mid-run clears the flaky set."""
+    def test_a_closed_downtime_window_clears_the_flaky_set(self):
+        """The daily redraw covers only the clients it is given, and
+        dropping downtime to zero mid-run clears the flaky set."""
         from repro.faults import FaultSchedule, FaultWindow
 
         schedule = FaultSchedule(
@@ -199,7 +198,7 @@ class TestEdgeCases:
         )
         injector.advance_day(0, range(100))
         assert injector.flaky_offline
-        injector.advance_day(1, range(50))  # churn shrank the population
+        injector.advance_day(1, range(50))
         assert injector.flaky_offline <= set(range(50))
         injector.advance_day(2, range(50))  # window closed
         assert injector.flaky_offline == set()

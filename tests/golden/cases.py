@@ -232,20 +232,16 @@ def _search_randomized(**flags):
     return search_payload(result)
 
 
-def _overlay(jaccard: bool):
-    def run(**flags):
-        config = OverlayConfig(rounds=5, seed=3)
-        config.vicinity.jaccard = jaccard
-        result = SemanticOverlaySimulator(fixture_static(), config, **flags).run(
-            measure_every=1
-        )
-        return {
-            "hit_rate": result.hit_rate_by_round,
-            "quality": result.quality_by_round,
-            "connected": result.connected,
-        }
-
-    return run
+def _overlay(**flags):
+    config = OverlayConfig(rounds=5, seed=3)
+    result = SemanticOverlaySimulator(fixture_static(), config, **flags).run(
+        measure_every=1
+    )
+    return {
+        "hit_rate": result.hit_rate_by_round,
+        "quality": result.quality_by_round,
+        "connected": result.connected,
+    }
 
 
 def _not_alpha(fid) -> bool:
@@ -265,8 +261,7 @@ _register(
         fixture_static(), num_queries=50, seed=2, **flags
     ),
 )
-_register("overlay/fixture/overlap", _overlay(False))
-_register("overlay/fixture/jaccard", _overlay(True))
+_register("overlay/fixture/overlap", _overlay)
 # "compiled" cases take the CompiledTrace input, "cache-map" cases the
 # plain cache map; both share one digest.
 _register(

@@ -36,10 +36,6 @@ class TestProximity:
         assert cache_proximity(caches, 1, 2) == 1.0
         assert cache_proximity(caches, 1, 3) == 0.0
 
-    def test_jaccard(self):
-        caches = {1: frozenset({"a", "b"}), 2: frozenset({"b", "c"})}
-        assert cache_proximity(caches, 1, 2, jaccard=True) == pytest.approx(1 / 3)
-
     def test_cached_and_symmetric(self):
         vicinity = build(community_caches())
         assert vicinity.proximity(0, 1) == vicinity.proximity(1, 0)

@@ -60,41 +60,6 @@ def tiny_runner(tmp_path):
     return Runner(ctx=ctx, results_dir=tmp_path / "results")
 
 
-class TestWriteMetrics:
-    def test_write_metrics_emits_file_and_manifest_field(self, tmp_path):
-        from repro.obs import RunMetrics
-
-        ctx = RunContext(seed=3, scale=Scale.TINY)
-        runner = Runner(
-            ctx=ctx, results_dir=tmp_path / "results", write_metrics=True
-        )
-        outcome = runner.run("table2")
-        assert outcome.ok
-        metrics_path = runner.metrics_path("table2")
-        assert metrics_path.exists()
-        assert outcome.manifest.metrics_file == "table2.metrics.json"
-        standalone = RunMetrics.read(str(metrics_path))
-        assert standalone.to_dict() == outcome.manifest.run_metrics
-        assert validate_manifest(outcome.manifest.to_dict()) == []
-
-    def test_default_runner_writes_no_metrics_file(self, tiny_runner):
-        outcome = tiny_runner.run("table2")
-        assert outcome.ok
-        assert not tiny_runner.metrics_path("table2").exists()
-        assert outcome.manifest.metrics_file is None
-
-    def test_manifest_with_metrics_file_round_trips(self, tmp_path):
-        manifest = _manifest(metrics_file="fig18.metrics.json")
-        path = tmp_path / "m.json"
-        manifest.write(path)
-        assert RunManifest.read(path) == manifest
-
-    def test_validate_rejects_non_string_metrics_file(self):
-        payload = _manifest().to_dict()
-        payload["metrics_file"] = 7
-        assert any("metrics_file" in p for p in validate_manifest(payload))
-
-
 class TestRunnerCaching:
     def test_run_writes_manifest_and_csv(self, tiny_runner):
         outcome = tiny_runner.run("table2")

@@ -22,7 +22,7 @@ from repro.edonkey.messages import (
     SearchRequest,
     SourcesReply,
 )
-from repro.edonkey.transport import TcpTransport
+from repro.edonkey.transport import TcpTransport, TransportError
 from repro.faults import FaultConfig
 from repro.obs import Observer
 from repro.service import (
@@ -460,6 +460,76 @@ class TestLoadGen:
         assert result.ok + result.errors + result.timeouts == 50
         assert result.timeouts > 0
         assert metrics.histograms["loadgen/latency_s"]["count"] == 50
+
+    def test_an_unanswered_publish_is_resent(self, monkeypatch):
+        # At this seed the lossy service leaves one session's
+        # PublishFiles unanswered: loadgen resends it until it is
+        # answered, so no session searches from an index it never joined.
+        original = TcpTransport.request
+        publish_replies = {}
+
+        async def request(self, message, *args, **kwargs):
+            reply = await original(self, message, *args, **kwargs)
+            if isinstance(message, PublishFiles):
+                publish_replies.setdefault(message.client_id, []).append(reply)
+            return reply
+
+        monkeypatch.setattr(TcpTransport, "request", request)
+
+        async def scenario():
+            service = IndexService(
+                ServiceConfig(
+                    seed=0, faults=FaultConfig(loss_rate=0.05, slow_rate=0.05)
+                )
+            )
+            port = await service.start()
+            result = await run_loadgen(
+                LoadGenConfig(
+                    port=port,
+                    requests=50,
+                    rate=2000.0,
+                    sessions=8,
+                    seed=0,
+                    timeout_s=0.3,
+                )
+            )
+            await _stop(service)
+            return result
+
+        result = run(scenario())
+        assert result.requests == 50
+        assert len(publish_replies) == 8
+        assert any(None in replies for replies in publish_replies.values())
+        for client_id, replies in publish_replies.items():
+            assert isinstance(replies[-1], Ack), (client_id, replies)
+
+    def test_a_publish_never_answered_aborts_the_run(self, monkeypatch):
+        original = TcpTransport.request
+        publishes = []
+
+        async def request(self, message, *args, **kwargs):
+            if isinstance(message, PublishFiles):
+                publishes.append(message)
+                return None
+            return await original(self, message, *args, **kwargs)
+
+        monkeypatch.setattr(TcpTransport, "request", request)
+
+        async def scenario():
+            service = await _service()
+            try:
+                await run_loadgen(
+                    LoadGenConfig(
+                        port=service.port, requests=10, sessions=1,
+                        connect_retries=2,
+                    )
+                )
+            finally:
+                await _stop(service)
+
+        with pytest.raises(TransportError, match="PublishFiles unanswered"):
+            run(scenario())
+        assert len(publishes) == 3
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -540,40 +540,6 @@ class TestMetricsDiffCommand:
 
 
 class TestRunAllMetricsFlags:
-    def test_metrics_out_writes_one_file_per_experiment(
-        self, tmp_path, capsys
-    ):
-        from repro.obs import RunMetrics, validate_metrics
-        from repro.runtime.runner import RunManifest
-
-        results = tmp_path / "results"
-        rc = main(["run-all", "--scale", "tiny", "--results-dir",
-                   str(results), "--only", "table2", "--metrics-out"])
-        assert rc == 0
-        metrics_path = results / "table2.metrics.json"
-        assert metrics_path.exists()
-        import json
-
-        assert validate_metrics(json.loads(metrics_path.read_text())) == []
-        manifest = RunManifest.read(results / "table2.manifest.json")
-        assert manifest.metrics_file == "table2.metrics.json"
-        # The standalone file matches the blob embedded in the manifest.
-        standalone = RunMetrics.read(str(metrics_path))
-        assert standalone.to_dict() == manifest.run_metrics
-
-    def test_without_metrics_out_no_file_and_no_manifest_field(
-        self, tmp_path, capsys
-    ):
-        from repro.runtime.runner import RunManifest
-
-        results = tmp_path / "results"
-        rc = main(["run-all", "--scale", "tiny", "--results-dir",
-                   str(results), "--only", "table2"])
-        assert rc == 0
-        assert not (results / "table2.metrics.json").exists()
-        manifest = RunManifest.read(results / "table2.manifest.json")
-        assert manifest.metrics_file is None
-
     def test_profile_prints_per_experiment_profiles(self, tmp_path, capsys):
         results = tmp_path / "results"
         rc = main(["run-all", "--scale", "tiny", "--results-dir",
